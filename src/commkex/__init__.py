@@ -15,12 +15,12 @@ from .commutant import (
     BlockGrid,
     GeneratorBlock,
     MonoTerm,
+    RingMatrix,
     RingSample,
     ShiftPoly,
     check_commute,
     embed_block_diag,
     eval_key_poly,
-    keygen_power_basis,
     sample_ring_element,
 )
 from .kex import (
@@ -65,12 +65,12 @@ __all__ = [
     "BlockGrid",
     "GeneratorBlock",
     "MonoTerm",
+    "RingMatrix",
     "RingSample",
     "ShiftPoly",
     "check_commute",
     "embed_block_diag",
     "eval_key_poly",
-    "keygen_power_basis",
     "sample_ring_element",
     "Params",
     "PrivateKey",

@@ -30,9 +30,10 @@ identically to the true key on the subspace the equations cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
+from .commutant import ShiftPoly, eval_key_poly
 from .errors import (
     InconsistentSystem,
     InsufficientRank,
@@ -44,10 +45,8 @@ from .kex import Params, PrivateKey, PublicKey, SharedKey, matrix_to_obj, vector
 from .linalg import (
     Matrix,
     invert,
-    mat_add,
     mat_apply,
     mat_mul,
-    mat_scale,
     pivot_columns,
     rank,
     solve_linear,
@@ -113,12 +112,21 @@ class DirectorySharedResult:
 
 @dataclass
 class PassiveResult:
+    """Result of the passive attack.  ``coefficients`` are T' over the
+    structured basis (index i*k + j for N**j z**i, i <= degree_bound);
+    ``recovered`` builds T' as a dense matrix when it is read."""
+
     shared_key: SharedKey
-    recovered: Matrix
     degree_bound: int
     equations_used: int
     rank: int
     verified: bool
+    params: Params = dc_field(repr=False)
+    coefficients: list[int] = dc_field(repr=False)
+
+    @property
+    def recovered(self) -> Matrix:
+        return _structured_key(self.params, self.coefficients)
 
 
 def _shift_vec(vec: Sequence[int], k: int, j: int) -> list[int]:
@@ -129,27 +137,6 @@ def _shift_vec(vec: Sequence[int], k: int, j: int) -> list[int]:
         for r in range(k - j):
             out[start + r] = vec[start + r + j]
     return out
-
-
-def _shift_mat_rows(mat: Matrix, k: int, j: int) -> Matrix:
-    """Embedded j-th shift power times a matrix (pure row shuffle)."""
-    m = mat.rows
-    out = Matrix.zero(m, mat.cols)
-    w = mat.cols
-    for start in range(0, m, k):
-        for r in range(k - j):
-            src = (start + r + j) * w
-            dst = (start + r) * w
-            out.entries[dst : dst + w] = mat.entries[src : src + w]
-    return out
-
-
-def _base_powers(field: Field, params: Params, degree_bound: int) -> list[Matrix]:
-    powers = [Matrix.identity(params.m)]
-    z = params.ring_base.matrix
-    for _ in range(degree_bound):
-        powers.append(mat_mul(field, powers[-1], z))
-    return powers
 
 
 def _structured_system(
@@ -182,21 +169,30 @@ def _structured_system(
     return Matrix.from_columns(columns)
 
 
-def _assemble_structured(
-    field: Field, params: Params, coeffs: Sequence[int], degree_bound: int
-) -> Matrix:
-    powers = _base_powers(field, params, degree_bound)
+def _structured_key(params: Params, coeffs: Sequence[int]) -> Matrix:
+    """sum_{i,j} c_{i*k+j} N**j z**i as a dense matrix."""
     k = params.k
-    total = Matrix.zero(params.m, params.m)
-    for i in range(degree_bound + 1):
+    chunks = [ShiftPoly(tuple(coeffs[i : i + k])) for i in range(0, len(coeffs), k)]
+    return eval_key_poly(params.field(), chunks, params.z_ring, params.d).to_matrix()
+
+
+def _structured_apply(
+    field: Field, params: Params, coeffs: Sequence[int], vec: Sequence[int]
+) -> list[int]:
+    """(sum_{i,j} c_{i*k+j} N**j z**i) vec from vectors alone: one
+    mat_apply per power of z and block shifts."""
+    k, q = params.k, field.q
+    z = params.ring_base.matrix
+    out = [0] * params.m
+    image = list(vec)
+    for i in range(len(coeffs) // k):
+        if i:
+            image = mat_apply(field, z, image)
         for j in range(k):
             c = coeffs[i * k + j]
-            if not c:
-                continue
-            total = mat_add(
-                field, total, mat_scale(field, c, _shift_mat_rows(powers[i], k, j))
-            )
-    return total
+            if c:
+                out = [(o + c * x) % q for o, x in zip(out, _shift_vec(image, k, j))]
+    return out
 
 
 def recover_private_key(
@@ -250,7 +246,7 @@ def recover_private_key(
     if not result.consistent:
         raise InconsistentSystem("structured recovery system is inconsistent")
     assert isinstance(result.particular, list)
-    t_hat = _assemble_structured(field, params, result.particular, params.degree)
+    t_hat = _structured_key(params, result.particular)
     deficit = len(result.nullspace)
     rank = system.cols - deficit
     verified = mat_apply(field, t_hat, params.base_vector) == target_pub.vec and all(
@@ -328,11 +324,11 @@ def passive_commutant_attack(
             )
         bound = min(cap, bound * 2 if bound else 1)
     assert isinstance(result.particular, list)
-    t_prime = _assemble_structured(field, params, result.particular, bound)
-    shared = SharedKey(mat_apply(field, t_prime, pub_b.vec))
-    verified = mat_apply(field, t_prime, params.base_vector) == list(pub_a.vec)
+    coeffs = result.particular
+    shared = SharedKey(_structured_apply(field, params, coeffs, pub_b.vec))
+    verified = _structured_apply(field, params, coeffs, params.base_vector) == list(pub_a.vec)
     rank = system.cols - len(result.nullspace)
-    return PassiveResult(shared, t_prime, bound, m, rank, verified)
+    return PassiveResult(shared, bound, m, rank, verified, params, coeffs)
 
 
 def directory_to_obj(directory: KeyDirectory) -> dict:

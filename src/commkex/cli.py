@@ -374,8 +374,7 @@ def _cmd_demo_listen(args) -> int:
             failures += 1
             print(f"session failed: {result}", file=sys.stderr)
         else:
-            shared, _ = result
-            print(f"session ok (fnv64 {wire.checksum64(shared.to_bytes()):016x})")
+            print(f"session ok (fnv64 {wire.checksum64(result.to_bytes()):016x})")
     return EXIT_OK if failures == 0 else EXIT_TRANSPORT
 
 

@@ -23,16 +23,27 @@ Sums of scaled mono-terms form a ring.  One fixed element of it, the
 public base, is sampled here; private keys are polynomials in the base
 with coefficient embeddings as coefficients, which makes any two
 private keys commute -- the property the key exchange rides on.
+
+Every matrix above is a d x d matrix over the commutative ring
+R = GF(q)[N]/(N**k): each k x k block is upper-triangular Toeplitz,
+i.e. a ShiftPoly.  The algebra is computed in that form (RingMatrix);
+dense m x m matrices are only built where a caller needs one.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DegenerateRingElement, DimensionMismatch, InvalidDimension
+from .errors import (
+    DegenerateRingElement,
+    DimensionMismatch,
+    InvalidDimension,
+    NotBlockToeplitz,
+)
 from .gf import Field, Rng
-from .linalg import Matrix, mat_add, mat_apply, mat_mul, mat_pow, mat_scale
+from .linalg import Matrix, mat_apply, mat_mul
 
 KIND_SCALAR = "scalar"
 KIND_JORDAN = "jordan"
@@ -53,16 +64,15 @@ class GeneratorBlock:
         if self.kind not in (KIND_SCALAR, KIND_JORDAN):
             raise InvalidDimension(f"unknown generator kind {self.kind!r}")
 
+    def residues(self, field: Field) -> list[int]:
+        """The block as an element of R: its k shift coefficients."""
+        out = [self.value % field.q] + [0] * (self.k - 1)
+        if self.kind == KIND_JORDAN and self.k > 1:
+            out[1] = 1
+        return out
+
     def realize(self, field: Field) -> Matrix:
-        k = self.k
-        m = Matrix.zero(k, k)
-        v = self.value % field.q
-        for i in range(k):
-            m.entries[i * k + i] = v
-        if self.kind == KIND_JORDAN:
-            for i in range(k - 1):
-                m.entries[i * k + i + 1] = 1
-        return m
+        return ShiftPoly(tuple(self.residues(field))).realize(field)
 
 
 def shift_nilpotent(k: int) -> Matrix:
@@ -132,21 +142,130 @@ class ShiftPoly:
         return ShiftPoly(tuple(out))
 
 
+class RingMatrix:
+    """A d x d matrix over R = GF(q)[N]/(N**k).
+
+    ``blocks`` holds the d*d entries row-major, each as the k canonical
+    residues (c_0, ..., c_{k-1}) of sum_j c_j N**j -- the first row of
+    the upper-triangular Toeplitz block it realizes as.  A product
+    costs d**3 * k*(k+1)/2 multiplications (each entry product is a
+    convolution truncated at N**k = 0) against (d*k)**3 for the dense
+    m x m product.  Ring operations are not charged to an OpCounter.
+    """
+
+    __slots__ = ("k", "d", "blocks")
+
+    def __init__(self, k: int, d: int, blocks: list[list[int]]):
+        self.k = k
+        self.d = d
+        self.blocks = blocks
+
+    @classmethod
+    def embed(cls, field: Field, poly: ShiftPoly, d: int) -> "RingMatrix":
+        """diag(P, ..., P), d copies of the poly."""
+        if d < 1:
+            raise InvalidDimension("block count must be at least 1")
+        k, q = poly.k, field.q
+        diag = [c % q for c in poly.coeffs]
+        zero = [0] * k
+        return cls(k, d, [list(diag) if i == j else list(zero) for i in range(d) for j in range(d)])
+
+    @classmethod
+    def from_grid(cls, field: Field, grid: "BlockGrid") -> "RingMatrix":
+        return cls(grid.k, grid.d, [blk.residues(field) for row in grid.blocks for blk in row])
+
+    @classmethod
+    def from_matrix(cls, mat: Matrix, k: int, d: int) -> "RingMatrix":
+        """Read a dense m x m matrix as a d x d matrix over R.
+
+        Raises DimensionMismatch for a wrong shape and NotBlockToeplitz
+        when some k x k block is not upper-triangular Toeplitz.
+        """
+        m = d * k
+        if mat.rows != m or mat.cols != m:
+            raise DimensionMismatch(
+                f"matrix is {mat.rows}x{mat.cols}, expected {m}x{m} for k={k}, d={d}"
+            )
+        e = mat.entries
+        # Each block's first row; the matrix is in R iff it is the
+        # realization of those rows.
+        starts = [bi * k * m + bj * k for bi in range(d) for bj in range(d)]
+        ring = cls(k, d, [e[s : s + k] for s in starts])
+        back = ring.to_matrix().entries
+        if back != e:
+            bad = next(i for i, (x, y) in enumerate(zip(back, e)) if x != y)
+            raise NotBlockToeplitz(
+                f"block ({bad // m // k}, {bad % m // k}) is not upper-triangular Toeplitz"
+            )
+        return ring
+
+    def to_matrix(self) -> Matrix:
+        k, d = self.k, self.d
+        entries: list[int] = []
+        for bi in range(d):
+            row_blocks = self.blocks[bi * d : (bi + 1) * d]
+            for r in range(k):
+                for blk in row_blocks:
+                    entries.extend([0] * r)
+                    entries.extend(blk[: k - r])
+        return Matrix(d * k, d * k, entries)
+
+    def _check_shape(self, other: "RingMatrix") -> None:
+        if self.k != other.k or self.d != other.d:
+            raise DimensionMismatch(
+                f"ring matrices of shape (k={self.k}, d={self.d}) and "
+                f"(k={other.k}, d={other.d})"
+            )
+
+    def mul(self, field: Field, other: "RingMatrix") -> "RingMatrix":
+        """self @ other.  Entry t of block (i, j) is
+        sum_l sum_{s<=t} a_il[s] * b_lj[t-s]: one dot product of row i's
+        coefficients 0..t against column j's coefficients t..0."""
+        self._check_shape(other)
+        k, d, q = self.k, self.d, field.q
+        a, b = self.blocks, other.blocks
+        rows = [
+            [[c for e in a[i * d : (i + 1) * d] for c in e[: t + 1]] for t in range(k)]
+            for i in range(d)
+        ]
+        cols = [
+            [[c for e in b[j::d] for c in e[t::-1]] for t in range(k)] for j in range(d)
+        ]
+        mul = operator.mul
+        out = [
+            [sum(map(mul, r, c)) % q for r, c in zip(row, col)] for row in rows for col in cols
+        ]
+        return RingMatrix(k, d, out)
+
+    def add(self, field: Field, other: "RingMatrix") -> "RingMatrix":
+        self._check_shape(other)
+        q = field.q
+        return RingMatrix(
+            self.k,
+            self.d,
+            [[(x + y) % q for x, y in zip(u, v)] for u, v in zip(self.blocks, other.blocks)],
+        )
+
+    def scale(self, field: Field, c: int) -> "RingMatrix":
+        q = field.q
+        return RingMatrix(self.k, self.d, [[c * x % q for x in u] for u in self.blocks])
+
+    def is_embedding(self) -> bool:
+        """True iff this is diag(P, ..., P) for one P in R."""
+        d, first = self.d, self.blocks[0]
+        return all(
+            blk == first if n // d == n % d else not any(blk)
+            for n, blk in enumerate(self.blocks)
+        )
+
+    def is_scalar(self) -> bool:
+        """True iff the dense matrix is a multiple of the identity."""
+        return self.is_embedding() and not any(self.blocks[0][1:])
+
+
 def embed_block_diag(field: Field, poly: ShiftPoly, d: int) -> Matrix:
     """m x m block diagonal with d copies of the poly's realization."""
-    if d < 1:
-        raise InvalidDimension("block count must be at least 1")
-    k = poly.k
-    m = d * k
-    q = field.q
-    out = Matrix.zero(m, m)
-    for b in range(d):
-        off = b * k
-        for i in range(k):
-            base = (off + i) * m + off
-            for j in range(i, k):
-                out.entries[base + j] = poly.coeffs[j - i] % q
-    return out
+    return RingMatrix.embed(field, poly, d).to_matrix()
 
 
 @dataclass(frozen=True)
@@ -176,16 +295,7 @@ class BlockGrid:
         return self.blocks[0][0].k
 
     def realize(self, field: Field) -> Matrix:
-        d, k = self.d, self.k
-        m = d * k
-        out = Matrix.zero(m, m)
-        for bi in range(d):
-            for bj in range(d):
-                blk = self.blocks[bi][bj].realize(field)
-                for i in range(k):
-                    row = (bi * k + i) * m + bj * k
-                    out.entries[row : row + k] = blk.entries[i * k : (i + 1) * k]
-        return out
+        return RingMatrix.from_grid(field, self).to_matrix()
 
 
 @dataclass(frozen=True)
@@ -206,17 +316,18 @@ class RingSample:
 
 
 def eval_recipe(field: Field, k: int, d: int, terms: Sequence[MonoTerm]) -> Matrix:
-    """Evaluate a sum of mono-terms to its m x m matrix."""
-    m = d * k
-    total = Matrix.zero(m, m)
+    """Evaluate a sum of mono-terms, in R, to its m x m matrix."""
+    total = RingMatrix(k, d, [[0] * k for _ in range(d * d)])
     for term in terms:
-        prod = Matrix.identity(m)
+        prod = RingMatrix.embed(field, ShiftPoly.unit(k), d)
         for grid, exp in term.factors:
             if grid.k != k or grid.d != d:
                 raise DimensionMismatch("grid shape disagrees with (k, d)")
-            prod = mat_mul(field, prod, mat_pow(field, grid.realize(field), exp))
-        total = mat_add(field, total, mat_scale(field, term.coeff % field.q, prod))
-    return total
+            g = RingMatrix.from_grid(field, grid)
+            for _ in range(exp):
+                prod = prod.mul(field, g)
+        total = total.add(field, prod.scale(field, term.coeff % field.q))
+    return total.to_matrix()
 
 
 def random_generator_block(field: Field, k: int, rng: Rng) -> GeneratorBlock:
@@ -241,26 +352,10 @@ def random_shift_poly(field: Field, k: int, rng: Rng) -> ShiftPoly:
 def is_coefficient_embedding(mat: Matrix, k: int, d: int) -> bool:
     """True iff mat = diag(P, ..., P) with P upper-triangular Toeplitz,
     i.e. mat lies in the span of the embedded shift powers."""
-    m = d * k
-    if mat.rows != m or mat.cols != m:
+    try:
+        return RingMatrix.from_matrix(mat, k, d).is_embedding()
+    except (DimensionMismatch, NotBlockToeplitz):
         return False
-    first = [mat.at(i, j) for i in range(k) for j in range(k)]
-    for i in range(k):
-        for j in range(k):
-            # Toeplitz along diagonals: entry (i, j) must equal entry
-            # (0, j - i); below the diagonal everything must vanish.
-            expected = first[j - i] if j >= i else 0
-            if first[i * k + j] != expected:
-                return False
-    for bi in range(d):
-        for bj in range(d):
-            for i in range(k):
-                for j in range(k):
-                    v = mat.at(bi * k + i, bj * k + j)
-                    want = first[i * k + j] if bi == bj else 0
-                    if v != want:
-                        return False
-    return True
 
 
 def _is_parallel(field: Field, u: Sequence[int], v: Sequence[int]) -> bool:
@@ -320,52 +415,29 @@ def sample_ring_element(
 
 
 def eval_key_poly(
-    field: Field, coeffs: Sequence[ShiftPoly], base: Matrix, d: int
-) -> Matrix:
-    """Evaluate sum_i diag(a_i) * base**i by Horner's scheme.
+    field: Field, coeffs: Sequence[ShiftPoly], base: RingMatrix | Matrix, d: int
+) -> RingMatrix | Matrix:
+    """Evaluate sum_i diag(a_i) * base**i in R by Horner's scheme.
 
-    len(coeffs) - 1 matrix products; the result commutes with ``base``.
+    len(coeffs) - 1 ring products; the result commutes with ``base``.
+    ``base`` is a RingMatrix, or its dense m x m matrix, which is read
+    into R (raising NotBlockToeplitz if it is not in R); the result has
+    the same form as ``base``.
     """
     if not coeffs:
         raise DimensionMismatch("key polynomial needs at least one coefficient")
     k = coeffs[0].k
-    m = d * k
-    if base.rows != m or base.cols != m:
-        raise DimensionMismatch(
-            f"base is {base.rows}x{base.cols}, expected {m}x{m} for k={k}, d={d}"
-        )
     for c in coeffs:
         if c.k != k:
             raise DimensionMismatch("coefficient sizes differ")
-    acc = embed_block_diag(field, coeffs[-1], d)
+    dense = isinstance(base, Matrix)
+    z = RingMatrix.from_matrix(base, k, d) if dense else base
+    if z.k != k or z.d != d:
+        raise DimensionMismatch(f"base has k={z.k}, d={z.d}, expected k={k}, d={d}")
+    acc = RingMatrix.embed(field, coeffs[-1], d)
     for c in reversed(coeffs[:-1]):
-        acc = mat_add(field, mat_mul(field, acc, base), embed_block_diag(field, c, d))
-    return acc
-
-
-def keygen_power_basis(field: Field, a: Matrix, coeffs: Sequence[int]) -> Matrix:
-    """sum_i c_i * a**i -- the naive single-matrix construction.
-
-    Kept as a deliberately weak baseline; keys of this shape are fully
-    determined by the (public) powers of one constant matrix.
-    """
-    if a.rows != a.cols:
-        raise DimensionMismatch("power-basis keys need a square matrix")
-    if not coeffs:
-        raise DimensionMismatch("need at least one coefficient")
-    n = a.rows
-    q = field.q
-
-    def scalar(c: int) -> Matrix:
-        s = Matrix.zero(n, n)
-        for i in range(n):
-            s.entries[i * n + i] = c % q
-        return s
-
-    acc = scalar(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = mat_add(field, mat_mul(field, acc, a), scalar(c))
-    return acc
+        acc = acc.mul(field, z).add(field, RingMatrix.embed(field, c, d))
+    return acc.to_matrix() if dense else acc
 
 
 def check_commute(field: Field, a: Matrix, b: Matrix) -> bool:

@@ -17,6 +17,11 @@ class InvalidDimension(Error):
     """A size parameter is outside its legal range (e.g. block size 0)."""
 
 
+class NotBlockToeplitz(Error):
+    """A dense matrix has a k x k block that is not upper-triangular
+    Toeplitz, so it is not a matrix over R = GF(q)[N]/(N**k)."""
+
+
 class Singular(Error):
     """Matrix inversion was attempted on a rank-deficient matrix."""
 

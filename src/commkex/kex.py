@@ -28,11 +28,12 @@ equal values serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .commutant import (
     MonoTerm,
+    RingMatrix,
     RingSample,
     ShiftPoly,
     BlockGrid,
@@ -41,7 +42,13 @@ from .commutant import (
     random_shift_poly,
     sample_ring_element,
 )
-from .errors import DegenerateKey, DimensionMismatch, InvalidParams, ParseError
+from .errors import (
+    DegenerateKey,
+    DimensionMismatch,
+    InvalidParams,
+    NotBlockToeplitz,
+    ParseError,
+)
 from .gf import Field, OpCounter, Rng
 from .linalg import Matrix, mat_apply
 
@@ -50,7 +57,9 @@ KEYGEN_MAX_ATTEMPTS = 16
 
 @dataclass
 class Params:
-    """Public parameters.  The constructor checks shapes only; semantic
+    """Public parameters.  The constructor checks shapes and that the
+    base is a matrix over R (every k x k block upper-triangular
+    Toeplitz), and caches the base in that form as ``z_ring``; semantic
     non-degeneracy of the base is enforced where it is sampled."""
 
     q: int
@@ -60,6 +69,7 @@ class Params:
     base_vector: list[int]
     ring_base: RingSample
     seed: Optional[int] = None
+    z_ring: RingMatrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -77,6 +87,10 @@ class Params:
         zmat = self.ring_base.matrix
         if zmat.rows != m or zmat.cols != m:
             raise InvalidParams(f"ring base must be {m}x{m}")
+        try:
+            self.z_ring = RingMatrix.from_matrix(zmat, self.k, self.d)
+        except NotBlockToeplitz as exc:
+            raise InvalidParams(f"ring base: {exc}") from None
 
     @property
     def m(self) -> int:
@@ -138,23 +152,12 @@ def gen_params(
 
 def private_key_from_coeffs(params: Params, coeffs: Sequence[ShiftPoly]) -> PrivateKey:
     """Build a private key from explicit coefficients (no rejection rules)."""
-    field = params.field()
-    matrix = eval_key_poly(field, coeffs, params.ring_base.matrix, params.d)
-    return PrivateKey(list(coeffs), matrix)
+    key = eval_key_poly(params.field(), coeffs, params.z_ring, params.d)
+    return PrivateKey(list(coeffs), key.to_matrix())
 
 
 def public_key(params: Params, sk: PrivateKey) -> PublicKey:
     return PublicKey(mat_apply(params.field(), sk.matrix, params.base_vector))
-
-
-def _is_scalar_matrix(mat: Matrix) -> bool:
-    n = mat.rows
-    c = mat.entries[0]
-    return all(
-        mat.entries[i * n + j] == (c if i == j else 0)
-        for i in range(n)
-        for j in range(n)
-    )
 
 
 def keygen(params: Params, rng: Rng) -> tuple[PrivateKey, PublicKey]:
@@ -163,16 +166,19 @@ def keygen(params: Params, rng: Rng) -> tuple[PrivateKey, PublicKey]:
     Coefficients are drawn uniformly (degree+1 polynomials of k
     coefficients each, in order).  A draw is rejected when the key
     matrix kills the public vector or is a scalar multiple of the
-    identity; both are weak keys the construction does not need.
+    identity; both are weak keys the construction does not need.  The
+    key is evaluated in R, where the scalar rule is decided; the dense
+    matrix is built only for a key that passes it.
     """
     field = params.field()
     for _ in range(KEYGEN_MAX_ATTEMPTS):
         coeffs = [random_shift_poly(field, params.k, rng) for _ in range(params.degree + 1)]
-        matrix = eval_key_poly(field, coeffs, params.ring_base.matrix, params.d)
+        key = eval_key_poly(field, coeffs, params.z_ring, params.d)
+        if key.is_scalar():
+            continue
+        matrix = key.to_matrix()
         pub = mat_apply(field, matrix, params.base_vector)
         if not any(pub):
-            continue
-        if _is_scalar_matrix(matrix):
             continue
         return PrivateKey(coeffs, matrix), PublicKey(pub)
     raise DegenerateKey(f"no usable key after {KEYGEN_MAX_ATTEMPTS} attempts")
@@ -212,25 +218,24 @@ def count_ops(action: str, params: Params) -> OpReport:
 
     ``derive_shared`` costs exactly m**2 multiplications (and m*(m-1)
     additions): one matrix-vector application.  ``keygen`` reports the
-    Horner evaluation of the key polynomial: ``degree`` products of
-    m x m matrices, i.e. degree * m**3 multiplications -- assembling a
-    coefficient embedding places entries and multiplies nothing, so the
-    per-coefficient embedding cost is zero.  Counts are structural
-    (schoolbook), so they do not depend on the sampled values.
+    dense schoolbook figure for a Horner evaluation of the key
+    polynomial: ``degree`` products of m x m matrices plus as many
+    matrix additions, i.e. degree * m**3 multiplications and
+    degree * m**3 additions -- assembling a coefficient embedding places
+    entries and multiplies nothing.  keygen itself computes in R, where
+    the same evaluation takes degree * d**3 * k*(k+1)/2
+    multiplications; the reported figure is the dense one.  Counts are
+    structural, so they do not depend on the sampled values.
     """
-    counter = OpCounter()
-    field = params.field(counter)
     m = params.m
     if action == "derive_shared":
-        mat_apply(field, Matrix.identity(m), params.base_vector)
-        formula = "m^2"
-    elif action == "keygen":
-        coeffs = [ShiftPoly.unit(params.k) for _ in range(params.degree + 1)]
-        eval_key_poly(field, coeffs, params.ring_base.matrix, params.d)
-        formula = "degree * m^3"
-    else:
-        raise ValueError(f"unknown action {action!r}")
-    return OpReport(action, m, counter.mul_count, counter.add_count, formula)
+        counter = OpCounter()
+        mat_apply(params.field(counter), Matrix.identity(m), params.base_vector)
+        return OpReport(action, m, counter.mul_count, counter.add_count, "m^2")
+    if action == "keygen":
+        ops = params.degree * m**3
+        return OpReport(action, m, ops, ops, "degree * m^3")
+    raise ValueError(f"unknown action {action!r}")
 
 
 # ---------------------------------------------------------------------------

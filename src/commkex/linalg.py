@@ -179,18 +179,6 @@ def mat_scale(field: Field, c: int, a: Matrix) -> Matrix:
     return Matrix(a.rows, a.cols, out)
 
 
-def mat_pow(field: Field, a: Matrix, e: int) -> Matrix:
-    """a**e for small non-negative e (plain repeated multiplication)."""
-    if a.rows != a.cols:
-        raise DimensionMismatch("only square matrices have powers")
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    acc = Matrix.identity(a.rows)
-    for _ in range(e):
-        acc = mat_mul(field, acc, a)
-    return acc
-
-
 def vec_add(field: Field, u: Sequence[int], v: Sequence[int]) -> list[int]:
     if len(u) != len(v):
         raise DimensionMismatch("vector addition length mismatch")

@@ -308,10 +308,10 @@ def eavesdrop(transcript: Transcript, degree_bound: Optional[int] = None) -> Eav
 class Listener:
     """TCP listener running the responder side, one thread per session.
 
-    Results (or exceptions) are collected in ``results`` in completion
-    order.  With a seed, every session uses the same deterministic key
-    stream; without one, each session draws an ephemeral key from OS
-    entropy.
+    Each session's shared key (or exception) is collected in ``results``
+    in completion order; transcripts are not kept.  With a seed, every
+    session uses the same deterministic key stream; without one, each
+    session draws an ephemeral key from OS entropy.
     """
 
     def __init__(
@@ -334,7 +334,7 @@ class Listener:
         self._workers: list[threading.Thread] = []
         self._lock = threading.Lock()
         self._stopping = False
-        self.results: list[tuple[SharedKey, Transcript] | Exception] = []
+        self.results: list[SharedKey | Exception] = []
 
     @property
     def address(self) -> tuple[str, int]:
@@ -364,6 +364,7 @@ class Listener:
             served += 1
             worker = threading.Thread(target=self._serve_one, args=(conn,), daemon=True)
             with self._lock:
+                self._workers = [w for w in self._workers if w.is_alive()]
                 self._workers.append(worker)
             worker.start()
 
@@ -377,7 +378,7 @@ class Listener:
                     params=self._params,
                     private_key=self._private_key,
                     rng=rng,
-                )
+                )[0]
         except Exception as exc:  # collected for the owner to inspect
             result = exc
         with self._lock:

@@ -108,3 +108,44 @@ def block_matrix(blocks, q):
                 for j in range(k):
                     out[bi * k + i][bj * k + j] = blocks[bi][bj][i][j] % q
     return out
+
+
+def toeplitz_rows(coeffs, q):
+    """The k x k upper-triangular Toeplitz block with first row coeffs."""
+    k = len(coeffs)
+    return [[coeffs[j - i] % q if j >= i else 0 for j in range(k)] for i in range(k)]
+
+
+def generator_rows(kind, value, k, q):
+    """value * I, plus the upper shift N for kind "jordan"."""
+    return [
+        [
+            value % q if i == j else (1 if kind == "jordan" and j == i + 1 else 0)
+            for j in range(k)
+        ]
+        for i in range(k)
+    ]
+
+
+def key_poly_mod(coeff_lists, base_rows, d, q):
+    """sum_i diag(T_i, ..., T_i) @ base**i by direct expansion, with T_i
+    the Toeplitz block of coeff_lists[i]."""
+    k = len(coeff_lists[0])
+    zero = [[0] * k for _ in range(k)]
+    total = np.zeros((d * k, d * k), dtype=object)
+    for i, coeffs in enumerate(coeff_lists):
+        blk = toeplitz_rows(coeffs, q)
+        emb = block_matrix([[blk if bi == bj else zero for bj in range(d)] for bi in range(d)], q)
+        total = (total + np_mat(emb) @ np_mat(mat_pow_mod(base_rows, i, q))) % q
+    return total.tolist()
+
+
+def recipe_mod(terms, m, q):
+    """sum coeff * prod rows**exp over terms [(coeff, [(rows, exp), ...])]."""
+    total = np.zeros((m, m), dtype=object)
+    for coeff, factors in terms:
+        prod = np.eye(m, dtype=object)
+        for rows, exp in factors:
+            prod = (prod @ np_mat(mat_pow_mod(rows, exp, q))) % q
+        total = (total + coeff * prod) % q
+    return total.tolist()

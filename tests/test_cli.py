@@ -333,6 +333,29 @@ def test_truncated_params_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_params_with_non_toeplitz_block_exits_3(tmp_path, capsys):
+    paths = gen_pipeline(tmp_path, k=2, d=2)
+    obj = json.loads(paths["params"].read_text())
+    z = obj["z"]["matrix"]
+    assert (z["rows"], z["cols"]) == (4, 4)
+    z["entries"][1 * 4 + 2] = "1"  # under the diagonal of block (0, 1)
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(obj))
+    code = run(
+        [
+            "keygen",
+            "--params",
+            str(bad),
+            "-o",
+            str(tmp_path / "k.json"),
+            "--pub",
+            str(tmp_path / "p.json"),
+        ]
+    )
+    assert code == 3
+    assert "Toeplitz" in capsys.readouterr().err
+
+
 def test_demo_roundtrip_and_sniff(tmp_path, capsys):
     paths = gen_pipeline(tmp_path, q=2147483647)
     params = params_from_json(paths["params"].read_text())

@@ -6,19 +6,20 @@ from commkex.errors import (
     DegenerateRingElement,
     DimensionMismatch,
     InvalidDimension,
+    NotBlockToeplitz,
 )
 from commkex.gf import Field, Rng
 from commkex.commutant import (
     BlockGrid,
     GeneratorBlock,
     MonoTerm,
+    RingMatrix,
     ShiftPoly,
     check_commute,
     embed_block_diag,
     eval_key_poly,
     eval_recipe,
     is_coefficient_embedding,
-    keygen_power_basis,
     random_block_grid,
     random_shift_poly,
     sample_ring_element,
@@ -26,8 +27,15 @@ from commkex.commutant import (
 )
 from commkex.linalg import Matrix, mat_add, mat_mul
 
-from conftest import GRID_SHAPES
-from oracles import block_matrix, mat_mul_mod, poly_of_matrix_mod
+from conftest import GRID_DEGREES, GRID_PRIMES, GRID_SHAPES
+from oracles import (
+    block_matrix,
+    generator_rows,
+    key_poly_mod,
+    mat_mul_mod,
+    poly_of_matrix_mod,
+    recipe_mod,
+)
 
 F7 = Field(7)
 
@@ -322,28 +330,6 @@ def test_diag_and_grid_rings_commute():
                 assert check_commute(field, a, product)
 
 
-def test_keygen_power_basis_examples():
-    a = Matrix.from_rows([[1, 1], [0, 1]])
-    assert keygen_power_basis(F7, a, [1]) == Matrix.identity(2)
-    assert keygen_power_basis(F7, a, [0, 1]) == a
-    expect = poly_of_matrix_mod([1, 1], a.to_rows(), 7)
-    assert keygen_power_basis(F7, a, [1, 1]) == Matrix.from_rows(expect)
-    assert keygen_power_basis(F7, a, [1, 1]) == Matrix.from_rows([[2, 1], [0, 2]])
-    with pytest.raises(DimensionMismatch):
-        keygen_power_basis(F7, Matrix.zero(2, 3), [1])
-
-
-def test_keygen_power_basis_matches_oracle_random():
-    rng = Rng(321)
-    field = Field(101)
-    for _ in range(20):
-        a = Matrix(3, 3, [field.sample(rng) for _ in range(9)])
-        coeffs = [field.sample(rng) for _ in range(4)]
-        assert keygen_power_basis(field, a, coeffs) == Matrix.from_rows(
-            poly_of_matrix_mod(coeffs, a.to_rows(), 101)
-        )
-
-
 @settings(max_examples=60)
 @given(
     st.integers(min_value=1, max_value=4),
@@ -355,3 +341,79 @@ def test_shift_poly_product_commutes_hypothesis(k, c1, c2):
     a = ShiftPoly(tuple((c1 * (k // len(c1) + 1))[:k]))
     b = ShiftPoly(tuple((c2 * (k // len(c2) + 1))[:k]))
     assert a.mul(b, field) == b.mul(a, field)
+
+
+# The ring path against the numpy oracle: every grid shape (k = 1
+# included) and one larger k = 4, d = 8 shape.
+RING_CASES = [(q, k, d) for q in GRID_PRIMES for k, d in GRID_SHAPES] + [(2147483647, 4, 8)]
+
+
+def test_eval_key_poly_ring_matches_oracle():
+    rng = Rng(8128)
+    for q, k, d in RING_CASES:
+        field = Field(q)
+        base = sample_ring_element(field, k, d, rng).matrix
+        z = RingMatrix.from_matrix(base, k, d)
+        assert z.to_matrix() == base
+        for degree in GRID_DEGREES:
+            coeffs = [random_shift_poly(field, k, rng) for _ in range(degree + 1)]
+            key = eval_key_poly(field, coeffs, z, d)
+            assert isinstance(key, RingMatrix)
+            oracle = key_poly_mod([c.coeffs for c in coeffs], base.to_rows(), d, q)
+            assert key.to_matrix() == Matrix.from_rows(oracle)
+            assert eval_key_poly(field, coeffs, base, d) == Matrix.from_rows(oracle)
+
+
+def test_eval_recipe_ring_matches_oracle():
+    rng = Rng(496)
+    for q, k, d in RING_CASES:
+        field = Field(q)
+        sample = sample_ring_element(field, k, d, rng)
+        terms = [
+            (
+                term.coeff,
+                [
+                    (
+                        block_matrix(
+                            [[generator_rows(b.kind, b.value, k, q) for b in row] for row in grid.blocks],
+                            q,
+                        ),
+                        exp,
+                    )
+                    for grid, exp in term.factors
+                ],
+            )
+            for term in sample.recipe
+        ]
+        oracle = Matrix.from_rows(recipe_mod(terms, k * d, q))
+        assert eval_recipe(field, k, d, sample.recipe) == oracle == sample.matrix
+
+
+def test_ring_matrix_product_matches_dense():
+    rng = Rng(33550336)
+    for q, k, d in RING_CASES:
+        field = Field(q)
+        a = sample_ring_element(field, k, d, rng).matrix
+        b = sample_ring_element(field, k, d, rng).matrix
+        ra, rb = RingMatrix.from_matrix(a, k, d), RingMatrix.from_matrix(b, k, d)
+        assert ra.mul(field, rb).to_matrix() == Matrix.from_rows(
+            mat_mul_mod(a.to_rows(), b.to_rows(), q)
+        )
+
+
+def test_ring_matrix_from_matrix_rejects_non_toeplitz_blocks():
+    # k = 1: every matrix is in R
+    assert RingMatrix.from_matrix(Matrix.from_rows([[1, 2], [3, 4]]), 1, 2).blocks == [
+        [1], [2], [3], [4]
+    ]
+    assert RingMatrix.from_matrix(Matrix.identity(6), 3, 2).is_scalar()
+    below = Matrix.identity(4)
+    below.entries[1 * 4 + 0] = 1  # under the diagonal of block (0, 0)
+    off_diagonal = Matrix.identity(4)
+    off_diagonal.entries[0 * 4 + 2] = 5  # block (0, 1) = 5 at (0, 0) only
+    for bad in (below, off_diagonal):
+        with pytest.raises(NotBlockToeplitz):
+            RingMatrix.from_matrix(bad, 2, 2)
+        assert not is_coefficient_embedding(bad, 2, 2)
+    with pytest.raises(DimensionMismatch):
+        RingMatrix.from_matrix(Matrix.identity(4), 2, 3)

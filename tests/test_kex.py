@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from commkex.errors import (
@@ -28,7 +30,7 @@ from commkex.kex import (
 )
 from commkex.linalg import Matrix, mat_mul, vec_add
 
-from oracles import mat_vec_mod
+from oracles import key_poly_mod, mat_vec_mod
 
 
 def test_gen_params_rejects_bad_inputs():
@@ -259,3 +261,67 @@ def test_gen_params_propagates_degenerate_base():
 
     with pytest.raises(DegenerateRingElement):
         gen_params(7, 1, 2, 1, OnesRng())
+
+
+def test_params_rejects_base_outside_ring():
+    z = Matrix.identity(4)
+    z.entries[3 * 4 + 2] = 1  # under the diagonal of block (1, 1)
+    with pytest.raises(InvalidParams):
+        Params(7, 2, 2, 1, [1, 0, 0, 0], RingSample(z))
+    # every k = 1 matrix and the identity at any k are in R
+    Params(7, 1, 2, 1, [1, 0], RingSample(Matrix.from_rows([[1, 2], [3, 4]])))
+    Params(7, 4, 2, 1, [1] + [0] * 7, RingSample(Matrix.identity(8)))
+
+
+class _Rejected(Exception):
+    pass
+
+
+class _OneDraw:
+    """Yields one keygen attempt's coefficients, then raises _Rejected."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def below(self, n):
+        if not self.values:
+            raise _Rejected
+        return self.values.pop(0)
+
+
+def test_keygen_rejections_match_dense_rules():
+    # Exhaustive over every coefficient draw of small instances: keygen
+    # accepts exactly when the oracle's dense key is not scalar and does
+    # not kill the public vector.  The last base has the public vector
+    # e_0 as an eigenvector, so non-scalar keys can kill it.
+    eigen_base = Matrix.from_rows(
+        [[2, 1, 1, 0], [0, 2, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    )
+    instances = [
+        gen_params(2, 1, 2, 1, Rng(1)),
+        gen_params(3, 2, 2, 1, Rng(2)),
+        gen_params(2, 3, 2, 1, Rng(3)),
+        gen_params(2, 2, 3, 2, Rng(4)),
+        Params(3, 2, 2, 1, [1, 0, 0, 0], RingSample(eigen_base)),
+        Params(2, 2, 2, 2, [1, 0, 0, 0], RingSample(eigen_base)),
+    ]
+    seen = {"scalar": 0, "kills": 0, "accepted": 0}
+    for params in instances:
+        q, k, m = params.q, params.k, params.m
+        base_rows = params.ring_base.matrix.to_rows()
+        for draw in product(range(q), repeat=(params.degree + 1) * k):
+            chunks = [list(draw[i : i + k]) for i in range(0, len(draw), k)]
+            dense = key_poly_mod(chunks, base_rows, params.d, q)
+            pub = mat_vec_mod(dense, params.base_vector, q)
+            scalar = all(dense[i][j] == (dense[0][0] if i == j else 0) for i in range(m) for j in range(m))
+            kills = not any(pub)
+            try:
+                sk, pk = keygen(params, _OneDraw(draw))
+            except _Rejected:
+                assert scalar or kills, (params.q, params.k, params.d, draw)
+                seen["scalar" if scalar else "kills"] += 1
+                continue
+            assert not scalar and not kills, (params.q, params.k, params.d, draw)
+            assert sk.matrix == Matrix.from_rows(dense) and pk.vec == pub
+            seen["accepted"] += 1
+    assert all(seen.values()), seen

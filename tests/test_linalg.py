@@ -10,7 +10,6 @@ from commkex.linalg import (
     mat_add,
     mat_apply,
     mat_mul,
-    mat_pow,
     mat_scale,
     rank,
     solve_linear,
@@ -192,8 +191,6 @@ def test_mat_helpers():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     assert mat_add(F7, a, a) == Matrix.from_rows([[2, 4], [6, 1]])
     assert mat_scale(F7, 3, a) == Matrix.from_rows([[3, 6], [2, 5]])
-    assert mat_pow(F7, a, 0) == Matrix.identity(2)
-    assert mat_pow(F7, a, 2) == mat_mul(F7, a, a)
 
 
 @settings(max_examples=50)

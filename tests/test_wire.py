@@ -334,4 +334,4 @@ def test_listener_adopts_params_from_wire():
         listener.stop()
     result = listener.results[0]
     assert not isinstance(result, Exception)
-    assert result[0].vec == shared.vec
+    assert result.vec == shared.vec
