@@ -358,7 +358,7 @@ def directory_from_obj(obj, params: Params) -> KeyDirectory:
         pub = public_key_from_obj(raw["pub"], params.q)
         private = None
         if "key" in raw:
-            private = private_key_from_obj(raw["key"], params.q)
+            private = private_key_from_obj(raw["key"], params)
         entries.append(DirectoryEntry(pub, private))
     return KeyDirectory(params, entries)
 

@@ -100,8 +100,8 @@ def _load_params(path: str) -> kex.Params:
     return kex.params_from_json(_read_text(path))
 
 
-def _load_private(path: str, q: int) -> kex.PrivateKey:
-    return kex.private_key_from_json(_read_text(path), q)
+def _load_private(path: str, params: kex.Params) -> kex.PrivateKey:
+    return kex.private_key_from_json(_read_text(path), params)
 
 
 def _load_public(path: str, q: int) -> kex.PublicKey:
@@ -237,7 +237,7 @@ def _cmd_keygen(args) -> int:
 
 def _cmd_derive(args) -> int:
     params = _load_params(args.params)
-    private = _load_private(args.key, params.q)
+    private = _load_private(args.key, params)
     peer = _load_public(args.peer_pub, params.q)
     shared = kex.derive_shared(params, private, peer)
     _write_bytes(args.out, shared.to_bytes())
@@ -347,7 +347,7 @@ def _cmd_demo_listen(args) -> int:
     if args.key:
         if params is None:
             raise ParseError("--key requires --params")
-        private = _load_private(args.key, params.q)
+        private = _load_private(args.key, params)
     listener = wire.Listener(
         host,
         port,
@@ -382,7 +382,7 @@ def _cmd_demo_connect(args) -> int:
     host, port = _parse_addr(args.addr)
     params = _load_params(args.params)
     if args.key:
-        private = _load_private(args.key, params.q)
+        private = _load_private(args.key, params)
     else:
         private, _ = kex.keygen(params, Rng(args.seed))
     shared, transcript = wire.connect_and_run(host, port, params, private)

@@ -147,18 +147,23 @@ class RingMatrix:
 
     ``blocks`` holds the d*d entries row-major, each as the k canonical
     residues (c_0, ..., c_{k-1}) of sum_j c_j N**j -- the first row of
-    the upper-triangular Toeplitz block it realizes as.  A product
-    costs d**3 * k*(k+1)/2 multiplications (each entry product is a
-    convolution truncated at N**k = 0) against (d*k)**3 for the dense
-    m x m product.  Ring operations are not charged to an OpCounter.
+    the upper-triangular Toeplitz block it realizes as.  Products use
+    Kronecker substitution: each block is packed into one integer (see
+    ``_pack``), so entry (i, j) of a product is one dot product of d
+    packed integers, d**3 big-integer products in all against (d*k)**3
+    multiplications for the dense m x m product.  A matrix used as a
+    key-polynomial base keeps its packed powers (``powers``); ring
+    matrices are never mutated, which keeps that cache valid.  Ring
+    operations are not charged to an OpCounter.
     """
 
-    __slots__ = ("k", "d", "blocks")
+    __slots__ = ("k", "d", "blocks", "_powers")
 
     def __init__(self, k: int, d: int, blocks: list[list[int]]):
         self.k = k
         self.d = d
         self.blocks = blocks
+        self._powers: Optional[_PowerTable] = None
 
     @classmethod
     def embed(cls, field: Field, poly: ShiftPoly, d: int) -> "RingMatrix":
@@ -218,24 +223,20 @@ class RingMatrix:
             )
 
     def mul(self, field: Field, other: "RingMatrix") -> "RingMatrix":
-        """self @ other.  Entry t of block (i, j) is
-        sum_l sum_{s<=t} a_il[s] * b_lj[t-s]: one dot product of row i's
-        coefficients 0..t against column j's coefficients t..0."""
+        """self @ other.  Block (i, j) is sum_l a_il * b_lj in R: the low
+        k slots of one dot product of row i's packed blocks with column
+        j's, with slots wide enough for d*k terms."""
         self._check_shape(other)
         k, d, q = self.k, self.d, field.q
-        a, b = self.blocks, other.blocks
-        rows = [
-            [[c for e in a[i * d : (i + 1) * d] for c in e[: t + 1]] for t in range(k)]
-            for i in range(d)
-        ]
-        cols = [
-            [[c for e in b[j::d] for c in e[t::-1]] for t in range(k)] for j in range(d)
-        ]
+        slot = _slot_bytes(q, d * k)
+        a = [_pack(e, slot) for e in self.blocks]
+        b = [_pack(e, slot) for e in other.blocks]
+        rows = [a[i * d : (i + 1) * d] for i in range(d)]
+        cols = [b[j::d] for j in range(d)]
         mul = operator.mul
-        out = [
-            [sum(map(mul, r, c)) % q for r, c in zip(row, col)] for row in rows for col in cols
-        ]
-        return RingMatrix(k, d, out)
+        return RingMatrix(
+            k, d, [_unpack(sum(map(mul, r, c)), k, slot, q) for r in rows for c in cols]
+        )
 
     def add(self, field: Field, other: "RingMatrix") -> "RingMatrix":
         self._check_shape(other)
@@ -261,6 +262,63 @@ class RingMatrix:
     def is_scalar(self) -> bool:
         """True iff the dense matrix is a multiple of the identity."""
         return self.is_embedding() and not any(self.blocks[0][1:])
+
+    def powers(self, field: Field, count: int) -> "_PowerTable":
+        """The packed blocks of self**1 .. self**(count-1).
+
+        Built on first use and kept on this matrix; a request for more
+        powers (or another modulus) builds a larger table in its place.
+        A published table is never changed, so threads sharing one base
+        read consistent tables; two first calls may each build one.
+        """
+        table = self._powers
+        if table is None or table.count < count or table.q != field.q:
+            table = _PowerTable(field, self, count)
+            self._powers = table
+        return table
+
+
+def _slot_bytes(q: int, terms: int) -> int:
+    """Width of a packed slot that holds a sum of ``terms`` products of
+    residues mod q exactly: carries then never cross into the next slot."""
+    return (2 * (q - 1).bit_length() + terms.bit_length() + 7) // 8
+
+
+def _pack(residues: Sequence[int], slot: int) -> int:
+    """Kronecker substitution: sum_j c_j * 2**(8*slot*j) for canonical c_j."""
+    return int.from_bytes(b"".join([c.to_bytes(slot, "little") for c in residues]), "little")
+
+
+def _unpack(packed: int, k: int, slot: int, q: int) -> list[int]:
+    """The low k slots of a packed product, each reduced mod q; slots
+    past k are the N**k = 0 part and are dropped."""
+    width = k * slot
+    raw = (packed & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
+    return [int.from_bytes(raw[i : i + slot], "little") % q for i in range(0, width, slot)]
+
+
+class _PowerTable:
+    """Packed powers z**1 .. z**(count-1) of a ring matrix z, for key
+    polynomials of up to ``count`` coefficients.
+
+    ``blocks[n][i-1]`` is block n (row-major) of z**i, packed with slots
+    wide enough for ``count`` terms.  z**0 is the identity and is not
+    stored: its coefficient goes straight onto the diagonal blocks.
+    """
+
+    __slots__ = ("q", "count", "slot", "blocks")
+
+    def __init__(self, field: Field, z: RingMatrix, count: int):
+        self.q = field.q
+        self.count = count
+        self.slot = _slot_bytes(field.q, count * z.k)
+        packed = []
+        power = z
+        for i in range(1, count):
+            if i > 1:
+                power = power.mul(field, z)
+            packed.append([_pack(e, self.slot) for e in power.blocks])
+        self.blocks = [tuple(p[n] for p in packed) for n in range(z.d * z.d)]
 
 
 def embed_block_diag(field: Field, poly: ShiftPoly, d: int) -> Matrix:
@@ -417,12 +475,15 @@ def sample_ring_element(
 def eval_key_poly(
     field: Field, coeffs: Sequence[ShiftPoly], base: RingMatrix | Matrix, d: int
 ) -> RingMatrix | Matrix:
-    """Evaluate sum_i diag(a_i) * base**i in R by Horner's scheme.
+    """Evaluate sum_i diag(a_i) * base**i in R, in one pass.
 
-    len(coeffs) - 1 ring products; the result commutes with ``base``.
-    ``base`` is a RingMatrix, or its dense m x m matrix, which is read
-    into R (raising NotBlockToeplitz if it is not in R); the result has
-    the same form as ``base``.
+    R is commutative, so block n of the result is sum_i a_i * (base**i)_n:
+    a_0 on the diagonal blocks plus one packed dot product per block
+    over the base's power table (see ``RingMatrix.powers``), which a
+    long-lived base keeps between calls.  The result commutes with
+    ``base``.  ``base`` is a RingMatrix, or its dense m x m matrix, which
+    is read into R (raising NotBlockToeplitz if it is not in R); the
+    result has the same form as ``base``.
     """
     if not coeffs:
         raise DimensionMismatch("key polynomial needs at least one coefficient")
@@ -434,10 +495,20 @@ def eval_key_poly(
     z = RingMatrix.from_matrix(base, k, d) if dense else base
     if z.k != k or z.d != d:
         raise DimensionMismatch(f"base has k={z.k}, d={z.d}, expected k={k}, d={d}")
-    acc = RingMatrix.embed(field, coeffs[-1], d)
-    for c in reversed(coeffs[:-1]):
-        acc = acc.mul(field, z).add(field, RingMatrix.embed(field, c, d))
-    return acc.to_matrix() if dense else acc
+    q = field.q
+    table = z.powers(field, len(coeffs))
+    slot = table.slot
+    c0, *rest = [_pack([x % q for x in c.coeffs], slot) for c in coeffs]
+    mul = operator.mul
+    key = RingMatrix(
+        k,
+        d,
+        [
+            _unpack(sum(map(mul, rest, col), c0 if n % (d + 1) == 0 else 0), k, slot, q)
+            for n, col in enumerate(table.blocks)
+        ],
+    )
+    return key.to_matrix() if dense else key
 
 
 def check_commute(field: Field, a: Matrix, b: Matrix) -> bool:

@@ -21,6 +21,7 @@ from OS entropy, which is the default for key generation.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -34,8 +35,12 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 2**64."""
+    """Deterministic primality test for n < 2**64.
+
+    Cached, because every Field re-checks its modulus and a protocol run
+    builds several Fields over the same q."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:

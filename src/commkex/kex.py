@@ -18,6 +18,8 @@ File formats (all field elements as decimal strings):
 
   params.json  {"q", "k", "d", "D", "zeta", "z", "seed"?}
   key.json     {"coeffs": [{"coeffs": [...]}, ...], "T": matrix}
+               (1..D+1 coefficients of k entries; T must be their key
+               polynomial in the params' base)
   pub.json     {"xi": {"entries": [...]}}
   shared       raw bytes, 8-byte big-endian per entry
 
@@ -57,9 +59,11 @@ KEYGEN_MAX_ATTEMPTS = 16
 
 @dataclass
 class Params:
-    """Public parameters.  The constructor checks shapes and that the
-    base is a matrix over R (every k x k block upper-triangular
-    Toeplitz), and caches the base in that form as ``z_ring``; semantic
+    """Public parameters.  The constructor checks shapes, that the
+    degree bound D is at most m**2 (the passive attack's retry cap; a key
+    evaluation keeps D+1 powers of the base), and that the base is a
+    matrix over R (every k x k block upper-triangular Toeplitz), and
+    caches the base in that form as ``z_ring``; semantic
     non-degeneracy of the base is enforced where it is sampled."""
 
     q: int
@@ -80,6 +84,8 @@ class Params:
             raise InvalidParams("degree bound must be at least 1")
         Field(self.q)  # validates primality and the size bound
         m = self.k * self.d
+        if self.degree > m * m:
+            raise InvalidParams(f"degree bound {self.degree} exceeds m**2 = {m * m}")
         if len(self.base_vector) != m:
             raise InvalidParams(f"public vector must have length {m}")
         if not any(self.base_vector):
@@ -138,7 +144,7 @@ def gen_params(
     Deterministic for a fixed rng seed; ``seed`` is recorded in the
     params for reproducibility and has no effect on sampling.
     """
-    if k < 1 or d < 2 or degree < 1:
+    if k < 1 or d < 2 or not 1 <= degree <= (k * d) ** 2:
         raise InvalidParams(f"bad shape parameters k={k}, d={d}, degree={degree}")
     field = Field(q)
     m = k * d
@@ -222,10 +228,12 @@ def count_ops(action: str, params: Params) -> OpReport:
     polynomial: ``degree`` products of m x m matrices plus as many
     matrix additions, i.e. degree * m**3 multiplications and
     degree * m**3 additions -- assembling a coefficient embedding places
-    entries and multiplies nothing.  keygen itself computes in R, where
-    the same evaluation takes degree * d**3 * k*(k+1)/2
-    multiplications; the reported figure is the dense one.  Counts are
-    structural, so they do not depend on the sampled values.
+    entries and multiplies nothing.  keygen itself computes in R: it
+    packs the degree+1 coefficients and takes one dot product per block
+    against the base's cached packed powers z**1 .. z**degree,
+    degree * d**2 big-integer products; the reported figure is the dense
+    one.  Counts are structural, so they do not depend on the sampled
+    values.
     """
     m = params.m
     if action == "derive_shared":
@@ -422,12 +430,21 @@ def private_key_to_obj(sk: PrivateKey) -> dict:
     }
 
 
-def private_key_from_obj(obj, q: int) -> PrivateKey:
+def private_key_from_obj(obj, params: Params) -> PrivateKey:
+    """Read a key.json body and check it against ``params``: 1..D+1
+    coefficients of k entries each, and T equal to their key polynomial
+    in the base.  Any mismatch is a ParseError."""
+    q, k = params.q, params.k
     raw = _need(obj, "coeffs", "key")
-    if not isinstance(raw, list) or not raw:
-        raise ParseError("key.coeffs: expected a non-empty list")
+    if not isinstance(raw, list) or not 1 <= len(raw) <= params.degree + 1:
+        raise ParseError(f"key.coeffs: expected a list of 1 to {params.degree + 1} coefficients")
     coeffs = [shift_poly_from_obj(c, q, f"key.coeffs[{i}]") for i, c in enumerate(raw)]
+    for i, c in enumerate(coeffs):
+        if c.k != k:
+            raise ParseError(f"key.coeffs[{i}]: expected {k} entries, got {c.k}")
     matrix = matrix_from_obj(_need(obj, "T", "key"), q, "key.T")
+    if eval_key_poly(params.field(), coeffs, params.z_ring, params.d).to_matrix() != matrix:
+        raise ParseError("key.T: not the key polynomial of key.coeffs in the params' base")
     return PrivateKey(coeffs, matrix)
 
 
@@ -435,8 +452,8 @@ def private_key_to_json(sk: PrivateKey) -> str:
     return canonical_json(private_key_to_obj(sk))
 
 
-def private_key_from_json(text: str, q: int) -> PrivateKey:
-    return private_key_from_obj(_loads(text), q)
+def private_key_from_json(text: str, params: Params) -> PrivateKey:
+    return private_key_from_obj(_loads(text), params)
 
 
 def public_key_to_obj(pk: PublicKey) -> dict:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from commkex.errors import InconsistentSystem, InsufficientRank, NoSolution, OutOfSpan
@@ -25,7 +27,7 @@ from commkex.attacks import (
 )
 from commkex.linalg import Matrix, mat_apply, vec_add
 
-from oracles import mat_vec_mod
+from oracles import key_poly_mod, mat_vec_mod
 
 
 def fill_directory(params, rng, count, with_private=True):
@@ -232,6 +234,25 @@ def test_passive_attack_degree_retry():
             found = True
             break
     assert found, "expected at least one instance needing a degree retry"
+
+
+def test_passive_recovered_above_degree_matches_oracle():
+    # keygen caches D+1 = 4 powers of z; a bound of D + 3 needs 7
+    rng = Rng(9753)
+    for q, k, d in ((101, 2, 3), (2147483647, 3, 2)):
+        params = gen_params(q, k, d, 3, rng)
+        _, pk_a = keygen(params, rng)
+        _, pk_b = keygen(params, rng)
+        res = passive_commutant_attack(params, pk_a, pk_b, degree_bound=6)
+        assert res.degree_bound == 6 and len(res.coefficients) == 7 * k
+        assert mat_apply(params.field(), res.recovered, params.base_vector) == pk_a.vec
+        # the echelon solution leaves the top powers' coefficients zero;
+        # random ones make every power of z count
+        dense = [rng.below(q) for _ in range(7 * k)]
+        for coeffs in (res.coefficients, dense):
+            chunks = [coeffs[i : i + k] for i in range(0, 7 * k, k)]
+            oracle = key_poly_mod(chunks, params.ring_base.matrix.to_rows(), d, q)
+            assert replace(res, coefficients=coeffs).recovered == Matrix.from_rows(oracle)
 
 
 def test_corrupted_directory_raises_inconsistent():

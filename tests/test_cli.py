@@ -233,7 +233,7 @@ def test_attack_shared_cli(tmp_path, capsys):
     )
     assert code == 0
     capsys.readouterr()
-    sk_a = private_key_from_json(paths["alice_key"].read_text(), params.q)
+    sk_a = private_key_from_json(paths["alice_key"].read_text(), params)
     pk_b = public_key_from_json(paths["bob_pub"].read_text(), params.q)
     honest = derive_shared(params, sk_a, pk_b)
     assert out.read_bytes() == honest.to_bytes()
@@ -354,6 +354,59 @@ def test_params_with_non_toeplitz_block_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "Toeplitz" in capsys.readouterr().err
+
+
+def keygen_cli(params_path, tmp_path):
+    return run(
+        [
+            "keygen",
+            "--params",
+            str(params_path),
+            "--seed",
+            "3",
+            "-o",
+            str(tmp_path / "k.json"),
+            "--pub",
+            str(tmp_path / "p.json"),
+        ]
+    )
+
+
+def test_params_degree_bound_from_file(tmp_path, capsys):
+    paths = gen_pipeline(tmp_path, k=1, d=2, degree=1)
+    obj = json.loads(paths["params"].read_text())
+    edited = tmp_path / "edited.json"
+    obj["D"] = "4"  # m**2 with m = 2: accepted
+    edited.write_text(json.dumps(obj))
+    assert keygen_cli(edited, tmp_path) == 0
+    obj["D"] = "5"
+    edited.write_text(json.dumps(obj))
+    assert keygen_cli(edited, tmp_path) == 3
+    assert "exceeds m**2" in capsys.readouterr().err
+
+
+def test_derive_with_tampered_key_exits_3(tmp_path, capsys):
+    paths = gen_pipeline(tmp_path)
+    obj = json.loads(paths["alice_key"].read_text())
+    obj["T"]["entries"][0] = str((int(obj["T"]["entries"][0]) + 1) % 101)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(obj))
+    code = run(
+        [
+            "derive",
+            "--params",
+            str(paths["params"]),
+            "--key",
+            str(tampered),
+            "--peer-pub",
+            str(paths["bob_pub"]),
+            "-o",
+            str(tmp_path / "out.bin"),
+        ]
+    )
+    assert code == 3
+    assert "key.T" in capsys.readouterr().err
+    assert not (tmp_path / "out.bin").exists()
 
 
 def test_demo_roundtrip_and_sniff(tmp_path, capsys):

@@ -348,15 +348,35 @@ def test_shift_poly_product_commutes_hypothesis(k, c1, c2):
 RING_CASES = [(q, k, d) for q in GRID_PRIMES for k, d in GRID_SHAPES] + [(2147483647, 4, 8)]
 
 
+# Every residue q - 1: the largest sums a packed slot must hold, at the
+# widest modulus and at q = 2.
+EDGE_CASES = [(2305843009213693951, 32, 4), (2, 3, 2), (2, 32, 4)]
+
+
+def top_ring_matrix(q, k, d):
+    return RingMatrix(k, d, [[q - 1] * k for _ in range(d * d)])
+
+
 def test_eval_key_poly_ring_matches_oracle():
     rng = Rng(8128)
-    for q, k, d in RING_CASES:
+    cases = [(q, k, d, False) for q, k, d in RING_CASES]
+    cases += [(q, k, d, True) for q, k, d in EDGE_CASES]
+    for q, k, d, top in cases:
         field = Field(q)
-        base = sample_ring_element(field, k, d, rng).matrix
-        z = RingMatrix.from_matrix(base, k, d)
-        assert z.to_matrix() == base
-        for degree in GRID_DEGREES:
-            coeffs = [random_shift_poly(field, k, rng) for _ in range(degree + 1)]
+        if top:
+            z = top_ring_matrix(q, k, d)
+            base = z.to_matrix()
+        else:
+            base = sample_ring_element(field, k, d, rng).matrix
+            z = RingMatrix.from_matrix(base, k, d)
+            assert z.to_matrix() == base
+        # rising degrees grow z's cached power table; the constant last
+        # is served from the larger table
+        for degree in (*GRID_DEGREES, 0):
+            if top:
+                coeffs = [ShiftPoly((q - 1,) * k)] * (degree + 1)
+            else:
+                coeffs = [random_shift_poly(field, k, rng) for _ in range(degree + 1)]
             key = eval_key_poly(field, coeffs, z, d)
             assert isinstance(key, RingMatrix)
             oracle = key_poly_mod([c.coeffs for c in coeffs], base.to_rows(), d, q)
@@ -391,10 +411,16 @@ def test_eval_recipe_ring_matches_oracle():
 
 def test_ring_matrix_product_matches_dense():
     rng = Rng(33550336)
+    pairs = []
     for q, k, d in RING_CASES:
         field = Field(q)
         a = sample_ring_element(field, k, d, rng).matrix
-        b = sample_ring_element(field, k, d, rng).matrix
+        pairs.append((q, k, d, a, sample_ring_element(field, k, d, rng).matrix))
+    for q, k, d in EDGE_CASES:
+        top = top_ring_matrix(q, k, d).to_matrix()
+        pairs.append((q, k, d, top, top))
+    for q, k, d, a, b in pairs:
+        field = Field(q)
         ra, rb = RingMatrix.from_matrix(a, k, d), RingMatrix.from_matrix(b, k, d)
         assert ra.mul(field, rb).to_matrix() == Matrix.from_rows(
             mat_mul_mod(a.to_rows(), b.to_rows(), q)

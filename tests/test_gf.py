@@ -154,6 +154,19 @@ def test_modulus_validation():
     Field(2305843009213693951)  # 2**61 - 1, largest allowed prime
 
 
+def test_is_prime_cache_keeps_rejecting():
+    is_prime.cache_clear()
+    for _ in range(3):
+        Field(2147483647)
+        with pytest.raises(InvalidParams):
+            Field(2147483649)  # 3 * 715827883: composite, cached as such
+        with pytest.raises(InvalidParams):
+            Field(2**61 + 9)  # prime but out of range, rejected before the test
+    info = is_prime.cache_info()
+    assert info.misses == 2 and info.hits == 4
+    assert info.maxsize is not None  # bounded
+
+
 def test_is_prime_agrees_with_trial_division():
     def trial(n):
         if n < 2:

@@ -1,3 +1,6 @@
+import json
+import sys
+import threading
 from itertools import product
 
 import pytest
@@ -23,7 +26,9 @@ from commkex.kex import (
     params_to_json,
     private_key_from_coeffs,
     private_key_from_json,
+    private_key_from_obj,
     private_key_to_json,
+    private_key_to_obj,
     public_key,
     public_key_from_json,
     public_key_to_json,
@@ -195,7 +200,7 @@ def test_params_json_round_trip():
 def test_key_and_pub_json_round_trip(micro_params, micro_keys):
     sk_a, pk_a, _, _ = micro_keys
     text = private_key_to_json(sk_a)
-    again = private_key_from_json(text, micro_params.q)
+    again = private_key_from_json(text, micro_params)
     assert private_key_to_json(again) == text
     assert again.matrix == sk_a.matrix
 
@@ -237,6 +242,72 @@ def test_params_constructor_validation():
         Params(7, 1, 1, 1, [1], base)  # d < 2
     with pytest.raises(InvalidParams):
         Params(8, 1, 2, 1, [1, 1], base)  # composite q
+
+
+def test_degree_bound_is_m_squared():
+    # m = 2: D = 4 is accepted, D = 5 is not, constructed or sampled;
+    # files and PARAMS frames are covered in test_cli and test_wire
+    base = RingSample(Matrix.from_rows([[1, 1], [0, 1]]))
+    assert Params(7, 1, 2, 4, [1, 2], base).degree == 4
+    with pytest.raises(InvalidParams):
+        Params(7, 1, 2, 5, [1, 2], base)
+    assert gen_params(7, 1, 2, 4, Rng(3)).degree == 4
+    rng = Rng(3)
+    with pytest.raises(InvalidParams):
+        gen_params(7, 1, 2, 5, rng)
+    assert rng.state == Rng(3).state  # rejected before any sampling
+
+
+def test_private_key_load_checks_against_params():
+    params = gen_params(101, 2, 3, 2, Rng(19))
+    sk, _ = keygen(params, Rng(20))
+    good = private_key_to_obj(sk)
+    assert private_key_from_obj(good, params).matrix == sk.matrix
+
+    tampered = json.loads(json.dumps(good))
+    e = tampered["T"]["entries"]
+    e[0] = str((int(e[0]) + 1) % 101)
+    short = json.loads(json.dumps(good))
+    short["coeffs"][1]["coeffs"].pop()
+    too_many = json.loads(json.dumps(good))
+    too_many["coeffs"].append({"coeffs": ["0", "0"]})  # same T, degree D + 1
+    for bad in (tampered, short, too_many):
+        with pytest.raises(ParseError):
+            private_key_from_obj(bad, params)
+
+    # fewer coefficients than D+1 are a lower-degree key, and fine
+    low = private_key_from_coeffs(params, sk.coeffs[:1])
+    assert private_key_from_json(private_key_to_json(low), params).matrix == low.matrix
+
+
+def test_keygen_threads_share_a_fresh_params():
+    # fixed-params listener workers share one Params, whose power table
+    # is built lazily by whichever keygen comes first
+    text = params_to_json(gen_params(2147483647, 4, 4, 3, Rng(31)))
+    seeds = (1, 2, 3, 4)  # more threads than a small machine has cores
+    serial_params = params_from_json(text)
+    serial = [keygen(serial_params, Rng(s))[0].matrix for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared = params_from_json(text)
+            barrier = threading.Barrier(len(seeds))
+            out = {}
+
+            def worker(seed):
+                barrier.wait()
+                out[seed] = keygen(shared, Rng(seed))[0].matrix
+
+            threads = [threading.Thread(target=worker, args=(s,)) for s in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=20)
+            assert not any(t.is_alive() for t in threads)
+            assert [out[s] for s in seeds] == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_keygen_gives_up_on_rigged_rng():

@@ -1,3 +1,4 @@
+import json
 import socket
 import threading
 
@@ -15,7 +16,14 @@ from commkex.errors import (
     UnknownTag,
 )
 from commkex.gf import Rng
-from commkex.kex import derive_shared, gen_params, keygen, params_to_json, public_key
+from commkex.kex import (
+    derive_shared,
+    gen_params,
+    keygen,
+    params_from_json,
+    params_to_json,
+    public_key,
+)
 from commkex.wire import (
     DIR_I2R,
     DIR_R2I,
@@ -335,3 +343,28 @@ def test_listener_adopts_params_from_wire():
     result = listener.results[0]
     assert not isinstance(result, Exception)
     assert result.vec == shared.vec
+
+
+def test_listener_rejects_degree_above_m_squared_and_keeps_serving():
+    # m = 2: a PARAMS frame with D = 5 > m**2 is a protocol violation;
+    # D = 4 = m**2 is served, on the same listener, afterwards
+    params = gen_params(101, 1, 2, 1, Rng(14))
+    obj = json.loads(params_to_json(params))
+    obj["D"] = "5"
+    listener = Listener(seed=56, max_sessions=2)
+    host, port = listener.start()
+    try:
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(encode_frame(Frame(TAG_PARAMS, json.dumps(obj).encode())))
+            assert sock.recv(1) == b""  # the listener hangs up
+        listener.wait(1)
+        obj["D"] = "4"
+        at_cap = params_from_json(json.dumps(obj))
+        sk, _ = keygen(at_cap, Rng(57))
+        shared, _ = connect_and_run(host, port, at_cap, sk)
+        listener.wait(2)
+    finally:
+        listener.stop()
+    bad, good = listener.results
+    assert isinstance(bad, ProtocolViolation) and "exceeds m**2" in str(bad)
+    assert not isinstance(good, Exception) and good.vec == shared.vec
