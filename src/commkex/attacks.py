@@ -33,10 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .commutant import ShiftPoly, eval_key_poly
+from .commutant import RingMatrix, ShiftPoly, apply_key_poly, eval_key_poly
 from .errors import (
     InconsistentSystem,
     InsufficientRank,
+    InvalidParams,
     NoSolution,
     OutOfSpan,
 )
@@ -132,67 +133,62 @@ class PassiveResult:
 def _shift_vec(vec: Sequence[int], k: int, j: int) -> list[int]:
     """Apply the embedded j-th shift power to a vector: within each
     k-block, entry r picks up entry r+j (zero past the block edge)."""
-    out = [0] * len(vec)
+    pad = [0] * j
+    out: list[int] = []
     for start in range(0, len(vec), k):
-        for r in range(k - j):
-            out[start + r] = vec[start + r + j]
+        out += vec[start + j : start + k]
+        out += pad
     return out
 
 
-def _structured_system(
-    field: Field,
-    params: Params,
-    inputs: list[list[int]],
-    degree_bound: int,
-) -> Matrix:
+def _orbit(field: Field, params: Params, vec: Sequence[int], degree_bound: int) -> list[list[int]]:
+    """vec, z vec, ..., z**degree_bound vec, each power z applied in R
+    to the last."""
+    images = [list(vec)]
+    for _ in range(degree_bound):
+        images.append(params.z_ring.apply(field, images[-1]))
+    return images
+
+
+def _structured_system(params: Params, orbits: list[list[list[int]]]) -> Matrix:
     """Stack the images of each input vector under every structured
-    basis element {embed(shift^j) * base^i}.
+    basis element {embed(shift^j) * base^i}; ``orbits[v]`` is input v's
+    ``_orbit``.
 
     Column order: i major, j minor -- column index i*k + j.  Rows are
     the concatenated input vectors' image coordinates.
     """
     k = params.k
-    z = params.ring_base.matrix
     columns: list[list[int]] = []
-    images: list[list[list[int]]] = []  # images[i][v] = base^i applied to inputs[v]
-    current = [list(v) for v in inputs]
-    images.append(current)
-    for _ in range(degree_bound):
-        current = [mat_apply(field, z, v) for v in current]
-        images.append(current)
-    for i in range(degree_bound + 1):
+    for i in range(len(orbits[0])):
         for j in range(k):
-            col: list[int] = []
-            for v_img in images[i]:
-                col.extend(_shift_vec(v_img, k, j))
-            columns.append(col)
+            columns.append([x for orbit in orbits for x in _shift_vec(orbit[i], k, j)])
     return Matrix.from_columns(columns)
 
 
-def _structured_key(params: Params, coeffs: Sequence[int]) -> Matrix:
-    """sum_{i,j} c_{i*k+j} N**j z**i as a dense matrix."""
+def _key_chunks(params: Params, coeffs: Sequence[int]) -> list[ShiftPoly]:
     k = params.k
-    chunks = [ShiftPoly(tuple(coeffs[i : i + k])) for i in range(0, len(coeffs), k)]
-    return eval_key_poly(params.field(), chunks, params.z_ring, params.d).to_matrix()
+    return [ShiftPoly(tuple(coeffs[i : i + k])) for i in range(0, len(coeffs), k)]
+
+
+def _structured_key(params: Params, coeffs: Sequence[int]) -> Matrix:
+    """sum_{i,j} c_{i*k+j} N**j z**i as a dense matrix.  Beyond the key
+    degree the powers of z go into a table of their own, so that a
+    report on a raised degree bound does not grow the one kept with the
+    params."""
+    chunks = _key_chunks(params, coeffs)
+    z = params.z_ring
+    if len(chunks) > params.degree + 1:
+        z = RingMatrix(z.k, z.d, z.blocks)
+    return eval_key_poly(params.field(), chunks, z, params.d).to_matrix()
 
 
 def _structured_apply(
-    field: Field, params: Params, coeffs: Sequence[int], vec: Sequence[int]
+    field: Field, params: Params, coeffs: Sequence[int], orbit: list[list[int]]
 ) -> list[int]:
-    """(sum_{i,j} c_{i*k+j} N**j z**i) vec from vectors alone: one
-    mat_apply per power of z and block shifts."""
-    k, q = params.k, field.q
-    z = params.ring_base.matrix
-    out = [0] * params.m
-    image = list(vec)
-    for i in range(len(coeffs) // k):
-        if i:
-            image = mat_apply(field, z, image)
-        for j in range(k):
-            c = coeffs[i * k + j]
-            if c:
-                out = [(o + c * x) % q for o, x in zip(out, _shift_vec(image, k, j))]
-    return out
+    """(sum_{i,j} c_{i*k+j} N**j z**i) vec from vectors alone, given
+    vec's ``_orbit``."""
+    return apply_key_poly(field, _key_chunks(params, coeffs), orbit)
 
 
 def recover_private_key(
@@ -241,7 +237,7 @@ def recover_private_key(
     outputs: list[int] = list(target_pub.vec)
     for r in rhos:
         outputs.extend(r)
-    system = _structured_system(field, params, inputs, params.degree)
+    system = _structured_system(params, [_orbit(field, params, v, params.degree) for v in inputs])
     result = solve_linear(field, system, outputs)
     if not result.consistent:
         raise InconsistentSystem("structured recovery system is inconsistent")
@@ -306,14 +302,19 @@ def passive_commutant_attack(
     The system is always consistent when the degree bound is at least
     the honest keys' degree (the honest key is itself a solution); if a
     caller picks a smaller bound the attack retries with doubled bounds
-    up to m**2 before giving up.
+    up to m**2 before giving up.  A caller's bound must lie in
+    [0, m**2]: powers of z past m - 1 add no new keys (Cayley-Hamilton),
+    and the system grows with the bound.
     """
     field = params.field()
     m = params.m
+    cap = m * m
     bound = params.degree if degree_bound is None else degree_bound
-    cap = max(m * m, 1)
+    if not 0 <= bound <= cap:
+        raise InvalidParams(f"degree bound {bound} is outside [0, m**2 = {cap}]")
     while True:
-        system = _structured_system(field, params, [params.base_vector], bound)
+        orbit = _orbit(field, params, params.base_vector, bound)
+        system = _structured_system(params, [orbit])
         result = solve_linear(field, system, list(pub_a.vec))
         if result.consistent:
             break
@@ -325,8 +326,10 @@ def passive_commutant_attack(
         bound = min(cap, bound * 2 if bound else 1)
     assert isinstance(result.particular, list)
     coeffs = result.particular
-    shared = SharedKey(_structured_apply(field, params, coeffs, pub_b.vec))
-    verified = _structured_apply(field, params, coeffs, params.base_vector) == list(pub_a.vec)
+    shared = SharedKey(
+        _structured_apply(field, params, coeffs, _orbit(field, params, pub_b.vec, bound))
+    )
+    verified = _structured_apply(field, params, coeffs, orbit) == list(pub_a.vec)
     rank = system.cols - len(result.nullspace)
     return PassiveResult(shared, bound, m, rank, verified, params, coeffs)
 

@@ -177,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--pub-a", required=True)
     p.add_argument("--pub-b", required=True)
-    p.add_argument("--degree-bound", type=int, default=None)
+    p.add_argument(
+        "--degree-bound", type=int, default=None, help="0 to m**2; default: the params' D"
+    )
     p.add_argument("-o", "--out", default=None, help="also write the shared key bytes here")
 
     p = sub.add_parser("bench", help="operation-count comparison against toy Diffie-Hellman")

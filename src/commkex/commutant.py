@@ -26,8 +26,10 @@ private keys commute -- the property the key exchange rides on.
 
 Every matrix above is a d x d matrix over the commutative ring
 R = GF(q)[N]/(N**k): each k x k block is upper-triangular Toeplitz,
-i.e. a ShiftPoly.  The algebra is computed in that form (RingMatrix);
-dense m x m matrices are only built where a caller needs one.
+i.e. a ShiftPoly.  The algebra is computed in that form (RingMatrix),
+including such a matrix applied to a vector (RingMatrix.apply,
+apply_key_poly); dense m x m matrices are only built where a caller
+needs one.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
     NotBlockToeplitz,
 )
 from .gf import Field, Rng
-from .linalg import Matrix, mat_apply, mat_mul
+from .linalg import Matrix, _pack, _slot_bytes, _unpack, mat_apply, mat_mul
 
 KIND_SCALAR = "scalar"
 KIND_JORDAN = "jordan"
@@ -151,10 +153,12 @@ class RingMatrix:
     Kronecker substitution: each block is packed into one integer (see
     ``_pack``), so entry (i, j) of a product is one dot product of d
     packed integers, d**3 big-integer products in all against (d*k)**3
-    multiplications for the dense m x m product.  A matrix used as a
-    key-polynomial base keeps its packed powers (``powers``); ring
-    matrices are never mutated, which keeps that cache valid.  Ring
-    operations are not charged to an OpCounter.
+    multiplications for the dense m x m product.  Applied to a vector
+    (``apply``), it costs d**2 big-integer products against m**2
+    multiplications.  A matrix keeps its packed powers (``powers``),
+    which ``apply`` and key-polynomial evaluation read; ring matrices are
+    never mutated, which keeps that cache valid.  Ring operations are not
+    charged to an OpCounter.
     """
 
     __slots__ = ("k", "d", "blocks", "_powers")
@@ -263,8 +267,31 @@ class RingMatrix:
         """True iff the dense matrix is a multiple of the identity."""
         return self.is_embedding() and not any(self.blocks[0][1:])
 
+    def apply(self, field: Field, vec: Sequence[int]) -> list[int]:
+        """self @ vec for a vector of m canonical residues.
+
+        The vector is read as d chunks of k.  A block acts on a chunk as
+        a truncated convolution once the chunk is reversed, so each chunk
+        is reversed and packed, and output chunk i is the low k slots of
+        one dot product of row i's packed blocks with the packed chunks,
+        reversed back.  The packed blocks are those of this matrix's
+        power table (built on first use, see ``powers``).
+        """
+        k, d, q = self.k, self.d, field.q
+        if len(vec) != k * d:
+            raise DimensionMismatch(f"ring matrix of size {k * d} applied to length {len(vec)}")
+        table = self.powers(field, 2)
+        slot, packed = table.slot, table.base
+        chunks = [_pack(vec[s : s + k][::-1], slot) for s in range(0, k * d, k)]
+        mul = operator.mul
+        out: list[int] = []
+        for i in range(0, d * d, d):
+            out += _unpack(sum(map(mul, packed[i : i + d], chunks)), k, slot, q)[::-1]
+        return out
+
     def powers(self, field: Field, count: int) -> "_PowerTable":
-        """The packed blocks of self**1 .. self**(count-1).
+        """The packed blocks of self**1 .. self**(count-1), with
+        self**1 always included.
 
         Built on first use and kept on this matrix; a request for more
         powers (or another modulus) builds a larger table in its place.
@@ -273,52 +300,37 @@ class RingMatrix:
         """
         table = self._powers
         if table is None or table.count < count or table.q != field.q:
-            table = _PowerTable(field, self, count)
+            table = _PowerTable(field, self, max(count, 2))
             self._powers = table
         return table
 
 
-def _slot_bytes(q: int, terms: int) -> int:
-    """Width of a packed slot that holds a sum of ``terms`` products of
-    residues mod q exactly: carries then never cross into the next slot."""
-    return (2 * (q - 1).bit_length() + terms.bit_length() + 7) // 8
-
-
-def _pack(residues: Sequence[int], slot: int) -> int:
-    """Kronecker substitution: sum_j c_j * 2**(8*slot*j) for canonical c_j."""
-    return int.from_bytes(b"".join([c.to_bytes(slot, "little") for c in residues]), "little")
-
-
-def _unpack(packed: int, k: int, slot: int, q: int) -> list[int]:
-    """The low k slots of a packed product, each reduced mod q; slots
-    past k are the N**k = 0 part and are dropped."""
-    width = k * slot
-    raw = (packed & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
-    return [int.from_bytes(raw[i : i + slot], "little") % q for i in range(0, width, slot)]
-
-
 class _PowerTable:
-    """Packed powers z**1 .. z**(count-1) of a ring matrix z, for key
-    polynomials of up to ``count`` coefficients.
+    """Packed powers z**1 .. z**(count-1) of a ring matrix z (count >= 2),
+    for key polynomials of up to ``count`` coefficients and for applying
+    z to vectors.
 
-    ``blocks[n][i-1]`` is block n (row-major) of z**i, packed with slots
-    wide enough for ``count`` terms.  z**0 is the identity and is not
-    stored: its coefficient goes straight onto the diagonal blocks.
+    ``base`` is z's blocks, packed, row-major; ``blocks[n][i-1]`` is
+    block n of z**i.  Slots are wide enough for a sum of count*k terms
+    (a key-polynomial block) and of d*k terms (a block row applied to a
+    vector).  z**0 is the identity and is not stored: its coefficient
+    goes straight onto the diagonal blocks.
     """
 
-    __slots__ = ("q", "count", "slot", "blocks")
+    __slots__ = ("q", "count", "slot", "base", "blocks")
 
     def __init__(self, field: Field, z: RingMatrix, count: int):
         self.q = field.q
         self.count = count
-        self.slot = _slot_bytes(field.q, count * z.k)
+        self.slot = _slot_bytes(field.q, max(count, z.d) * z.k)
         packed = []
         power = z
         for i in range(1, count):
             if i > 1:
                 power = power.mul(field, z)
             packed.append([_pack(e, self.slot) for e in power.blocks])
-        self.blocks = [tuple(p[n] for p in packed) for n in range(z.d * z.d)]
+        self.base = packed[0]
+        self.blocks = list(zip(*packed))
 
 
 def embed_block_diag(field: Field, poly: ShiftPoly, d: int) -> Matrix:
@@ -509,6 +521,32 @@ def eval_key_poly(
         ],
     )
     return key.to_matrix() if dense else key
+
+
+def apply_key_poly(
+    field: Field, coeffs: Sequence[ShiftPoly], images: Sequence[Sequence[int]]
+) -> list[int]:
+    """sum_i diag(a_i) @ images[i].
+
+    With images[i] = base**i @ vec (each power one ``RingMatrix.apply``
+    on the last), this is the key polynomial applied to vec, without
+    building the key.  Output chunk b is one packed dot product of the
+    a_i with chunk b of the images, each chunk reversed as in
+    ``RingMatrix.apply``.
+    """
+    if not coeffs or len(images) != len(coeffs):
+        raise DimensionMismatch(f"{len(coeffs)} coefficients for {len(images)} images")
+    k, q, m = coeffs[0].k, field.q, len(images[0])
+    if m % k or any(c.k != k for c in coeffs) or any(len(v) != m for v in images):
+        raise DimensionMismatch("coefficient and image sizes disagree")
+    slot = _slot_bytes(q, len(coeffs) * k)
+    packed = [_pack([x % q for x in c.coeffs], slot) for c in coeffs]
+    mul = operator.mul
+    out: list[int] = []
+    for s in range(0, m, k):
+        chunks = [_pack(image[s : s + k][::-1], slot) for image in images]
+        out += _unpack(sum(map(mul, packed, chunks)), k, slot, q)[::-1]
+    return out
 
 
 def check_commute(field: Field, a: Matrix, b: Matrix) -> bool:

@@ -173,8 +173,9 @@ def keygen(params: Params, rng: Rng) -> tuple[PrivateKey, PublicKey]:
     coefficients each, in order).  A draw is rejected when the key
     matrix kills the public vector or is a scalar multiple of the
     identity; both are weak keys the construction does not need.  The
-    key is evaluated in R, where the scalar rule is decided; the dense
-    matrix is built only for a key that passes it.
+    key is evaluated and applied to the public vector in R, where both
+    rules are decided; the dense matrix is built only for the key
+    returned.
     """
     field = params.field()
     for _ in range(KEYGEN_MAX_ATTEMPTS):
@@ -182,11 +183,10 @@ def keygen(params: Params, rng: Rng) -> tuple[PrivateKey, PublicKey]:
         key = eval_key_poly(field, coeffs, params.z_ring, params.d)
         if key.is_scalar():
             continue
-        matrix = key.to_matrix()
-        pub = mat_apply(field, matrix, params.base_vector)
+        pub = key.apply(field, params.base_vector)
         if not any(pub):
             continue
-        return PrivateKey(coeffs, matrix), PublicKey(pub)
+        return PrivateKey(coeffs, key.to_matrix()), PublicKey(pub)
     raise DegenerateKey(f"no usable key after {KEYGEN_MAX_ATTEMPTS} attempts")
 
 

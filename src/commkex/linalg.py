@@ -11,7 +11,13 @@ Elimination pivots on the first nonzero entry in column order -- there
 is no magnitude over GF(q) -- and always fully reduces, so echelon
 forms, particular solutions and nullspace bases are identical across
 runs.  Multi-column right-hand sides are supported so a batch of
-systems sharing a coefficient matrix reduces in one pass.
+systems sharing a coefficient matrix reduces in one pass.  The one
+eliminator (``_rref``) packs each column into a single integer
+(Kronecker substitution), so a row operation costs one big-integer
+multiply-add per column rather than a Python loop over its entries; it
+performs the textbook loop's row operations and swaps, so its results
+are the textbook's, and like the rest of elimination it is not charged
+to an OpCounter.
 
 JSON forms: matrix {"rows": r, "cols": c, "entries": [decimal, ...]}
 row-major; vector {"entries": [decimal, ...]}.
@@ -171,14 +177,6 @@ def mat_add(field: Field, a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows, a.cols, out)
 
 
-def mat_scale(field: Field, c: int, a: Matrix) -> Matrix:
-    q = field.q
-    out = [c * x % q for x in a.entries]
-    if field.counter is not None:
-        field.counter.mul_count += a.rows * a.cols
-    return Matrix(a.rows, a.cols, out)
-
-
 def vec_add(field: Field, u: Sequence[int], v: Sequence[int]) -> list[int]:
     if len(u) != len(v):
         raise DimensionMismatch("vector addition length mismatch")
@@ -191,38 +189,79 @@ def vec_scale(field: Field, c: int, v: Sequence[int]) -> list[int]:
     return [c * x % q for x in v]
 
 
+def _slot_bytes(q: int, terms: int) -> int:
+    """Width of a packed slot that holds a sum of ``terms`` products of
+    residues mod q exactly: carries then never cross into the next slot."""
+    return (2 * (q - 1).bit_length() + terms.bit_length() + 7) // 8
+
+
+def _pack(residues: Sequence[int], slot: int) -> int:
+    """Kronecker substitution: sum_j c_j * 2**(8*slot*j) for canonical c_j."""
+    return int.from_bytes(b"".join([c.to_bytes(slot, "little") for c in residues]), "little")
+
+
+def _unpack(packed: int, k: int, slot: int, q: int) -> list[int]:
+    """The low k slots of a packed integer, each reduced mod q; higher
+    slots (in a product over R, the N**k = 0 part) are dropped."""
+    width = k * slot
+    raw = (packed & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
+    return [int.from_bytes(raw[i : i + slot], "little") % q for i in range(0, width, slot)]
+
+
 def _rref(field: Field, rows: list[list[int]], pivot_cols: int) -> list[int]:
     """In-place reduced row echelon form.
 
     Pivots are searched only in the first ``pivot_cols`` columns (the
     remainder is the augmented part).  Returns the pivot column indices
     in order.
+
+    Kronecker-packed Gauss-Jordan: column j is one integer whose slot s
+    holds the entry of input row s, so a row operation is one integer
+    operation per column.  Per pivot, column c is unpacked mod q; then
+    every column from c on gets the pivot row's slot replaced by its
+    scaled entry y and y * G added, where G packs (q - f_i) for each
+    other row's column-c entry f_i.  Slots are reduced mod q only when
+    read, so a slot grows by less than q**2 per pivot; its width holds
+    that for min(rows, pivot_cols) pivots.  Swaps permute ``order`` (the
+    slot of each row position), and the rows are unpacked once at the
+    end: the same row operations as the textbook loop, so the same rows.
     """
+    if not rows:
+        return []
     q = field.q
-    nrows = len(rows)
+    nrows, ncols = len(rows), len(rows[0])
+    # a slot holds a residue plus one product per pivot
+    slot = _slot_bytes(q, min(nrows, pivot_cols) + 2)
+    bits = 8 * slot
+    mask = (1 << bits) - 1
+    cols = [_pack([row[j] for row in rows], slot) for j in range(ncols)]
+    order = list(range(nrows))
     pivots: list[int] = []
     r = 0
     for c in range(pivot_cols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        f = _unpack(cols[c], nrows, slot, q)
+        pivot_row = next((i for i in range(r, nrows) if f[order[i]]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [x * inv % q for x in rows[r]]
-        reduced = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], reduced)]
+        order[r], order[pivot_row] = order[pivot_row], order[r]
+        p = order[r]
+        inv = field.inv(f[p])
+        f[p] = 0
+        g = _pack([-x % q for x in f], slot)
+        shift = bits * p
+        for j in range(c, ncols):
+            col = cols[j]
+            x = (col >> shift) & mask
+            if x:
+                y = x * inv % q
+                cols[j] = col + ((y - x) << shift) + y * g
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    entries = [_unpack(col, nrows, slot, q) for col in cols]
+    for i, s in enumerate(order):
+        rows[i] = [col[s] for col in entries]
     return pivots
 
 

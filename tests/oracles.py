@@ -149,3 +149,36 @@ def recipe_mod(terms, m, q):
             prod = (prod @ np_mat(mat_pow_mod(rows, exp, q))) % q
         total = (total + coeff * prod) % q
     return total.tolist()
+
+
+def rref_rows(field, rows, pivot_cols):
+    """The textbook Gauss-Jordan loop, one list comprehension per row
+    operation: the reference for ``linalg._rref``.  In-place reduced row
+    echelon form; pivots are searched only in the first ``pivot_cols``
+    columns.  Returns the pivot column indices in order."""
+    q = field.q
+    nrows = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(pivot_cols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = field.inv(rows[r][c])
+        if inv != 1:
+            rows[r] = [x * inv % q for x in rows[r]]
+        reduced = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], reduced)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots

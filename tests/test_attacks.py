@@ -2,7 +2,13 @@ from dataclasses import replace
 
 import pytest
 
-from commkex.errors import InconsistentSystem, InsufficientRank, NoSolution, OutOfSpan
+from commkex.errors import (
+    InconsistentSystem,
+    InsufficientRank,
+    InvalidParams,
+    NoSolution,
+    OutOfSpan,
+)
 from commkex.gf import Rng
 from commkex.commutant import ShiftPoly
 from commkex.kex import (
@@ -253,6 +259,35 @@ def test_passive_recovered_above_degree_matches_oracle():
             chunks = [coeffs[i : i + k] for i in range(0, 7 * k, k)]
             oracle = key_poly_mod(chunks, params.ring_base.matrix.to_rows(), d, q)
             assert replace(res, coefficients=coeffs).recovered == Matrix.from_rows(oracle)
+
+
+def test_passive_degree_bound_is_capped_at_m_squared():
+    rng = Rng(1729)
+    params = gen_params(101, 1, 2, 3, rng)  # m**2 = 4
+    sk_a, pk_a = keygen(params, rng)
+    sk_b, pk_b = keygen(params, rng)
+    res = passive_commutant_attack(params, pk_a, pk_b, degree_bound=4)
+    assert res.degree_bound == 4 and res.verified
+    assert res.shared_key == derive_shared(params, sk_a, pk_b)
+    for bad in (5, 2000, -1):
+        with pytest.raises(InvalidParams):
+            passive_commutant_attack(params, pk_a, pk_b, degree_bound=bad)
+
+
+def test_passive_attack_keeps_the_params_power_table():
+    # the attack applies z to vectors; a report on a raised bound builds
+    # its powers aside, so the params keep at most the key degree's D+1
+    rng = Rng(6765)
+    params = gen_params(101, 2, 2, 2, rng)  # m**2 = 16
+    _, pk_a = keygen(params, rng)
+    _, pk_b = keygen(params, rng)
+    for bound in (0, 16):
+        try:
+            res = passive_commutant_attack(params, pk_a, pk_b, degree_bound=bound)
+        except NoSolution:
+            continue
+        assert mat_apply(params.field(), res.recovered, params.base_vector) == pk_a.vec
+        assert params.z_ring._powers.count <= params.degree + 1
 
 
 def test_corrupted_directory_raises_inconsistent():

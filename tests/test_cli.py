@@ -385,6 +385,32 @@ def test_params_degree_bound_from_file(tmp_path, capsys):
     assert "exceeds m**2" in capsys.readouterr().err
 
 
+def test_passive_degree_bound_cap_exits_3(tmp_path, capsys):
+    paths = gen_pipeline(tmp_path, k=1, d=2, degree=1)  # m**2 = 4
+
+    def attack(bound):
+        return run(
+            [
+                "attack",
+                "passive",
+                "--params",
+                str(paths["params"]),
+                "--pub-a",
+                str(paths["alice_pub"]),
+                "--pub-b",
+                str(paths["bob_pub"]),
+                "--degree-bound",
+                str(bound),
+            ]
+        )
+
+    assert attack(4) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["verified"] is True
+    assert attack(5) == 3
+    assert "outside [0, m**2 = 4]" in capsys.readouterr().err
+
+
 def test_derive_with_tampered_key_exits_3(tmp_path, capsys):
     paths = gen_pipeline(tmp_path)
     obj = json.loads(paths["alice_key"].read_text())

@@ -15,6 +15,7 @@ from commkex.commutant import (
     MonoTerm,
     RingMatrix,
     ShiftPoly,
+    apply_key_poly,
     check_commute,
     embed_block_diag,
     eval_key_poly,
@@ -25,7 +26,7 @@ from commkex.commutant import (
     sample_ring_element,
     shift_nilpotent,
 )
-from commkex.linalg import Matrix, mat_add, mat_mul
+from commkex.linalg import Matrix, mat_add, mat_apply, mat_mul
 
 from conftest import GRID_DEGREES, GRID_PRIMES, GRID_SHAPES
 from oracles import (
@@ -33,6 +34,7 @@ from oracles import (
     generator_rows,
     key_poly_mod,
     mat_mul_mod,
+    mat_vec_mod,
     poly_of_matrix_mod,
     recipe_mod,
 )
@@ -382,6 +384,12 @@ def test_eval_key_poly_ring_matches_oracle():
             oracle = key_poly_mod([c.coeffs for c in coeffs], base.to_rows(), d, q)
             assert key.to_matrix() == Matrix.from_rows(oracle)
             assert eval_key_poly(field, coeffs, base, d) == Matrix.from_rows(oracle)
+            # the same key applied to a vector, from z's images of it
+            vec = [q - 1] * (k * d) if top else [field.sample(rng) for _ in range(k * d)]
+            images = [vec]
+            for _ in coeffs[1:]:
+                images.append(z.apply(field, images[-1]))
+            assert apply_key_poly(field, coeffs, images) == mat_vec_mod(oracle, vec, q)
 
 
 def test_eval_recipe_ring_matches_oracle():
@@ -425,6 +433,11 @@ def test_ring_matrix_product_matches_dense():
         assert ra.mul(field, rb).to_matrix() == Matrix.from_rows(
             mat_mul_mod(a.to_rows(), b.to_rows(), q)
         )
+        # ring-vs-dense application to vectors, every entry q - 1 included
+        for vec in ([q - 1] * (k * d), [field.sample(rng) for _ in range(k * d)]):
+            assert ra.apply(field, vec) == mat_apply(field, a, vec)
+    with pytest.raises(DimensionMismatch):
+        ra.apply(field, [0] * (k * d + 1))
 
 
 def test_ring_matrix_from_matrix_rejects_non_toeplitz_blocks():

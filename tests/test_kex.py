@@ -35,6 +35,7 @@ from commkex.kex import (
 )
 from commkex.linalg import Matrix, mat_mul, vec_add
 
+from conftest import GRID_PRIMES, GRID_SHAPES
 from oracles import key_poly_mod, mat_vec_mod
 
 
@@ -80,6 +81,18 @@ def test_keygen_deterministic():
     k2 = keygen(params, Rng(88))
     assert k1[0].matrix == k2[0].matrix
     assert k1[1].vec == k2[1].vec
+
+
+def test_keygen_public_key_matches_dense():
+    # keygen applies the key to the public vector in R; public_key
+    # applies the dense matrix
+    rng = Rng(6174)
+    for q in GRID_PRIMES:
+        for k, d in GRID_SHAPES:
+            params = gen_params(q, k, d, 3, rng)
+            for _ in range(3):
+                sk, pk = keygen(params, rng)
+                assert pk.vec == public_key(params, sk).vec
 
 
 def test_keygen_rejects_weak_keys():

@@ -2,20 +2,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commkex import linalg
 from commkex.errors import DimensionMismatch, InvalidDimension, Singular
 from commkex.gf import Field, OpCounter, Rng
 from commkex.linalg import (
     Matrix,
+    _rref,
     invert,
     mat_add,
     mat_apply,
     mat_mul,
-    mat_scale,
+    pivot_columns,
     rank,
     solve_linear,
 )
 
-from oracles import mat_mul_mod, mat_vec_mod, rank_by_minors, solve_by_search
+from oracles import mat_mul_mod, mat_vec_mod, rank_by_minors, rref_rows, solve_by_search
 
 F7 = Field(7)
 
@@ -190,7 +192,6 @@ def test_operation_counting():
 def test_mat_helpers():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     assert mat_add(F7, a, a) == Matrix.from_rows([[2, 4], [6, 1]])
-    assert mat_scale(F7, 3, a) == Matrix.from_rows([[3, 6], [2, 5]])
 
 
 @settings(max_examples=50)
@@ -199,3 +200,107 @@ def test_from_columns_transposes(entries):
     m = Matrix(2, 2, entries)
     again = Matrix.from_columns([m.col(0), m.col(1)])
     assert again == m
+
+
+# The packed eliminator against the textbook loop in oracles.py: same
+# rows (the order of non-pivot rows included) and pivots.
+RREF_PRIMES = [2, 101, 2147483647, 2305843009213693951]
+
+
+def rref_cases(q, rng):
+    """(rows, pivot_cols) systems over GF(q): random, sparse, rank
+    deficient, inconsistent, every entry q - 1, and several right-hand
+    sides."""
+    field = Field(q)
+
+    def rand_rows(nrows, ncols, density=1.0):
+        return [
+            [field.sample(rng) if rng.below(100) < 100 * density else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+
+    cases = []
+    for _ in range(25):
+        nrows, ncols = 1 + rng.below(8), 1 + rng.below(8)
+        cases.append((rand_rows(nrows, ncols), ncols))
+        cases.append((rand_rows(nrows, ncols, 0.3), rng.below(ncols + 1)))
+        # rank <= 2 coefficients: later rows are combinations of two
+        basis = rand_rows(2, ncols)
+        deficient = [
+            [(a * x + b * y) % q for x, y in zip(*basis)]
+            for a, b in (rand_rows(1, 2)[0] for _ in range(nrows + 2))
+        ]
+        cases.append((deficient, ncols))
+        # three random right-hand sides, almost surely outside the span
+        rhs = rand_rows(len(deficient), 3)
+        cases.append(([row + extra for row, extra in zip(deficient, rhs)], ncols))
+        cases.append(([[q - 1] * (ncols + 2) for _ in range(nrows)], ncols))
+    return cases
+
+
+def assert_rref_matches_textbook(field, rows, pivot_cols):
+    packed, textbook = [list(r) for r in rows], [list(r) for r in rows]
+    assert _rref(field, packed, pivot_cols) == rref_rows(field, textbook, pivot_cols)
+    assert packed == textbook
+
+
+def test_rref_matches_textbook():
+    rng = Rng(2718)
+    for q in RREF_PRIMES:
+        field = Field(q)
+        for rows, pivot_cols in rref_cases(q, rng):
+            assert_rref_matches_textbook(field, rows, pivot_cols)
+    assert _rref(F7, [], 0) == []
+
+
+def test_rref_slot_holds_many_pivots():
+    # 69 pivots at q = 2**61 - 1: a slot then needs 2*61 + 7 bits, which
+    # no longer fit the 16 bytes of 2*61.  Row "ones" meets every later
+    # pivot row e_i with a right-hand side of q - 1, so its augmented
+    # slots gain (q - 1)**2 per pivot before any read reduces them.
+    q = RREF_PRIMES[-1]
+    field = Field(q)
+    n = 70
+    unit_rows = [[int(j == i) for j in range(n)] + [q - 1, q - 2] for i in range(1, n)]
+    ones = [1] * n + [q - 1, q - 1]
+    for rows in ([ones] + unit_rows, unit_rows + [ones]):
+        assert_rref_matches_textbook(field, rows, n)
+    rng = Rng(1618)
+    dense = [[field.sample(rng) for _ in range(n + 1)] for _ in range(n)]
+    assert_rref_matches_textbook(field, dense, n)
+    assert len(_rref(field, dense, n)) >= 64
+
+
+def test_solvers_match_textbook_eliminator(monkeypatch):
+    rng = Rng(1414)
+    runs = []
+    for q in RREF_PRIMES:
+        field = Field(q)
+        for rows, pivot_cols in rref_cases(q, rng)[:60]:
+            a = Matrix.from_rows([row[:pivot_cols] for row in rows]) if pivot_cols else None
+            rhs_cols = len(rows[0]) - pivot_cols
+            if a is None or not rhs_cols:
+                continue
+            rhs = Matrix.from_rows([row[pivot_cols:] for row in rows])
+            runs.append((field, a, rhs))
+        n = 6
+        runs.append((field, Matrix(n, n, [field.sample(rng) for _ in range(n * n)]), None))
+
+    def results():
+        out = []
+        for field, a, rhs in runs:
+            out.append((rank(field, a), pivot_columns(field, a)))
+            if rhs is not None:
+                res = solve_linear(field, a, rhs)
+                single = solve_linear(field, a, rhs.col(0))
+                out.append((res.particular, res.nullspace, single.particular, single.nullspace))
+            if a.rows == a.cols:
+                try:
+                    out.append(invert(field, a))
+                except Singular:
+                    out.append(None)
+        return out
+
+    packed = results()
+    monkeypatch.setattr(linalg, "_rref", rref_rows)
+    assert results() == packed
