@@ -44,7 +44,9 @@ from .errors import (
 from .gf import Field
 from .kex import Params, PrivateKey, PublicKey, SharedKey, matrix_to_obj, vector_to_obj
 from .linalg import (
+    Elimination,
     Matrix,
+    eliminate,
     invert,
     mat_apply,
     mat_mul,
@@ -150,20 +152,34 @@ def _orbit(field: Field, params: Params, vec: Sequence[int], degree_bound: int) 
     return images
 
 
-def _structured_system(params: Params, orbits: list[list[list[int]]]) -> Matrix:
-    """Stack the images of each input vector under every structured
-    basis element {embed(shift^j) * base^i}; ``orbits[v]`` is input v's
-    ``_orbit``.
+def _structured_system(params: Params, orbits: list[list[list[int]]]) -> list[list[int]]:
+    """The columns of the system stacking the images of each input
+    vector under every structured basis element {embed(shift^j) *
+    base^i}; ``orbits[v]`` is input v's ``_orbit``.
 
     Column order: i major, j minor -- column index i*k + j.  Rows are
     the concatenated input vectors' image coordinates.
     """
     k = params.k
-    columns: list[list[int]] = []
-    for i in range(len(orbits[0])):
-        for j in range(k):
-            columns.append([x for orbit in orbits for x in _shift_vec(orbit[i], k, j)])
-    return Matrix.from_columns(columns)
+    return [
+        [x for orbit in orbits for x in _shift_vec(orbit[i], k, j)]
+        for i in range(len(orbits[0]))
+        for j in range(k)
+    ]
+
+
+def _passive_system(
+    field: Field, params: Params, bound: int
+) -> tuple[int, list[list[int]], Elimination]:
+    """(bound, the public vector's orbit, the elimination of the passive
+    system) at ``bound``.  The system depends on the params alone, so
+    the entry is kept on them; one for another bound replaces it."""
+    entry = params.passive_system
+    if entry is None or entry[0] != bound:
+        orbit = _orbit(field, params, params.base_vector, bound)
+        entry = (bound, orbit, eliminate(field, params.m, _structured_system(params, [orbit])))
+        params.passive_system = entry
+    return entry
 
 
 def _key_chunks(params: Params, coeffs: Sequence[int]) -> list[ShiftPoly]:
@@ -237,14 +253,14 @@ def recover_private_key(
     outputs: list[int] = list(target_pub.vec)
     for r in rhos:
         outputs.extend(r)
-    system = _structured_system(params, [_orbit(field, params, v, params.degree) for v in inputs])
-    result = solve_linear(field, system, outputs)
-    if not result.consistent:
+    columns = _structured_system(params, [_orbit(field, params, v, params.degree) for v in inputs])
+    elim = eliminate(field, len(outputs), columns)
+    coeffs = elim.solve(outputs)
+    if coeffs is None:
         raise InconsistentSystem("structured recovery system is inconsistent")
-    assert isinstance(result.particular, list)
-    t_hat = _structured_key(params, result.particular)
-    deficit = len(result.nullspace)
-    rank = system.cols - deficit
+    t_hat = _structured_key(params, coeffs)
+    rank = elim.rank
+    deficit = len(columns) - rank
     verified = mat_apply(field, t_hat, params.base_vector) == target_pub.vec and all(
         mat_apply(field, t_hat, pk.vec) == rho for (_, pk), rho in zip(pairs, rhos)
     )
@@ -313,10 +329,9 @@ def passive_commutant_attack(
     if not 0 <= bound <= cap:
         raise InvalidParams(f"degree bound {bound} is outside [0, m**2 = {cap}]")
     while True:
-        orbit = _orbit(field, params, params.base_vector, bound)
-        system = _structured_system(params, [orbit])
-        result = solve_linear(field, system, list(pub_a.vec))
-        if result.consistent:
+        _, orbit, elim = _passive_system(field, params, bound)
+        coeffs = elim.solve(pub_a.vec)
+        if coeffs is not None:
             break
         if bound >= cap:
             raise NoSolution(
@@ -324,14 +339,11 @@ def passive_commutant_attack(
                 f"at degree bound {bound} (cap {cap})"
             )
         bound = min(cap, bound * 2 if bound else 1)
-    assert isinstance(result.particular, list)
-    coeffs = result.particular
     shared = SharedKey(
         _structured_apply(field, params, coeffs, _orbit(field, params, pub_b.vec, bound))
     )
     verified = _structured_apply(field, params, coeffs, orbit) == list(pub_a.vec)
-    rank = system.cols - len(result.nullspace)
-    return PassiveResult(shared, bound, m, rank, verified, params, coeffs)
+    return PassiveResult(shared, bound, m, elim.rank, verified, params, coeffs)
 
 
 def directory_to_obj(directory: KeyDirectory) -> dict:

@@ -49,6 +49,8 @@ from .linalg import Matrix, _pack, _slot_bytes, _unpack, mat_apply, mat_mul
 
 KIND_SCALAR = "scalar"
 KIND_JORDAN = "jordan"
+# Sampled grids are raised to exponents in [0, MAX_GRID_EXP].
+MAX_GRID_EXP = 3
 
 
 @dataclass(frozen=True)
@@ -468,7 +470,7 @@ def sample_ring_element(
             factors = []
             for _ in range(n_factors):
                 grid = random_block_grid(field, k, d, rng)
-                factors.append((grid, rng.below(4)))
+                factors.append((grid, rng.below(MAX_GRID_EXP + 1)))
             coeff = field.sample(rng)
             terms.append(MonoTerm(coeff, tuple(factors)))
         mat = eval_recipe(field, k, d, terms)

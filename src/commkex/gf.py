@@ -99,9 +99,13 @@ class Rng:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform draw from [0, n) by rejection on 64-bit words."""
+        """Uniform draw from [0, n) by rejection on 64-bit words, for
+        1 <= n <= 2**64; a larger bound raises ValueError, since no
+        64-bit word could then be accepted."""
         if n <= 0:
             raise ValueError("bound must be positive")
+        if n > 1 << 64:
+            raise ValueError("bound must be at most 2**64")
         threshold = (1 << 64) - ((1 << 64) % n)
         while True:
             w = self.next_u64()

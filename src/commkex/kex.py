@@ -34,6 +34,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .commutant import (
+    MAX_GRID_EXP,
     MonoTerm,
     RingMatrix,
     RingSample,
@@ -52,7 +53,7 @@ from .errors import (
     ParseError,
 )
 from .gf import Field, OpCounter, Rng
-from .linalg import Matrix, mat_apply
+from .linalg import Elimination, Matrix, mat_apply
 
 KEYGEN_MAX_ATTEMPTS = 16
 
@@ -64,7 +65,15 @@ class Params:
     evaluation keeps D+1 powers of the base), and that the base is a
     matrix over R (every k x k block upper-triangular Toeplitz), and
     caches the base in that form as ``z_ring``; semantic
-    non-degeneracy of the base is enforced where it is sampled."""
+    non-degeneracy of the base is enforced where it is sampled.
+
+    ``passive_system`` is the passive attack's cache, built by its first
+    attack on these params: (degree bound, the public vector's orbit
+    zeta, z zeta, ..., z**bound zeta, the recorded elimination of the
+    attack's system).  It holds one entry; an attack at another bound
+    replaces it.  An entry is published by one assignment of a fully
+    built tuple and never changed after, so threads sharing the params
+    read a whole entry and at worst build one twice."""
 
     q: int
     k: int
@@ -74,6 +83,9 @@ class Params:
     ring_base: RingSample
     seed: Optional[int] = None
     z_ring: RingMatrix = dc_field(init=False, repr=False, compare=False)
+    passive_system: Optional[tuple[int, list[list[int]], Elimination]] = dc_field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.k < 1:
@@ -297,8 +309,8 @@ def matrix_from_obj(obj, q: int, path: str) -> Matrix:
     rows = _need(obj, "rows", path)
     cols = _need(obj, "cols", path)
     entries = _need(obj, "entries", path)
-    if not isinstance(rows, int) or not isinstance(cols, int):
-        raise ParseError(f"{path}: rows/cols must be integers")
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in (rows, cols)):
+        raise ParseError(f"{path}: rows/cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ParseError(f"{path}.entries: expected {rows * cols} entries")
     vals = [_parse_residue(e, q, f"{path}.entries[{i}]") for i, e in enumerate(entries)]
@@ -352,35 +364,44 @@ def ring_sample_to_obj(sample: RingSample) -> dict:
     return obj
 
 
-def ring_sample_from_obj(obj, q: int, k: int, path: str) -> RingSample:
+def ring_sample_from_obj(obj, q: int, k: int, d: int, path: str) -> RingSample:
+    """A z object for params of shape (k, d), which the caller has
+    checked: a recipe's grids must be d x d and its exponents within the
+    sampler's [0, MAX_GRID_EXP].  Every malformed part is a ParseError."""
     matrix = matrix_from_obj(_need(obj, "matrix", path), q, f"{path}.matrix")
-    recipe = None
-    if isinstance(obj, dict) and "recipe" in obj:
-        terms = []
-        raw = obj["recipe"]
-        if not isinstance(raw, list):
-            raise ParseError(f"{path}.recipe: expected a list")
-        for ti, term_obj in enumerate(raw):
-            tpath = f"{path}.recipe[{ti}]"
-            coeff = _parse_residue(_need(term_obj, "coeff", tpath), q, f"{tpath}.coeff")
-            factors = []
-            for fi, f_obj in enumerate(_need(term_obj, "factors", tpath)):
-                fpath = f"{tpath}.factors[{fi}]"
-                grid_rows = _need(f_obj, "grid", fpath)
-                exp = _need(f_obj, "exp", fpath)
-                if not isinstance(exp, int) or exp < 0:
-                    raise ParseError(f"{fpath}.exp: expected a non-negative integer")
-                blocks = tuple(
-                    tuple(
-                        _generator_block_from_obj(b, q, k, f"{fpath}.grid[{ri}][{ci}]")
-                        for ci, b in enumerate(row)
-                    )
-                    for ri, row in enumerate(grid_rows)
+    if "recipe" not in obj:
+        return RingSample(matrix)
+    raw = obj["recipe"]
+    if not isinstance(raw, list):
+        raise ParseError(f"{path}.recipe: expected a list")
+    terms = []
+    for ti, term_obj in enumerate(raw):
+        tpath = f"{path}.recipe[{ti}]"
+        coeff = _parse_residue(_need(term_obj, "coeff", tpath), q, f"{tpath}.coeff")
+        raw_factors = _need(term_obj, "factors", tpath)
+        if not isinstance(raw_factors, list):
+            raise ParseError(f"{tpath}.factors: expected a list")
+        factors = []
+        for fi, f_obj in enumerate(raw_factors):
+            fpath = f"{tpath}.factors[{fi}]"
+            grid_rows = _need(f_obj, "grid", fpath)
+            exp = _need(f_obj, "exp", fpath)
+            if isinstance(exp, bool) or not isinstance(exp, int) or not 0 <= exp <= MAX_GRID_EXP:
+                raise ParseError(f"{fpath}.exp: expected an integer in [0, {MAX_GRID_EXP}]")
+            if not isinstance(grid_rows, list) or len(grid_rows) != d or any(
+                not isinstance(row, list) or len(row) != d for row in grid_rows
+            ):
+                raise ParseError(f"{fpath}.grid: expected {d} rows of {d} blocks")
+            blocks = tuple(
+                tuple(
+                    _generator_block_from_obj(b, q, k, f"{fpath}.grid[{ri}][{ci}]")
+                    for ci, b in enumerate(row)
                 )
-                factors.append((BlockGrid(blocks), exp))
-            terms.append(MonoTerm(coeff, tuple(factors)))
-        recipe = tuple(terms)
-    return RingSample(matrix, recipe)
+                for ri, row in enumerate(grid_rows)
+            )
+            factors.append((BlockGrid(blocks), exp))
+        terms.append(MonoTerm(coeff, tuple(factors)))
+    return RingSample(matrix, tuple(terms))
 
 
 def params_to_obj(params: Params) -> dict:
@@ -404,8 +425,12 @@ def params_from_obj(obj) -> Params:
     degree = _parse_int(_need(obj, "D", "params"), "params.D")
     if q < 2:
         raise ParseError("params.q: modulus must be at least 2")
+    if k < 1:
+        raise ParseError("params.k: block size must be at least 1")
+    if d < 2:
+        raise ParseError("params.d: block count must be at least 2")
     vec = vector_from_obj(_need(obj, "zeta", "params"), q, "params.zeta")
-    base = ring_sample_from_obj(_need(obj, "z", "params"), q, k, "params.z")
+    base = ring_sample_from_obj(_need(obj, "z", "params"), q, k, d, "params.z")
     seed = None
     if isinstance(obj, dict) and "seed" in obj:
         seed = _parse_int(obj["seed"], "params.seed")

@@ -10,14 +10,17 @@ instrumented.
 Elimination pivots on the first nonzero entry in column order -- there
 is no magnitude over GF(q) -- and always fully reduces, so echelon
 forms, particular solutions and nullspace bases are identical across
-runs.  Multi-column right-hand sides are supported so a batch of
-systems sharing a coefficient matrix reduces in one pass.  The one
-eliminator (``_rref``) packs each column into a single integer
-(Kronecker substitution), so a row operation costs one big-integer
-multiply-add per column rather than a Python loop over its entries; it
-performs the textbook loop's row operations and swaps, so its results
-are the textbook's, and like the rest of elimination it is not charged
-to an OpCounter.
+runs.  There is one eliminator, ``eliminate``: it takes a coefficient
+matrix by columns, packs each column into a single integer (Kronecker
+substitution), so a row operation costs one big-integer multiply-add
+per column rather than a Python loop over its entries, and records its
+row operations.  A right-hand side is reduced by replaying that record
+(``Elimination.reduce``), so systems that share a coefficient matrix are
+eliminated once and solved many times; ``solve_linear``, ``rank``,
+``pivot_columns`` and ``invert`` are all built on it.  It performs the
+textbook loop's row operations and swaps, so its results are the
+textbook's, and like the rest of elimination it is not charged to an
+OpCounter.
 
 JSON forms: matrix {"rows": r, "cols": c, "entries": [decimal, ...]}
 row-major; vector {"entries": [decimal, ...]}.
@@ -208,135 +211,183 @@ def _unpack(packed: int, k: int, slot: int, q: int) -> list[int]:
     return [int.from_bytes(raw[i : i + slot], "little") % q for i in range(0, width, slot)]
 
 
-def _rref(field: Field, rows: list[list[int]], pivot_cols: int) -> list[int]:
-    """In-place reduced row echelon form.
-
-    Pivots are searched only in the first ``pivot_cols`` columns (the
-    remainder is the augmented part).  Returns the pivot column indices
-    in order.
-
-    Kronecker-packed Gauss-Jordan: column j is one integer whose slot s
-    holds the entry of input row s, so a row operation is one integer
-    operation per column.  Per pivot, column c is unpacked mod q; then
-    every column from c on gets the pivot row's slot replaced by its
-    scaled entry y and y * G added, where G packs (q - f_i) for each
-    other row's column-c entry f_i.  Slots are reduced mod q only when
-    read, so a slot grows by less than q**2 per pivot; its width holds
-    that for min(rows, pivot_cols) pivots.  Swaps permute ``order`` (the
-    slot of each row position), and the rows are unpacked once at the
-    end: the same row operations as the textbook loop, so the same rows.
-    """
-    if not rows:
-        return []
-    q = field.q
-    nrows, ncols = len(rows), len(rows[0])
-    # a slot holds a residue plus one product per pivot
-    slot = _slot_bytes(q, min(nrows, pivot_cols) + 2)
+def _replay(packed: int, steps: Sequence[tuple[int, int, int]], slot: int, q: int) -> int:
+    """Apply recorded pivot steps (p, inv, G) to one packed column: per
+    step, the pivot row's slot p is replaced by its entry x scaled to
+    y = x * inv mod q, and y * G is added, which subtracts y times the
+    pivot column from every other row."""
     bits = 8 * slot
     mask = (1 << bits) - 1
-    cols = [_pack([row[j] for row in rows], slot) for j in range(ncols)]
-    order = list(range(nrows))
+    for p, inv, g in steps:
+        shift = bits * p
+        x = (packed >> shift) & mask
+        if x:
+            y = x * inv % q
+            packed += ((y - x) << shift) + y * g
+    return packed
+
+
+@dataclass(frozen=True, slots=True)
+class Elimination:
+    """The recorded Gauss-Jordan elimination of a coefficient matrix A.
+
+    Rows live in the slots of packed columns.  ``pivots`` are A's pivot
+    columns in order, and ``order[i]`` is the slot of the row at
+    position i of the reduced form.  ``steps`` holds, per pivot, the
+    pivot row's slot p, the inverse of its entry, and the packed
+    multiplier G (q - f in every other row's slot, for that row's entry f
+    in the pivot column; 0 in slot p).  Pivots are chosen from A's
+    columns only, so the record depends on A alone: replaying it on a
+    right-hand side b (``reduce``) yields the column that eliminating
+    [A | b] leaves.  ``free`` keeps each free column of A, packed, for
+    ``nullspace`` to replay.  An Elimination is never changed once
+    built, so threads may share one.
+    """
+
+    q: int
+    rows: int
+    cols: int
+    slot: int
+    order: tuple[int, ...]
+    pivots: tuple[int, ...]
+    steps: tuple[tuple[int, int, int], ...]
+    free: tuple[tuple[int, int], ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _reduced(self, packed: int) -> list[int]:
+        slot, q = self.slot, self.q
+        entries = _unpack(_replay(packed, self.steps, slot, q), self.rows, slot, q)
+        return [entries[s] for s in self.order]
+
+    def reduce(self, column: Sequence[int]) -> list[int]:
+        """The column of canonical residues as the elimination leaves it,
+        by row position: the pivot rows' entries, then the rest."""
+        if len(column) != self.rows:
+            raise DimensionMismatch(
+                f"system has {self.rows} equations but rhs has {len(column)} rows"
+            )
+        return self._reduced(_pack(column, self.slot))
+
+    def solve(self, column: Sequence[int]) -> list[int] | None:
+        """The solution of A x = column with free variables zero, read
+        off the reduced form; None when the system is inconsistent."""
+        reduced = self.reduce(column)
+        if any(reduced[self.rank :]):
+            return None
+        x = [0] * self.cols
+        for c, value in zip(self.pivots, reduced):
+            x[c] = value
+        return x
+
+    def nullspace(self) -> list[list[int]]:
+        """A basis of A's kernel, one vector per free column f: 1 at f,
+        minus f's reduced entries at the pivots."""
+        q = self.q
+        out = []
+        for f, packed in self.free:
+            vec = [0] * self.cols
+            vec[f] = 1
+            for c, x in zip(self.pivots, self._reduced(packed)):
+                vec[c] = -x % q
+            out.append(vec)
+        return out
+
+
+def eliminate(field: Field, rows: int, columns: Sequence[Sequence[int]]) -> Elimination:
+    """Gauss-Jordan elimination of the matrix with these columns (each
+    ``rows`` canonical residues), recorded for replay.
+
+    Kronecker-packed: column j is one integer whose slot s holds row s's
+    entry, so a row operation is one integer operation per column.  Each
+    column in turn is reduced by replaying the pivot steps recorded so
+    far and unpacked mod q; the first row position from r on with a
+    nonzero entry then holds the next pivot (a swap permutes ``order``),
+    and its step is recorded.  A column meets the same row operations,
+    in the same order, as in the textbook loop, so the reduced form is
+    the textbook's.  A free column is kept as it came in: the steps
+    recorded after it find a zero (mod q) in its pivot rows, so
+    replaying every step on it when it is read leaves the textbook's
+    column too.  Slots are reduced mod q only when read, so a slot grows
+    by less than q**2 per pivot; its width holds that for
+    min(rows, columns) pivots.
+    """
+    q = field.q
+    if any(len(col) != rows for col in columns):
+        raise DimensionMismatch(f"columns of a {rows}-row system differ in length")
+    # a slot holds a residue plus one product per pivot
+    slot = _slot_bytes(q, min(rows, len(columns)) + 2)
+    order = list(range(rows))
     pivots: list[int] = []
-    r = 0
-    for c in range(pivot_cols):
-        f = _unpack(cols[c], nrows, slot, q)
-        pivot_row = next((i for i in range(r, nrows) if f[order[i]]), None)
+    steps: list[tuple[int, int, int]] = []
+    free: list[tuple[int, int]] = []
+    for c, col in enumerate(columns):
+        packed = _pack(col, slot)
+        r = len(pivots)
+        pivot_row = None
+        if r < rows:
+            f = _unpack(_replay(packed, steps, slot, q), rows, slot, q)
+            pivot_row = next((i for i in range(r, rows) if f[order[i]]), None)
         if pivot_row is None:
+            free.append((c, packed))
             continue
         order[r], order[pivot_row] = order[pivot_row], order[r]
         p = order[r]
         inv = field.inv(f[p])
         f[p] = 0
-        g = _pack([-x % q for x in f], slot)
-        shift = bits * p
-        for j in range(c, ncols):
-            col = cols[j]
-            x = (col >> shift) & mask
-            if x:
-                y = x * inv % q
-                cols[j] = col + ((y - x) << shift) + y * g
+        steps.append((p, inv, _pack([-x % q for x in f], slot)))
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    entries = [_unpack(col, nrows, slot, q) for col in cols]
-    for i, s in enumerate(order):
-        rows[i] = [col[s] for col in entries]
-    return pivots
+    return Elimination(
+        q, rows, len(columns), slot, tuple(order), tuple(pivots), tuple(steps), tuple(free)
+    )
+
+
+def _eliminate_matrix(field: Field, a: Matrix) -> Elimination:
+    return eliminate(field, a.rows, [a.col(j) for j in range(a.cols)])
 
 
 def solve_linear(field: Field, a: Matrix, rhs: Matrix | Sequence[int]) -> SolveResult:
-    """Row-reduce [a | rhs]; exact solve over GF(q).
+    """Exact solve of a x = rhs over GF(q).
 
     Accepts a single right-hand-side vector or a Matrix of stacked
-    right-hand sides.  The particular solution sets free variables to
-    zero; the nullspace basis comes straight off the reduced form.
+    right-hand sides.  The coefficient matrix is eliminated once and
+    each right-hand side replays that elimination.  The particular
+    solution sets free variables to zero; the nullspace basis comes
+    straight off the reduced form.
     """
     vector_rhs = not isinstance(rhs, Matrix)
-    rhs_mat = Matrix.from_columns([list(rhs)]) if vector_rhs else rhs
-    if rhs_mat.rows != a.rows:
+    rhs_cols = [list(rhs)] if vector_rhs else [rhs.col(j) for j in range(rhs.cols)]
+    if len(rhs_cols[0]) != a.rows:
         raise DimensionMismatch(
-            f"system has {a.rows} equations but rhs has {rhs_mat.rows} rows"
+            f"system has {a.rows} equations but rhs has {len(rhs_cols[0])} rows"
         )
-    n = a.cols
-    aug = [a.row(i) + rhs_mat.row(i) for i in range(a.rows)]
-    pivots = _rref(field, aug, n)
-    rank_a = len(pivots)
-
-    # Rows below the pivot rows have all-zero coefficient parts; any
-    # nonzero augmented entry there certifies inconsistency.
-    consistent = all(
-        not any(aug[i][n:]) for i in range(rank_a, a.rows)
-    )
-
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    q = field.q
-    nullspace = []
-    for f in free_cols:
-        vec = [0] * n
-        vec[f] = 1
-        for r_idx, c in enumerate(pivots):
-            vec[c] = (-aug[r_idx][f]) % q
-        nullspace.append(vec)
-
-    if not consistent:
+    elim = _eliminate_matrix(field, a)
+    nullspace = elim.nullspace()
+    sols = [elim.solve(col) for col in rhs_cols]
+    if any(x is None for x in sols):
         return SolveResult(None, nullspace)
-
-    k = rhs_mat.cols
-    sols = []
-    for j in range(k):
-        x = [0] * n
-        for r_idx, c in enumerate(pivots):
-            x[c] = aug[r_idx][n + j]
-        sols.append(x)
-    particular: list[int] | Matrix
-    if vector_rhs:
-        particular = sols[0]
-    else:
-        particular = Matrix.from_columns(sols)
-    return SolveResult(particular, nullspace)
+    return SolveResult(sols[0] if vector_rhs else Matrix.from_columns(sols), nullspace)
 
 
 def rank(field: Field, a: Matrix) -> int:
     """Row rank over GF(q)."""
-    rows = a.to_rows()
-    return len(_rref(field, rows, a.cols))
+    return _eliminate_matrix(field, a).rank
 
 
 def pivot_columns(field: Field, a: Matrix) -> list[int]:
     """Column indices of the first maximal independent column set (the
     reduced echelon form's pivots, in column order)."""
-    rows = a.to_rows()
-    return _rref(field, rows, a.cols)
+    return list(_eliminate_matrix(field, a).pivots)
 
 
 def invert(field: Field, a: Matrix) -> Matrix:
     """Two-sided inverse; raises Singular when rank < n."""
     if a.rows != a.cols:
         raise DimensionMismatch("only square matrices are invertible")
-    result = solve_linear(field, a, Matrix.identity(a.rows))
-    if result.nullspace or result.particular is None:
-        raise Singular(f"matrix of rank {rank(field, a)} < {a.rows} has no inverse")
-    assert isinstance(result.particular, Matrix)
-    return result.particular
+    n = a.rows
+    elim = _eliminate_matrix(field, a)
+    if elim.rank < n:
+        raise Singular(f"matrix of rank {elim.rank} < {n} has no inverse")
+    return Matrix.from_columns([elim.solve([int(i == j) for i in range(n)]) for j in range(n)])

@@ -153,7 +153,7 @@ def recipe_mod(terms, m, q):
 
 def rref_rows(field, rows, pivot_cols):
     """The textbook Gauss-Jordan loop, one list comprehension per row
-    operation: the reference for ``linalg._rref``.  In-place reduced row
+    operation: the reference for ``linalg.eliminate``.  In-place reduced row
     echelon form; pivots are searched only in the first ``pivot_cols``
     columns.  Returns the pivot column indices in order."""
     q = field.q
@@ -182,3 +182,52 @@ def rref_rows(field, rows, pivot_cols):
         if r == nrows:
             break
     return pivots
+
+
+def textbook_solve(field, a_rows, rhs_cols):
+    """(pivots, solutions, nullspace) of a_rows @ x = each column in
+    rhs_cols, read off ``rref_rows`` of [a | rhs]: a solution sets free
+    variables to zero and is None for an inconsistent column; the
+    nullspace has one vector per free column, in column order."""
+    q = field.q
+    n = len(a_rows[0])
+    rows = [list(row) + [col[i] for col in rhs_cols] for i, row in enumerate(a_rows)]
+    pivots = rref_rows(field, rows, n)
+    rank = len(pivots)
+    solutions = []
+    for j in range(len(rhs_cols)):
+        if any(row[n + j] for row in rows[rank:]):
+            solutions.append(None)
+            continue
+        x = [0] * n
+        for r, c in enumerate(pivots):
+            x[c] = rows[r][n + j]
+        solutions.append(x)
+    nullspace = []
+    for f in (c for c in range(n) if c not in pivots):
+        vec = [0] * n
+        vec[f] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][f] % q
+        nullspace.append(vec)
+    return pivots, solutions, nullspace
+
+
+def structured_columns_mod(z_rows, vecs, k, bound, q):
+    """Columns N**j z**i v of the structured attack systems, for i <= bound
+    and j < k (i major), each stacking the images of every v in vecs; N
+    is the block-diagonal upper shift."""
+    m = len(z_rows)
+    shift = np.zeros((m, m), dtype=object)
+    for r in range(m):
+        if r % k != k - 1:
+            shift[r][r + 1] = 1
+    columns = []
+    for i in range(bound + 1):
+        zi = np_mat(mat_pow_mod(z_rows, i, q))
+        nj = np.eye(m, dtype=object)
+        for _ in range(k):
+            op = (nj @ zi) % q
+            columns.append([x for v in vecs for x in (op @ np.array(v, dtype=object) % q).tolist()])
+            nj = (nj @ shift) % q
+    return columns

@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -9,13 +11,15 @@ from commkex.errors import (
     NoSolution,
     OutOfSpan,
 )
-from commkex.gf import Rng
+from commkex.gf import Field, Rng
 from commkex.commutant import ShiftPoly
 from commkex.kex import (
     PublicKey,
     derive_shared,
     gen_params,
     keygen,
+    params_from_json,
+    params_to_json,
     private_key_from_coeffs,
     public_key,
 )
@@ -33,7 +37,7 @@ from commkex.attacks import (
 )
 from commkex.linalg import Matrix, mat_apply, vec_add
 
-from oracles import key_poly_mod, mat_vec_mod
+from oracles import key_poly_mod, mat_vec_mod, structured_columns_mod, textbook_solve
 
 
 def fill_directory(params, rng, count, with_private=True):
@@ -331,3 +335,134 @@ def test_report_serialization(micro_params, micro_keys):
         "shared_key",
         "verified",
     }
+
+
+# The passive attack eliminates its system once per params and bound and
+# replays that elimination on each session's public key.
+
+
+def fresh(params):
+    """A copy of the params with nothing cached, as a new reader of the
+    same params.json gets."""
+    return params_from_json(params_to_json(params))
+
+
+def passive_outcome(params, pub_a, pub_b, bound):
+    try:
+        res = passive_commutant_attack(params, pub_a, pub_b, bound)
+    except NoSolution as exc:
+        return repr(exc)
+    return (report_obj(res), res.degree_bound, res.rank, res.coefficients)
+
+
+def textbook_passive(params, pub_a, bound):
+    """(degree bound reached, rank, coefficients) of the passive attack
+    from the dense structured system, solved by the textbook loop, with
+    the attack's bound doubling; None when no bound up to m**2 works."""
+    q, k, m = params.q, params.k, params.m
+    z_rows = params.ring_base.matrix.to_rows()
+    bound = params.degree if bound is None else bound
+    while True:
+        columns = structured_columns_mod(z_rows, [params.base_vector], k, bound, q)
+        rows = [list(r) for r in zip(*columns)]
+        pivots, (x,), _ = textbook_solve(Field(q), rows, [pub_a.vec])
+        if x is not None:
+            return bound, len(pivots), x
+        if bound >= m * m:
+            return None
+        bound = min(m * m, bound * 2 if bound else 1)
+
+
+def test_passive_attack_matches_textbook_solve():
+    rng, target_rng = Rng(3141), Rng(2718)
+    shapes = ((1, 2), (2, 2), (3, 2), (2, 3), (6, 2))
+    for q in (2, 101, 2147483647, 2305843009213693951):
+        for k, d in shapes:
+            params = gen_params(q, k, d, 3, rng)
+            keys = [keygen(params, rng)[1] for _ in range(3)]
+            # a target no structured key may reach: the attack then runs
+            # every retry up to m**2
+            keys.append(PublicKey([target_rng.below(q) for _ in range(params.m)]))
+            cap = params.m**2 if params.m <= 6 else 2 * params.m
+            for bound in (None, 0, 1, params.degree, cap):
+                for a, b in ((0, 1), (2, 0), (3, 1)):
+                    expect = textbook_passive(params, keys[a], bound)
+                    for target in (params, fresh(params)):
+                        got = passive_outcome(target, keys[a], keys[b], bound)
+                        if expect is None:
+                            assert isinstance(got, str) and "NoSolution" in got
+                        else:
+                            assert got[1:] == expect
+                            assert got[0]["verified"] is True
+
+
+def test_passive_reports_equal_on_fresh_and_reused_params():
+    # one params object attacked over and over at alternating bounds,
+    # against a fresh copy for every attack; the kept system is the one
+    # for the bound the last attack reached, retries included
+    rng = Rng(2236)
+    for q, k, d in ((2, 2, 2), (101, 1, 3), (2147483647, 3, 2), (2305843009213693951, 2, 3)):
+        params = gen_params(q, k, d, 3, rng)
+        keys = [keygen(params, rng)[1] for _ in range(3)]
+        sessions = [(0, 1), (1, 0), (2, 1)]
+        for n, bound in enumerate((0, params.degree, params.m**2) * 3 + (None,)):
+            a, b = sessions[n % len(sessions)]
+            reused = passive_outcome(params, keys[a], keys[b], bound)
+            assert reused == passive_outcome(fresh(params), keys[a], keys[b], bound)
+            if not isinstance(reused, str):
+                assert params.passive_system[0] == reused[1]
+
+
+def test_passive_attack_threads_share_a_fresh_params():
+    # eavesdroppers on one params: the first attacks race to build the
+    # kept system, and attacks at other bounds replace it under the others
+    text = params_to_json(gen_params(2147483647, 4, 4, 3, Rng(37)))
+    base = params_from_json(text)
+    key_rng = Rng(38)
+    pubs = [keygen(base, key_rng)[1] for _ in range(4)]
+    jobs = [[(t, (t + 1) % 4, bound) for bound in (None, t % 2, None, 5)] for t in range(4)]
+    serial = [[passive_outcome(fresh(base), pubs[a], pubs[b], n) for a, b, n in job] for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared = params_from_json(text)
+            barrier = threading.Barrier(len(jobs))
+            out = {}
+
+            def worker(t):
+                barrier.wait()
+                out[t] = [passive_outcome(shared, pubs[a], pubs[b], n) for a, b, n in jobs[t]]
+
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert [out[t] for t in range(len(jobs))] == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_structured_recovery_matches_textbook_solve():
+    rng = Rng(1732)
+    for q, k, d, known in ((2, 2, 2, 1), (101, 1, 3, 2), (2147483647, 3, 2, 2), (2305843009213693951, 2, 3, 3)):
+        params = gen_params(q, k, d, 2, rng)
+        field = params.field()
+        directory = fill_directory(params, rng, known)
+        z_rows = params.ring_base.matrix.to_rows()
+        for _ in range(3):
+            sk_t, pk_t = keygen(params, rng)
+            pairs = directory.known_pairs()
+            inputs = [params.base_vector] + [pk.vec for _, pk in pairs]
+            rhs = list(pk_t.vec)
+            for sk, _ in pairs:
+                rhs += mat_apply(field, sk.matrix, pk_t.vec)
+            columns = structured_columns_mod(z_rows, inputs, k, params.degree, q)
+            pivots, (x,), _ = textbook_solve(field, [list(r) for r in zip(*columns)], [rhs])
+            chunks = [x[i : i + k] for i in range(0, len(x), k)]
+            rec = recover_private_key(directory, pk_t, MODE_STRUCTURED)
+            assert rec.matrix == Matrix.from_rows(key_poly_mod(chunks, z_rows, d, q))
+            assert (rec.rank, rec.residual_rank_deficit) == (len(pivots), len(columns) - len(pivots))
+            assert (rec.equations_used, rec.verified) == (known + 1, True)

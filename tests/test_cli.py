@@ -372,6 +372,19 @@ def keygen_cli(params_path, tmp_path):
     )
 
 
+def test_malformed_recipe_exits_3(tmp_path, capsys, malformed_recipes):
+    paths = gen_pipeline(tmp_path, k=2, d=2)
+    obj = json.loads(paths["params"].read_text())
+    edited = tmp_path / "edited.json"
+    obj["z"]["recipe"][0]["factors"][0]["exp"] = 3  # the sampler's largest
+    edited.write_text(json.dumps(obj))
+    assert keygen_cli(edited, tmp_path) == 0
+    for label, bad in malformed_recipes(obj):
+        edited.write_text(json.dumps(bad))
+        assert keygen_cli(edited, tmp_path) == 3, label
+        assert capsys.readouterr().err.startswith("error: params"), label
+
+
 def test_params_degree_bound_from_file(tmp_path, capsys):
     paths = gen_pipeline(tmp_path, k=1, d=2, degree=1)
     obj = json.loads(paths["params"].read_text())

@@ -202,3 +202,9 @@ def test_rng_matches_reference_splitmix64():
 def test_rng_below_rejects_bad_bounds():
     with pytest.raises(ValueError):
         Rng(1).below(0)
+    # 2**64 accepts every 64-bit word; above it none would be accepted,
+    # so the draw is refused before it starts
+    assert Rng(1).below(2**64) == Rng(1).next_u64()
+    for n in (2**64 + 1, 2**512):
+        with pytest.raises(ValueError, match="at most 2\\*\\*64"):
+            Rng(1).below(n)

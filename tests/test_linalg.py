@@ -2,12 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commkex import linalg
 from commkex.errors import DimensionMismatch, InvalidDimension, Singular
 from commkex.gf import Field, OpCounter, Rng
 from commkex.linalg import (
     Matrix,
-    _rref,
+    eliminate,
     invert,
     mat_add,
     mat_apply,
@@ -17,7 +16,14 @@ from commkex.linalg import (
     solve_linear,
 )
 
-from oracles import mat_mul_mod, mat_vec_mod, rank_by_minors, rref_rows, solve_by_search
+from oracles import (
+    mat_mul_mod,
+    mat_vec_mod,
+    rank_by_minors,
+    rref_rows,
+    solve_by_search,
+    textbook_solve,
+)
 
 F7 = Field(7)
 
@@ -202,8 +208,9 @@ def test_from_columns_transposes(entries):
     assert again == m
 
 
-# The packed eliminator against the textbook loop in oracles.py: same
-# rows (the order of non-pivot rows included) and pivots.
+# The recorded eliminator against the textbook loop in oracles.py: the
+# reduced rows reassembled from the record (the order of non-pivot rows
+# included), the pivots, and every right-hand side replayed.
 RREF_PRIMES = [2, 101, 2147483647, 2305843009213693951]
 
 
@@ -238,10 +245,30 @@ def rref_cases(q, rng):
     return cases
 
 
+def rref_from_record(field, rows, pivot_cols):
+    """(reduced rows, pivots) of ``rows`` from the recorded elimination of
+    its first ``pivot_cols`` columns: unit pivot columns, free columns
+    read back from the nullspace, and the remaining columns replayed."""
+    q = field.q
+    nrows, width = len(rows), len(rows[0]) if rows else 0
+    elim = eliminate(field, nrows, [[row[j] for row in rows] for j in range(pivot_cols)])
+    out = [[0] * pivot_cols for _ in range(nrows)]
+    for r, c in enumerate(elim.pivots):
+        out[r][c] = 1
+    free = [c for c in range(pivot_cols) if c not in elim.pivots]
+    for f, vec in zip(free, elim.nullspace(), strict=True):
+        for r, c in enumerate(elim.pivots):
+            out[r][f] = -vec[c] % q
+    for j in range(pivot_cols, width):
+        for row, x in zip(out, elim.reduce([row[j] for row in rows]), strict=True):
+            row.append(x)
+    return out, list(elim.pivots)
+
+
 def assert_rref_matches_textbook(field, rows, pivot_cols):
-    packed, textbook = [list(r) for r in rows], [list(r) for r in rows]
-    assert _rref(field, packed, pivot_cols) == rref_rows(field, textbook, pivot_cols)
-    assert packed == textbook
+    textbook = [list(r) for r in rows]
+    pivots = rref_rows(field, textbook, pivot_cols)
+    assert rref_from_record(field, rows, pivot_cols) == (textbook, pivots)
 
 
 def test_rref_matches_textbook():
@@ -250,7 +277,11 @@ def test_rref_matches_textbook():
         field = Field(q)
         for rows, pivot_cols in rref_cases(q, rng):
             assert_rref_matches_textbook(field, rows, pivot_cols)
-    assert _rref(F7, [], 0) == []
+    assert eliminate(F7, 0, []).pivots == ()
+    with pytest.raises(DimensionMismatch):
+        eliminate(F7, 2, [[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        eliminate(F7, 2, [[1, 2]]).reduce([1, 2, 3])
 
 
 def test_rref_slot_holds_many_pivots():
@@ -268,39 +299,40 @@ def test_rref_slot_holds_many_pivots():
     rng = Rng(1618)
     dense = [[field.sample(rng) for _ in range(n + 1)] for _ in range(n)]
     assert_rref_matches_textbook(field, dense, n)
-    assert len(_rref(field, dense, n)) >= 64
+    assert eliminate(field, n, [[row[j] for row in dense] for j in range(n)]).rank >= 64
 
 
-def test_solvers_match_textbook_eliminator(monkeypatch):
+def test_solvers_match_textbook_eliminator():
+    # solve_linear, rank, pivot_columns and invert against solutions read
+    # off the textbook loop's reduced form
     rng = Rng(1414)
-    runs = []
     for q in RREF_PRIMES:
         field = Field(q)
+        runs = []
         for rows, pivot_cols in rref_cases(q, rng)[:60]:
-            a = Matrix.from_rows([row[:pivot_cols] for row in rows]) if pivot_cols else None
             rhs_cols = len(rows[0]) - pivot_cols
-            if a is None or not rhs_cols:
-                continue
-            rhs = Matrix.from_rows([row[pivot_cols:] for row in rows])
-            runs.append((field, a, rhs))
+            if pivot_cols and rhs_cols:
+                a = Matrix.from_rows([row[:pivot_cols] for row in rows])
+                runs.append((a, Matrix.from_rows([row[pivot_cols:] for row in rows])))
         n = 6
-        runs.append((field, Matrix(n, n, [field.sample(rng) for _ in range(n * n)]), None))
-
-    def results():
-        out = []
-        for field, a, rhs in runs:
-            out.append((rank(field, a), pivot_columns(field, a)))
+        runs.append((Matrix(n, n, [field.sample(rng) for _ in range(n * n)]), None))
+        runs.append((Matrix.identity(n), None))
+        for a, rhs in runs:
+            rhs_cols = [rhs.col(j) for j in range(rhs.cols)] if rhs is not None else []
+            pivots, sols, nullspace = textbook_solve(field, a.to_rows(), rhs_cols)
+            assert rank(field, a) == len(pivots)
+            assert pivot_columns(field, a) == pivots
             if rhs is not None:
                 res = solve_linear(field, a, rhs)
+                expect = None if None in sols else Matrix.from_columns(sols)
+                assert (res.particular, res.nullspace) == (expect, nullspace)
                 single = solve_linear(field, a, rhs.col(0))
-                out.append((res.particular, res.nullspace, single.particular, single.nullspace))
+                assert (single.particular, single.nullspace) == (sols[0], nullspace)
             if a.rows == a.cols:
-                try:
-                    out.append(invert(field, a))
-                except Singular:
-                    out.append(None)
-        return out
-
-    packed = results()
-    monkeypatch.setattr(linalg, "_rref", rref_rows)
-    assert results() == packed
+                unit = [[int(i == j) for i in range(a.rows)] for j in range(a.rows)]
+                _, inverse, _ = textbook_solve(field, a.to_rows(), unit)
+                if len(pivots) < a.rows:
+                    with pytest.raises(Singular):
+                        invert(field, a)
+                else:
+                    assert invert(field, a) == Matrix.from_columns(inverse)

@@ -276,6 +276,20 @@ def test_eavesdrop_missing_frames():
         eavesdrop(no_params)
 
 
+def test_eavesdrop_malformed_recipe_is_incomplete(malformed_recipes):
+    params, sk_a, _, sk_b, _ = make_session(seed=12)
+    results, _ = run_socketpair_session(params, sk_a, sk_b)
+    _, transcript = results["i"]
+    assert eavesdrop(transcript).verdict
+    for label, bad in malformed_recipes(json.loads(params_to_json(params))):
+        frames = [
+            (d, Frame(TAG_PARAMS, json.dumps(bad).encode()) if f.tag == TAG_PARAMS else f)
+            for d, f in transcript.frames
+        ]
+        with pytest.raises(IncompleteTranscript, match="unreadable PARAMS frame"):
+            eavesdrop(Transcript(frames))
+
+
 def test_eavesdrop_is_deterministic_and_replayable():
     params, sk_a, _, sk_b, _ = make_session(seed=11)
     results, _ = run_socketpair_session(params, sk_a, sk_b)
@@ -367,4 +381,28 @@ def test_listener_rejects_degree_above_m_squared_and_keeps_serving():
         listener.stop()
     bad, good = listener.results
     assert isinstance(bad, ProtocolViolation) and "exceeds m**2" in str(bad)
+    assert not isinstance(good, Exception) and good.vec == shared.vec
+
+
+def test_listener_rejects_malformed_recipe_and_keeps_serving(malformed_recipes):
+    # a PARAMS frame whose recipe no loader accepts is a protocol
+    # violation; the same listener then serves an honest session
+    params = gen_params(101, 2, 2, 2, Rng(15))
+    bad = dict(malformed_recipes(json.loads(params_to_json(params))))
+    labels = ("factors not a list", "ragged grid", "zero block size", "huge exponent")
+    listener = Listener(seed=58, max_sessions=len(labels) + 1)
+    host, port = listener.start()
+    try:
+        for n, label in enumerate(labels, 1):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(encode_frame(Frame(TAG_PARAMS, json.dumps(bad[label]).encode())))
+                assert sock.recv(1) == b""  # the listener hangs up
+            listener.wait(n)
+        sk, _ = keygen(params, Rng(59))
+        shared, _ = connect_and_run(host, port, params, sk)
+        listener.wait(len(labels) + 1)
+    finally:
+        listener.stop()
+    *rejected, good = listener.results
+    assert all(isinstance(r, ProtocolViolation) for r in rejected), rejected
     assert not isinstance(good, Exception) and good.vec == shared.vec
