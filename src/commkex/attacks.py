@@ -26,6 +26,15 @@ rho_i = T_i(xi).  Three executable attacks build on this:
 All attacks are deterministic: underdetermined systems return the
 reduced-echelon solution with free variables set to zero, which acts
 identically to the true key on the subspace the equations cover.
+
+The structured systems (structured recovery and the passive attack)
+are m-row systems in (degree+1)*k unknowns over GF(q), but since N acts
+on a k-chunk as x on R = GF(q)[x]/(x**k), each is a system of d rows per
+input vector in degree+1 unknowns over R, and is solved there
+(``linalg.eliminate_ring``): the GF(q) pivots of power i are exactly its
+first e_i shifts, so the reduced-echelon solution is the one with
+deg c_i < e_i and the rank is sum(e_i).  The full-matrix and directory
+attacks solve over GF(q) (``linalg.eliminate``).
 """
 
 from __future__ import annotations
@@ -44,9 +53,9 @@ from .errors import (
 from .gf import Field
 from .kex import Params, PrivateKey, PublicKey, SharedKey, matrix_to_obj, vector_to_obj
 from .linalg import (
-    Elimination,
     Matrix,
-    eliminate,
+    RingElimination,
+    eliminate_ring,
     invert,
     mat_apply,
     mat_mul,
@@ -132,17 +141,6 @@ class PassiveResult:
         return _structured_key(self.params, self.coefficients)
 
 
-def _shift_vec(vec: Sequence[int], k: int, j: int) -> list[int]:
-    """Apply the embedded j-th shift power to a vector: within each
-    k-block, entry r picks up entry r+j (zero past the block edge)."""
-    pad = [0] * j
-    out: list[int] = []
-    for start in range(0, len(vec), k):
-        out += vec[start + j : start + k]
-        out += pad
-    return out
-
-
 def _orbit(field: Field, params: Params, vec: Sequence[int], degree_bound: int) -> list[list[int]]:
     """vec, z vec, ..., z**degree_bound vec, each power z applied in R
     to the last."""
@@ -152,32 +150,30 @@ def _orbit(field: Field, params: Params, vec: Sequence[int], degree_bound: int) 
     return images
 
 
-def _structured_system(params: Params, orbits: list[list[list[int]]]) -> list[list[int]]:
-    """The columns of the system stacking the images of each input
-    vector under every structured basis element {embed(shift^j) *
-    base^i}; ``orbits[v]`` is input v's ``_orbit``.
-
-    Column order: i major, j minor -- column index i*k + j.  Rows are
-    the concatenated input vectors' image coordinates.
-    """
-    k = params.k
-    return [
-        [x for orbit in orbits for x in _shift_vec(orbit[i], k, j)]
-        for i in range(len(orbits[0]))
-        for j in range(k)
-    ]
+def _structured_elimination(
+    field: Field, params: Params, orbits: list[list[list[int]]]
+) -> RingElimination:
+    """The elimination over R of the system stacking the images of each
+    input vector under the structured basis {embed(shift^j) * base^i}.
+    Over R it has one column per power i, holding z**i v for every input
+    v (``orbits[v]`` is input v's ``_orbit``), d rows per input, and the
+    shifts N**j are the powers of x; unknown (i, j), the coefficient of
+    N**j z**i, has index i*k + j."""
+    return eliminate_ring(
+        field, params.k, [[x for orbit in orbits for x in orbit[i]] for i in range(len(orbits[0]))]
+    )
 
 
 def _passive_system(
     field: Field, params: Params, bound: int
-) -> tuple[int, list[list[int]], Elimination]:
+) -> tuple[int, list[list[int]], RingElimination]:
     """(bound, the public vector's orbit, the elimination of the passive
     system) at ``bound``.  The system depends on the params alone, so
     the entry is kept on them; one for another bound replaces it."""
     entry = params.passive_system
     if entry is None or entry[0] != bound:
         orbit = _orbit(field, params, params.base_vector, bound)
-        entry = (bound, orbit, eliminate(field, params.m, _structured_system(params, [orbit])))
+        entry = (bound, orbit, _structured_elimination(field, params, [orbit]))
         params.passive_system = entry
     return entry
 
@@ -253,14 +249,14 @@ def recover_private_key(
     outputs: list[int] = list(target_pub.vec)
     for r in rhos:
         outputs.extend(r)
-    columns = _structured_system(params, [_orbit(field, params, v, params.degree) for v in inputs])
-    elim = eliminate(field, len(outputs), columns)
+    orbits = [_orbit(field, params, v, params.degree) for v in inputs]
+    elim = _structured_elimination(field, params, orbits)
     coeffs = elim.solve(outputs)
     if coeffs is None:
         raise InconsistentSystem("structured recovery system is inconsistent")
     t_hat = _structured_key(params, coeffs)
     rank = elim.rank
-    deficit = len(columns) - rank
+    deficit = (params.degree + 1) * params.k - rank
     verified = mat_apply(field, t_hat, params.base_vector) == target_pub.vec and all(
         mat_apply(field, t_hat, pk.vec) == rho for (_, pk), rho in zip(pairs, rhos)
     )
@@ -339,10 +335,12 @@ def passive_commutant_attack(
                 f"at degree bound {bound} (cap {cap})"
             )
         bound = min(cap, bound * 2 if bound else 1)
-    shared = SharedKey(
-        _structured_apply(field, params, coeffs, _orbit(field, params, pub_b.vec, bound))
-    )
-    verified = _structured_apply(field, params, coeffs, orbit) == list(pub_a.vec)
+    # powers without a pivot (e_i = 0) have zero coefficients
+    top = max((i for i, e in enumerate(elim.exps) if e), default=0)
+    used = coeffs[: (top + 1) * params.k]
+    images = _orbit(field, params, pub_b.vec, top)
+    shared = SharedKey(_structured_apply(field, params, used, images))
+    verified = _structured_apply(field, params, used, orbit[: top + 1]) == list(pub_a.vec)
     return PassiveResult(shared, bound, m, elim.rank, verified, params, coeffs)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import time
 from typing import Optional
@@ -350,6 +351,9 @@ def _cmd_demo_listen(args) -> int:
         if params is None:
             raise ParseError("--key requires --params")
         private = _load_private(args.key, params)
+    # SIGINT stops the listener, even when this process was started with
+    # it ignored (a background job of a non-interactive shell)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     listener = wire.Listener(
         host,
         port,

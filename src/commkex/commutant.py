@@ -79,16 +79,6 @@ class GeneratorBlock:
         return ShiftPoly(tuple(self.residues(field))).realize(field)
 
 
-def shift_nilpotent(k: int) -> Matrix:
-    """The k x k upper-shift matrix N (ones on the first superdiagonal)."""
-    if k < 1:
-        raise InvalidDimension("block size must be at least 1")
-    m = Matrix.zero(k, k)
-    for i in range(k - 1):
-        m.entries[i * k + i + 1] = 1
-    return m
-
-
 @dataclass(frozen=True)
 class ShiftPoly:
     """Coefficients (c0, ..., c_{k-1}) of sum_j c_j N**j.
@@ -96,7 +86,7 @@ class ShiftPoly:
     Realizes as the upper-triangular Toeplitz matrix with entry
     (i, j) = c_{j-i} for j >= i.  Closed under sum and product; the
     product is coefficient convolution truncated to length k because
-    N**k = 0.
+    N**k = 0, which ``RingMatrix`` computes.
     """
 
     coeffs: tuple[int, ...]
@@ -131,19 +121,6 @@ class ShiftPoly:
             raise DimensionMismatch("shift polynomial sizes differ")
         q = field.q
         return ShiftPoly(tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs)))
-
-    def mul(self, other: "ShiftPoly", field: Field) -> "ShiftPoly":
-        if self.k != other.k:
-            raise DimensionMismatch("shift polynomial sizes differ")
-        q = field.q
-        k = self.k
-        out = [0] * k
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(k - i):
-                out[i + j] = (out[i + j] + a * other.coeffs[j]) % q
-        return ShiftPoly(tuple(out))
 
 
 class RingMatrix:

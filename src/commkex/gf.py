@@ -117,8 +117,8 @@ class Field:
     """Arithmetic context for GF(q).
 
     All methods are total on canonical residues.  ``mul`` bumps the
-    attached counter's mul_count; ``add`` and ``sub`` bump add_count.
-    Negation and inversion are not counted.
+    attached counter's mul_count (additions are charged by the linalg
+    kernels that make them).  Negation and inversion are not counted.
     """
 
     __slots__ = ("q", "counter")
@@ -128,18 +128,6 @@ class Field:
             raise InvalidParams(f"modulus must be a prime in [2, 2**61), got {q}")
         self.q = q
         self.counter = counter
-
-    def add(self, a: int, b: int) -> int:
-        if self.counter is not None:
-            self.counter.add_count += 1
-        s = a + b
-        return s - self.q if s >= self.q else s
-
-    def sub(self, a: int, b: int) -> int:
-        if self.counter is not None:
-            self.counter.add_count += 1
-        s = a - b
-        return s + self.q if s < 0 else s
 
     def neg(self, a: int) -> int:
         return self.q - a if a else 0

@@ -53,7 +53,7 @@ from .errors import (
     ParseError,
 )
 from .gf import Field, OpCounter, Rng
-from .linalg import Elimination, Matrix, mat_apply
+from .linalg import Matrix, RingElimination, mat_apply
 
 KEYGEN_MAX_ATTEMPTS = 16
 
@@ -69,11 +69,12 @@ class Params:
 
     ``passive_system`` is the passive attack's cache, built by its first
     attack on these params: (degree bound, the public vector's orbit
-    zeta, z zeta, ..., z**bound zeta, the recorded elimination of the
-    attack's system).  It holds one entry; an attack at another bound
-    replaces it.  An entry is published by one assignment of a fully
-    built tuple and never changed after, so threads sharing the params
-    read a whole entry and at worst build one twice."""
+    zeta, z zeta, ..., z**bound zeta, the attack's system eliminated over
+    R, a ``linalg.RingElimination`` of d rows in bound+1 unknowns).  Later
+    attacks replay it on their public key.  It holds one entry; an attack
+    at another bound replaces it.  An entry is published by one
+    assignment of a fully built tuple and never changed after, so threads
+    sharing the params read a whole entry and at worst build one twice."""
 
     q: int
     k: int
@@ -83,7 +84,7 @@ class Params:
     ring_base: RingSample
     seed: Optional[int] = None
     z_ring: RingMatrix = dc_field(init=False, repr=False, compare=False)
-    passive_system: Optional[tuple[int, list[list[int]], Elimination]] = dc_field(
+    passive_system: Optional[tuple[int, list[list[int]], RingElimination]] = dc_field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -137,13 +138,25 @@ class SharedKey:
 
     def to_bytes(self) -> bytes:
         """Canonical encoding: 8-byte big-endian per entry."""
-        return b"".join(e.to_bytes(8, "big") for e in self.vec)
+        return vector_to_bytes(self.vec)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SharedKey":
         if len(data) % 8:
             raise ParseError(f"shared key byte length {len(data)} is not a multiple of 8")
-        return cls([int.from_bytes(data[i : i + 8], "big") for i in range(0, len(data), 8)])
+        return cls(vector_from_bytes(data))
+
+
+def vector_to_bytes(vec: Sequence[int]) -> bytes:
+    """The binary form of a vector (shared keys, PUBKEY payloads): 8-byte
+    big-endian per entry."""
+    return b"".join([e.to_bytes(8, "big") for e in vec])
+
+
+def vector_from_bytes(data: bytes) -> list[int]:
+    """Inverse of ``vector_to_bytes`` for data of a length divisible by 8,
+    which the caller checks."""
+    return [int.from_bytes(data[i : i + 8], "big") for i in range(0, len(data), 8)]
 
 
 def gen_params(

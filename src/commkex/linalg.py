@@ -17,10 +17,18 @@ per column rather than a Python loop over its entries, and records its
 row operations.  A right-hand side is reduced by replaying that record
 (``Elimination.reduce``), so systems that share a coefficient matrix are
 eliminated once and solved many times; ``solve_linear``, ``rank``,
-``pivot_columns`` and ``invert`` are all built on it.  It performs the
-textbook loop's row operations and swaps, so its results are the
-textbook's, and like the rest of elimination it is not charged to an
-OpCounter.
+``pivot_columns`` and ``invert`` are all built on it, and so are the
+full-matrix and directory attacks.  It performs the textbook loop's row
+operations and swaps, so its results are the textbook's, and like the
+rest of elimination it is not charged to an OpCounter.
+
+Beside it, ``eliminate_ring`` eliminates and records a system over the
+chain ring R = GF(q)[x]/(x**k), whose elements are vectors' k-chunks (the
+structured attack systems, d rows per input vector in degree+1 unknowns
+over R).  Its elements are packed the same way, 2k - 1 slots apiece, so
+one integer product per pivot updates a whole column.  Its solution,
+read over GF(q), is the reduced-echelon one of the m x (degree+1)*k
+system, with the same rank (see RingElimination).
 
 JSON forms: matrix {"rows": r, "cols": c, "entries": [decimal, ...]}
 row-major; vector {"entries": [decimal, ...]}.
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InvalidDimension, Singular
 from .gf import Field
@@ -341,6 +349,231 @@ def eliminate(field: Field, rows: int, columns: Sequence[Sequence[int]]) -> Elim
         pivots.append(c)
     return Elimination(
         q, rows, len(columns), slot, tuple(order), tuple(pivots), tuple(steps), tuple(free)
+    )
+
+
+def _pack_elements(elements: Iterable[Sequence[int]], k: int, slot: int) -> int:
+    """Elements of R = GF(q)[x]/(x**k), each given by its k canonical
+    residues, lowest power first, packed in the low k of 2k - 1 slots
+    apiece; the high k - 1 slots take the overflow of a product with
+    another element, which the caller masks off (x**k = 0)."""
+    pad = bytes(slot * (k - 1))
+    return int.from_bytes(
+        b"".join([b"".join([c.to_bytes(slot, "little") for c in e]) + pad for e in elements]),
+        "little",
+    )
+
+
+def _pack_vector(vec: Sequence[int], k: int, slot: int) -> int:
+    """A vector's k-chunks packed as elements of R (``_pack_elements``),
+    each chunk reversed, so that the shift N (entry r picks up entry
+    r + 1) acts as x.  The entries are written big-endian and the whole
+    string reversed, which reverses every chunk and the chunk order."""
+    width = k * slot
+    raw = b"".join([c.to_bytes(slot, "big") for c in vec])[::-1]
+    return int.from_bytes(
+        bytes(slot * (k - 1)).join([raw[s - width : s] for s in range(len(raw), 0, -width)]),
+        "little",
+    )
+
+
+def _read_rows(packed: int, rows: int, k: int, slot: int, q: int) -> list[list[int]]:
+    """The first ``rows`` elements of a packed column, each reduced mod q.
+    The read ends at the last element's k-th slot, so a high slot left
+    set there overflows it."""
+    step = (2 * k - 1) * slot
+    raw = packed.to_bytes((rows - 1) * step + k * slot, "little")
+    return [
+        [int.from_bytes(raw[o : o + slot], "little") % q for o in range(s, s + k * slot, slot)]
+        for s in range(0, rows * step, step)
+    ]
+
+
+def _ring_replay(
+    packed: int, steps: Sequence[tuple[int, int]], k: int, slot: int, q: int, mask: int
+) -> int:
+    """Apply recorded pivot steps (shift, G) to one packed column: per
+    step, the pivot row's element s is read mod q, and G*s, masked to the
+    low k slots of every element (x**k = 0), is added."""
+    width = k * slot
+    low = (1 << (8 * width)) - 1
+    read = int.from_bytes
+    offsets = range(0, width, slot)
+    for shift, g in steps:
+        raw = ((packed & (low << shift)) >> shift).to_bytes(width, "little")
+        s = [(read(raw[o : o + slot], "little") % q).to_bytes(slot, "little") for o in offsets]
+        packed += (g * read(b"".join(s), "little")) & mask
+    return packed
+
+
+def _series_inverse(field: Field, u: Sequence[int]) -> list[int]:
+    """w with u * w = 1 mod x**len(u), for u[0] != 0."""
+    q = field.q
+    inv = field.inv(u[0])
+    w = [inv]
+    mul = operator.mul
+    for t in range(1, len(u)):
+        w.append(-inv * sum(map(mul, u[1 : t + 1], reversed(w))) % q)
+    return w
+
+
+@dataclass(frozen=True, slots=True)
+class RingElimination:
+    """The recorded elimination of a system over the chain ring
+    R = GF(q)[x]/(x**k): ``rows`` equations in ``cols`` unknowns
+    c_0 .. c_{cols-1} in R.
+
+    Every nonzero element of R is a unit times x**v, v < k.  Column i is
+    eliminated with the first free row of least valuation v, scaled so
+    that its pivot is x**v.  Every other row is reduced by a multiple of
+    it, which clears column i in the free rows and leaves a residue of
+    degree < v in the earlier pivot rows; for v > 0 the pivot row times
+    x**(k-v), zero in column i, joins the free rows.  So the free rows
+    keep spanning every combination of rows that vanishes on the columns
+    done (Howell form).  ``exps[i]`` is e_i = k - v, or 0 when column i
+    has no pivot.
+
+    A right-hand side replays ``steps``; it is consistent iff every free
+    row then vanishes, and back-substitution in reverse pivot order gives
+    the unique solution with deg c_i < e_i.  Read over GF(q), with unknown
+    (i, j) the coefficient of x**j in c_i, the pivots of column i are
+    exactly j < e_i, so that solution is the reduced-echelon one with free
+    variables zero, and the rank is sum(e_i).
+
+    Elements are packed by ``_pack_elements``.  Per pivot, ``steps``
+    holds the bit shift of the pivot row and the packed G: w - 1 in the
+    pivot row (which scales it by w), minus the row's quotient by the
+    pivot in every other row, and x**(k-v) * w in the annihilator row.
+    ``reads`` holds the byte offsets of the slots to read after a replay:
+    the free rows', then each pivot row's; ``back`` holds, per pivot, its
+    column, v, (column, packed -r) for its residues r in later pivot
+    columns (none when all pivots are units), and whether a residue
+    refers to it.  ``size`` is the width in bytes of a replayed column.
+    Never changed once built, so threads may share one.
+    """
+
+    q: int
+    k: int
+    rows: int
+    cols: int
+    slot: int
+    size: int
+    mask: int
+    exps: tuple[int, ...]
+    steps: tuple[tuple[int, int], ...]
+    reads: tuple[int, ...]
+    back: tuple[tuple[int, int, tuple[tuple[int, int], ...], bool], ...]
+
+    @property
+    def rank(self) -> int:
+        return sum(self.exps)
+
+    def solve(self, vec: Sequence[int]) -> list[int] | None:
+        """The solution with deg c_i < e_i of sum_i c_i * column_i = vec,
+        as cols*k residues (index i*k + j for x**j in c_i); None when the
+        system is inconsistent.  ``vec`` is read like the columns."""
+        k, slot, q = self.k, self.slot, self.q
+        if len(vec) != self.rows * k:
+            raise DimensionMismatch(
+                f"system has {self.rows * k} equations but rhs has {len(vec)} rows"
+            )
+        packed = _ring_replay(_pack_vector(vec, k, slot), self.steps, k, slot, q, self.mask)
+        raw = packed.to_bytes(self.size, "little")
+        read = int.from_bytes
+        values = [read(raw[o : o + slot], "little") % q for o in self.reads]
+        start = len(values) - k * len(self.back)
+        if any(values[:start]):
+            return None
+        coeffs = [0] * (self.cols * k)
+        solved: dict[int, int] = {}
+        for t in range(len(self.back) - 1, -1, -1):
+            i, v, later, referred = self.back[t]
+            c = values[start + t * k : start + (t + 1) * k]
+            if later:
+                s = _pack(c, slot)
+                for j, a in later:
+                    s += a * solved[j]
+                c = _unpack(s, k, slot, q)
+            c = c[v:]
+            coeffs[i * k : i * k + k - v] = c
+            if referred:
+                solved[i] = _pack(c, slot)
+        return coeffs
+
+
+def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> RingElimination:
+    """Eliminate over R = GF(q)[x]/(x**k), recorded for replay, the
+    system whose columns are these vectors of canonical residues; each
+    k-chunk of a column is one row's element of R, read as in
+    ``RingMatrix.apply`` (reversed, so that the shift N acts as x).
+
+    Kronecker-packed like ``eliminate``: column i is one integer, reduced
+    by replaying the steps recorded so far and read mod q, and then its
+    pivot step is recorded (see RingElimination).  A slot gains less than
+    k*q**2 per step, and back-substitution adds as much per later pivot;
+    there are at most min(cols, rows*k) pivots, and the slot width holds
+    that.
+    """
+    q = field.q
+    n = len(columns[0]) if columns else 0
+    if not n or n % k or any(len(col) != n for col in columns):
+        raise DimensionMismatch(f"columns of a system over R with k={k} are empty or ragged")
+    rows, cols = n // k, len(columns)
+    slot = _slot_bytes(q, 2 * min(cols, n) * k)
+    step = (2 * k - 1) * slot
+    # the low k slots of every element, room for one annihilator per column
+    element = b"\xff" * (k * slot) + bytes(step - k * slot)
+    mask = int.from_bytes(element * (rows + cols), "little")
+    free = list(range(rows))
+    total = rows
+    exps: list[int] = []
+    steps: list[tuple[int, int]] = []
+    pivots: list[tuple[int, int, int, list[tuple[int, int]]]] = []
+    for i, col in enumerate(columns):
+        if not free:
+            exps.append(0)
+            continue
+        packed = _ring_replay(_pack_vector(col, k, slot), steps, k, slot, q, mask)
+        entries = _read_rows(packed, total, k, slot, q)
+        vals = [next((t for t, x in enumerate(entries[r]) if x), k) for r in free]
+        v = min(vals)
+        if v == k:
+            exps.append(0)
+            continue
+        p = free.pop(vals.index(v))
+        w = _series_inverse(field, entries[p][v:])
+        g = [[0] * k for _ in range(total + (v > 0))]
+        g[p][: k - v] = w
+        g[p][0] = (w[0] - 1) % q
+        packed_w = _pack(w, slot)
+        for r in free + [r for _, r, _, _ in pivots]:
+            if any(entries[r][v:]):
+                quotient = _unpack(_pack(entries[r][v:], slot) * packed_w, k - v, slot, q)
+                g[r][: k - v] = [-x % q for x in quotient]
+        for _, r, _, later in pivots:
+            if any(entries[r][:v]):
+                later.append((i, _pack([-x % q for x in entries[r][:v]], slot)))
+        if v:
+            g[total][k - v :] = (w + [0] * v)[:v]
+            free.append(total)
+            total += 1
+        steps.append((8 * step * p, _pack_elements(g, k, slot)))
+        pivots.append((i, p, v, []))
+        exps.append(k - v)
+    referred = {j for _, _, _, later in pivots for j, _ in later}
+    read = free + [p for _, p, _, _ in pivots]
+    return RingElimination(
+        q,
+        k,
+        rows,
+        cols,
+        slot,
+        (total - 1) * step + k * slot,
+        mask,
+        tuple(exps),
+        tuple(steps),
+        tuple(o for r in read for o in range(r * step, r * step + k * slot, slot)),
+        tuple((i, v, tuple(later), i in referred) for i, _, v, later in pivots),
     )
 
 

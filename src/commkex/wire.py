@@ -52,6 +52,8 @@ from .kex import (
     params_from_json,
     params_to_json,
     public_key,
+    vector_from_bytes,
+    vector_to_bytes,
 )
 
 TAG_PARAMS = 0x01
@@ -152,7 +154,7 @@ class Transcript:
             d = raw.get("dir")
             tag = raw.get("tag")
             hexpay = raw.get("payload_hex")
-            if d not in (DIR_I2R, DIR_R2I) or not isinstance(tag, int):
+            if d not in (DIR_I2R, DIR_R2I) or not isinstance(tag, int) or isinstance(tag, bool):
                 raise ParseError(f"transcript.frames[{i}]: bad dir/tag")
             if tag not in _TAGS:
                 raise ParseError(f"transcript.frames[{i}]: unknown tag {tag}")
@@ -164,16 +166,12 @@ class Transcript:
         return cls(frames)
 
 
-def _pubkey_payload(pk: PublicKey) -> bytes:
-    return b"".join(e.to_bytes(8, "big") for e in pk.vec)
-
-
 def _pubkey_from_payload(payload: bytes, params: Params) -> PublicKey:
     if len(payload) != 8 * params.m:
         raise ProtocolViolation(
             f"public key payload of {len(payload)} bytes, expected {8 * params.m}"
         )
-    vec = [int.from_bytes(payload[i : i + 8], "big") for i in range(0, len(payload), 8)]
+    vec = vector_from_bytes(payload)
     if any(e >= params.q for e in vec):
         raise ProtocolViolation("public key entry is not a canonical residue")
     return PublicKey(vec)
@@ -238,7 +236,7 @@ def run_peer(
         if params is None or private_key is None:
             raise ValueError("initiator needs params and a private key")
         send(TAG_PARAMS, params_to_json(params).encode())
-        send(TAG_PUBKEY, _pubkey_payload(public_key(params, private_key)))
+        send(TAG_PUBKEY, vector_to_bytes(public_key(params, private_key).vec))
         peer_pub = _pubkey_from_payload(expect(TAG_PUBKEY).payload, params)
         shared = derive_shared(params, private_key, peer_pub)
         confirm = checksum64(shared.to_bytes()).to_bytes(8, "big")
@@ -257,7 +255,7 @@ def run_peer(
         if private_key is None:
             private_key, _ = keygen(params, rng if rng is not None else Rng())
         peer_pub = _pubkey_from_payload(expect(TAG_PUBKEY).payload, params)
-        send(TAG_PUBKEY, _pubkey_payload(public_key(params, private_key)))
+        send(TAG_PUBKEY, vector_to_bytes(public_key(params, private_key).vec))
         shared = derive_shared(params, private_key, peer_pub)
         confirm = checksum64(shared.to_bytes()).to_bytes(8, "big")
         peer_confirm = expect(TAG_CONFIRM).payload
@@ -399,6 +397,12 @@ class Listener:
     def stop(self) -> None:
         self._stopping = True
         if self._sock is not None:
+            # shutdown wakes the accept loop (accept fails with EINVAL);
+            # close alone leaves it blocked
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._sock.close()
             except OSError:

@@ -231,3 +231,15 @@ def structured_columns_mod(z_rows, vecs, k, bound, q):
             columns.append([x for v in vecs for x in (op @ np.array(v, dtype=object) % q).tolist()])
             nj = (nj @ shift) % q
     return columns
+
+
+def shifted_columns(columns, k):
+    """The GF(q) columns N**j v (j < k, v major) of a system whose columns
+    v are read over R = GF(q)[x]/(x**k) chunk by chunk, N the
+    block-diagonal upper shift: within each k-chunk, entry r picks up
+    entry r + j."""
+    return [
+        [x for s in range(0, len(v), k) for x in v[s + j : s + k] + [0] * j]
+        for v in columns
+        for j in range(k)
+    ]

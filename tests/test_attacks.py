@@ -374,8 +374,11 @@ def textbook_passive(params, pub_a, bound):
 
 
 def test_passive_attack_matches_textbook_solve():
+    # the attack solves over R; pivots that are not units there (e_i
+    # strictly between 0 and k) must occur, and do at small q
     rng, target_rng = Rng(3141), Rng(2718)
     shapes = ((1, 2), (2, 2), (3, 2), (2, 3), (6, 2))
+    nonunit = 0
     for q in (2, 101, 2147483647, 2305843009213693951):
         for k, d in shapes:
             params = gen_params(q, k, d, 3, rng)
@@ -394,6 +397,8 @@ def test_passive_attack_matches_textbook_solve():
                         else:
                             assert got[1:] == expect
                             assert got[0]["verified"] is True
+                    nonunit += sum(0 < e < params.k for e in params.passive_system[2].exps)
+    assert nonunit > 0
 
 
 def test_passive_reports_equal_on_fresh_and_reused_params():

@@ -1,4 +1,11 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
+import commkex
 
 from commkex.cli import main
 from commkex.gf import Rng
@@ -512,7 +519,40 @@ def test_demo_sniff_incomplete_exits_3(tmp_path, capsys):
     p = tmp_path / "t.json"
     p.write_text(t.to_json())
     assert run(["demo", "sniff", "--transcript", str(p)]) == 3
+    p.write_text('{"frames": [{"dir": "i2r", "tag": true, "payload_hex": "00"}]}')
+    assert run(["demo", "sniff", "--transcript", str(p)]) == 3
     capsys.readouterr()
+
+
+def test_demo_listen_stops_on_sigint_when_started_ignoring_it():
+    # a background job of a non-interactive shell starts with SIGINT
+    # ignored; the listener must still stop on it and report its sessions
+    src = Path(commkex.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    # an ignored signal stays ignored across exec
+    launch = (
+        "import os, signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+        "os.execv(sys.executable, [sys.executable, '-m', 'commkex.cli', "
+        "'demo', 'listen', '--addr', '127.0.0.1:0'])"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", launch],
+        env=env,
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert proc.stdout.readline().startswith("listening on ")
+        proc.send_signal(signal.SIGINT)
+        proc.communicate(timeout=5)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0
 
 
 def test_bad_address_exits_3(tmp_path, capsys):

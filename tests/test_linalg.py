@@ -7,6 +7,7 @@ from commkex.gf import Field, OpCounter, Rng
 from commkex.linalg import (
     Matrix,
     eliminate,
+    eliminate_ring,
     invert,
     mat_add,
     mat_apply,
@@ -21,6 +22,7 @@ from oracles import (
     mat_vec_mod,
     rank_by_minors,
     rref_rows,
+    shifted_columns,
     solve_by_search,
     textbook_solve,
 )
@@ -336,3 +338,82 @@ def test_solvers_match_textbook_eliminator():
                         invert(field, a)
                 else:
                     assert invert(field, a) == Matrix.from_columns(inverse)
+
+
+def ring_cases(q, rng):
+    """(k, columns) systems over R = GF(q)[x]/(x**k): random, sparse (so
+    that at small q many pivots are not units), with repeated and
+    x-multiple columns, more columns than rows, and all q - 1."""
+    cases = []
+    shapes = ((1, 3, 2), (2, 2, 4), (3, 2, 3), (4, 3, 2), (2, 5, 4), (6, 2, 4), (5, 1, 6))
+    for k, rows, cols in shapes:
+        for percent in (100, 50, 20):
+            columns = [
+                [rng.below(q) if rng.below(100) < percent else 0 for _ in range(rows * k)]
+                for _ in range(cols)
+            ]
+            cases.append((k, columns))
+        # column 1 repeats column 0 times x (shifted up within each chunk)
+        base = [rng.below(q) for _ in range(rows * k)]
+        times_x = [x for s in range(0, rows * k, k) for x in base[s + 1 : s + k] + [0]]
+        cases.append((k, [base, times_x, list(base)] + [[rng.below(q) for _ in range(rows * k)]]))
+        cases.append((k, [[q - 1] * (rows * k) for _ in range(cols)]))
+    return cases
+
+
+def test_ring_elimination_matches_textbook():
+    # the solution over R, read over GF(q), against the textbook loop on
+    # the m x cols*k system: rank, pivots (exactly j < e_i in column i)
+    # and the reduced-echelon solution, for right-hand sides in the span
+    # and random ones (mostly inconsistent)
+    rng = Rng(1729)
+    nonunit = 0
+    for q in (2, 3, *RREF_PRIMES[1:]):
+        field = Field(q)
+        for k, columns in ring_cases(q, rng):
+            elim = eliminate_ring(field, k, columns)
+            a_rows = [list(r) for r in zip(*shifted_columns(columns, k))]
+            n = len(a_rows[0])
+            spanned = [rng.below(q) for _ in range(n)]
+            rhs = [
+                [sum(x * y for x, y in zip(row, spanned)) % q for row in a_rows],
+                [rng.below(q) for _ in a_rows],
+                [0] * len(a_rows),
+            ]
+            pivots, sols, _ = textbook_solve(field, a_rows, rhs)
+            assert pivots == [i * k + j for i, e in enumerate(elim.exps) for j in range(e)]
+            assert elim.rank == len(pivots)
+            assert [elim.solve(b) for b in rhs] == sols
+            assert sols[0] is not None
+            nonunit += sum(0 < e < k for e in elim.exps)
+    assert nonunit > 20
+    with pytest.raises(DimensionMismatch):
+        eliminate_ring(F7, 2, [[1, 2, 3, 4], [1, 2]])
+    with pytest.raises(DimensionMismatch):
+        eliminate_ring(F7, 2, [[1, 2, 3]])
+    with pytest.raises(DimensionMismatch):
+        eliminate_ring(F7, 2, [[1, 2, 3, 4]]).solve([1, 2])
+
+
+def test_ring_elimination_slot_holds_many_pivots():
+    # at q = 2**61 - 1 a slot of 2*61 bits has room for 64 products of
+    # residues.  Rows 0..11 hold the unit 1 in one column each and the
+    # last row holds 1 + x + ... + x**7 everywhere, so each of the 12
+    # pivots adds (q - 1) * (q - 1 + x*(q - 1) + ...) to the last row
+    # before any read reduces it: 8 * 12 products in its top slot.
+    q = RREF_PRIMES[-1]
+    field = Field(q)
+    k, units = 8, 12
+    one = [0] * (k - 1) + [1]  # chunk entry r is the coefficient of x**(k-1-r)
+    columns = [
+        [x for r in range(units) for x in (one if r == i else [0] * k)] + [1] * k
+        for i in range(units)
+    ]
+    rng = Rng(4)
+    n = (units + 1) * k
+    rhs = [[q - 1] * n, [q - 1] * (n - k) + [0] * k, [rng.below(q) for _ in range(n)]]
+    elim = eliminate_ring(field, k, columns)
+    a_rows = [list(r) for r in zip(*shifted_columns(columns, k))]
+    pivots, sols, _ = textbook_solve(field, a_rows, rhs)
+    assert elim.rank == len(pivots) == units * k
+    assert [elim.solve(b) for b in rhs] == sols

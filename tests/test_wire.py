@@ -1,6 +1,7 @@
 import json
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -312,9 +313,23 @@ def test_transcript_json_validation():
         Transcript.from_json('{"frames": [{"dir": "i2r", "tag": 9, "payload_hex": ""}]}')
     with pytest.raises(ParseError):
         Transcript.from_json('{"frames": [{"dir": "i2r", "tag": 1, "payload_hex": "zz"}]}')
+    # true == 1, but a JSON boolean is not a tag
+    with pytest.raises(ParseError):
+        Transcript.from_json('{"frames": [{"dir": "i2r", "tag": true, "payload_hex": "00"}]}')
 
 
 # --- listener -------------------------------------------------------------
+
+
+def test_idle_listener_stops_at_once():
+    # stop() must wake an accept loop that no client ever reached
+    listener = Listener(params=None, seed=1)
+    listener.start()
+    time.sleep(0.2)  # the accept loop is now blocked in accept()
+    started = time.monotonic()
+    listener.stop()
+    assert time.monotonic() - started < 1.0
+    assert not listener._accept_thread.is_alive()
 
 
 def test_listener_serves_concurrent_sessions():
