@@ -34,7 +34,9 @@ input vector in degree+1 unknowns over R, and is solved there
 (``linalg.eliminate_ring``): the GF(q) pivots of power i are exactly its
 first e_i shifts, so the reduced-echelon solution is the one with
 deg c_i < e_i and the rank is sum(e_i).  The full-matrix and directory
-attacks solve over GF(q) (``linalg.eliminate``).
+attacks solve over GF(q) (``linalg.eliminate``).  Known private keys are
+applied to vectors in R (``RingMatrix.apply``); a dense matrix is built
+only for a recovered key that a report carries.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ def recover_private_key(
     field = params.field()
     m = params.m
     pairs = directory.known_pairs()
-    rhos = [mat_apply(field, sk.matrix, target_pub.vec) for sk, _ in pairs]
+    rhos = [sk.key.apply(field, target_pub.vec) for sk, _ in pairs]
 
     if mode == MODE_FULL:
         if not pairs:
@@ -257,8 +259,9 @@ def recover_private_key(
     t_hat = _structured_key(params, coeffs)
     rank = elim.rank
     deficit = (params.degree + 1) * params.k - rank
-    verified = mat_apply(field, t_hat, params.base_vector) == target_pub.vec and all(
-        mat_apply(field, t_hat, pk.vec) == rho for (_, pk), rho in zip(pairs, rhos)
+    verified = all(
+        _structured_apply(field, params, coeffs, orbit) == out
+        for orbit, out in zip(orbits, [target_pub.vec] + rhos)
     )
     return RecoveredKey(
         t_hat, MODE_STRUCTURED, deficit, len(inputs), rank, verified
@@ -291,9 +294,8 @@ def recover_shared_from_directory(
     for c, (sk, _) in zip(coeffs, pairs):
         if not c:
             continue
-        shared = vec_add(
-            field, shared, vec_scale(field, c, mat_apply(field, sk.matrix, counterpart_pub.vec))
-        )
+        image = sk.key.apply(field, counterpart_pub.vec)
+        shared = vec_add(field, shared, vec_scale(field, c, image))
     reconstructed = mat_apply(field, xi, coeffs)
     verified = reconstructed == list(victim_pub.vec)
     rank = len(pairs) - len(result.nullspace)

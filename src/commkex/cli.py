@@ -72,14 +72,6 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _read_bytes(path: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-
-
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -111,8 +103,10 @@ def _load_public(path: str, q: int) -> kex.PublicKey:
 
 def _parse_addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
+    if not sep or not port.isdecimal():
         raise ParseError(f"address must be host:port, got {text!r}")
+    if int(port) > 65535:
+        raise ParseError(f"port must be in [0, 65535], got {text!r}")
     return host or "127.0.0.1", int(port)
 
 
@@ -144,18 +138,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True, help="key polynomial degree bound")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--out", required=True, help="output params.json")
+    p.set_defaults(handler=_cmd_gen_params)
 
     p = sub.add_parser("keygen", help="sample a key pair under given parameters")
     p.add_argument("--params", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--out", required=True, help="output key.json (private)")
     p.add_argument("--pub", required=True, help="output pub.json (public)")
+    p.set_defaults(handler=_cmd_keygen)
 
     p = sub.add_parser("derive", help="derive the shared key from a peer public key")
     p.add_argument("--params", required=True)
     p.add_argument("--key", required=True)
     p.add_argument("--peer-pub", required=True)
     p.add_argument("-o", "--out", required=True, help="output shared key bytes")
+    p.set_defaults(handler=_cmd_derive)
 
     atk = sub.add_parser("attack", help="run one of the attacks")
     atk_sub = atk.add_subparsers(dest="attack_command", required=True)
@@ -166,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-pub", required=True)
     p.add_argument("--mode", choices=["full", "structured"], default="full")
     p.add_argument("-o", "--out", default=None, help="also write the report JSON here")
+    p.set_defaults(handler=_cmd_attack_recover)
 
     p = atk_sub.add_parser("shared", help="recover a session key via the directory span")
     p.add_argument("--params", required=True)
@@ -173,6 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--victim-pub", required=True)
     p.add_argument("--counterpart-pub", required=True)
     p.add_argument("-o", "--out", default=None, help="also write the shared key bytes here")
+    p.set_defaults(handler=_cmd_attack_shared)
 
     p = atk_sub.add_parser("passive", help="recover a session key from public data only")
     p.add_argument("--params", required=True)
@@ -182,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--degree-bound", type=int, default=None, help="0 to m**2; default: the params' D"
     )
     p.add_argument("-o", "--out", default=None, help="also write the shared key bytes here")
+    p.set_defaults(handler=_cmd_attack_passive)
 
     p = sub.add_parser("bench", help="operation-count comparison against toy Diffie-Hellman")
     p.add_argument("--q", type=int, default=BENCH_DEFAULTS["q"])
@@ -192,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dh-g", type=int, default=DEFAULT_DH_G)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--out", required=True, help="output report.json")
+    p.set_defaults(handler=_cmd_bench)
 
     demo = sub.add_parser("demo", help="live peer / eavesdropper demo")
     demo_sub = demo.add_subparsers(dest="demo_command", required=True)
@@ -202,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", default=None, help="optional private key; otherwise ephemeral")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-sessions", type=int, default=None, help="stop after N sessions")
+    p.set_defaults(handler=_cmd_demo_listen)
 
     p = demo_sub.add_parser("connect", help="run an initiator session")
     p.add_argument("--addr", required=True)
@@ -210,10 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--transcript", default=None, help="write the session transcript JSON here")
     p.add_argument("-o", "--out", default=None, help="write the shared key bytes here")
+    p.set_defaults(handler=_cmd_demo_connect)
 
     p = demo_sub.add_parser("sniff", help="recover the key from a recorded transcript")
     p.add_argument("--transcript", required=True)
     p.add_argument("-o", "--out", default=None, help="write the recovered key bytes here")
+    p.set_defaults(handler=_cmd_demo_sniff)
 
     return parser
 
@@ -417,26 +421,6 @@ def _cmd_demo_sniff(args) -> int:
     return EXIT_OK if result.verdict else EXIT_ATTACK
 
 
-_DISPATCH = {
-    "gen-params": _cmd_gen_params,
-    "keygen": _cmd_keygen,
-    "derive": _cmd_derive,
-    "bench": _cmd_bench,
-}
-
-_ATTACK_DISPATCH = {
-    "recover-key": _cmd_attack_recover,
-    "shared": _cmd_attack_shared,
-    "passive": _cmd_attack_passive,
-}
-
-_DEMO_DISPATCH = {
-    "listen": _cmd_demo_listen,
-    "connect": _cmd_demo_connect,
-    "sniff": _cmd_demo_sniff,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -444,13 +428,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        if args.command == "attack":
-            handler = _ATTACK_DISPATCH[args.attack_command]
-        elif args.command == "demo":
-            handler = _DEMO_DISPATCH[args.demo_command]
-        else:
-            handler = _DISPATCH[args.command]
-        return handler(args)
+        return args.handler(args)
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

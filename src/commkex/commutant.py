@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -45,12 +46,14 @@ from .errors import (
     NotBlockToeplitz,
 )
 from .gf import Field, Rng
-from .linalg import Matrix, _pack, _slot_bytes, _unpack, mat_apply, mat_mul
+from .linalg import Matrix, _pack, _slot_bytes, _unpack, mat_mul
 
 KIND_SCALAR = "scalar"
 KIND_JORDAN = "jordan"
 # Sampled grids are raised to exponents in [0, MAX_GRID_EXP].
 MAX_GRID_EXP = 3
+# Draws the base sampler rejects before it gives up.
+SAMPLE_MAX_ATTEMPTS = 16
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,11 @@ class RingMatrix:
         self.d = d
         self.blocks = blocks
         self._powers: Optional[_PowerTable] = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RingMatrix):
+            return NotImplemented
+        return (self.k, self.d, self.blocks) == (other.k, other.d, other.blocks)
 
     @classmethod
     def embed(cls, field: Field, poly: ShiftPoly, d: int) -> "RingMatrix":
@@ -357,15 +365,20 @@ class MonoTerm:
 
 @dataclass(frozen=True)
 class RingSample:
-    """A sampled element of the grid ring: its dense matrix plus the
-    mono-term recipe it was built from (None when loaded without one)."""
+    """A sampled element of the grid ring, held in R, plus the mono-term
+    recipe it was built from (None when loaded without one).  The dense
+    m x m ``matrix`` is built on first read."""
 
-    matrix: Matrix
+    ring: RingMatrix
     recipe: Optional[tuple[MonoTerm, ...]] = None
 
+    @cached_property
+    def matrix(self) -> Matrix:
+        return self.ring.to_matrix()
 
-def eval_recipe(field: Field, k: int, d: int, terms: Sequence[MonoTerm]) -> Matrix:
-    """Evaluate a sum of mono-terms, in R, to its m x m matrix."""
+
+def eval_recipe(field: Field, k: int, d: int, terms: Sequence[MonoTerm]) -> RingMatrix:
+    """Evaluate a sum of mono-terms in R."""
     total = RingMatrix(k, d, [[0] * k for _ in range(d * d)])
     for term in terms:
         prod = RingMatrix.embed(field, ShiftPoly.unit(k), d)
@@ -376,7 +389,7 @@ def eval_recipe(field: Field, k: int, d: int, terms: Sequence[MonoTerm]) -> Matr
             for _ in range(exp):
                 prod = prod.mul(field, g)
         total = total.add(field, prod.scale(field, term.coeff % field.q))
-    return total.to_matrix()
+    return total
 
 
 def random_generator_block(field: Field, k: int, rng: Rng) -> GeneratorBlock:
@@ -398,15 +411,6 @@ def random_shift_poly(field: Field, k: int, rng: Rng) -> ShiftPoly:
     return ShiftPoly(tuple(field.sample(rng) for _ in range(k)))
 
 
-def is_coefficient_embedding(mat: Matrix, k: int, d: int) -> bool:
-    """True iff mat = diag(P, ..., P) with P upper-triangular Toeplitz,
-    i.e. mat lies in the span of the embedded shift powers."""
-    try:
-        return RingMatrix.from_matrix(mat, k, d).is_embedding()
-    except (DimensionMismatch, NotBlockToeplitz):
-        return False
-
-
 def _is_parallel(field: Field, u: Sequence[int], v: Sequence[int]) -> bool:
     """True iff u = c*v for some scalar c (v must be nonzero)."""
     pivot = next((i for i, x in enumerate(v) if x), None)
@@ -422,24 +426,23 @@ def sample_ring_element(
     d: int,
     rng: Rng,
     base_vector: Optional[Sequence[int]] = None,
-    max_attempts: int = 16,
 ) -> RingSample:
     """Sample a non-degenerate public base from the grid ring.
 
     Builds a sum of 1..4 mono-terms, each a product of 1..3 random
     grids raised to exponents in [0, 3], with random coefficients.  A
-    draw is rejected when its matrix collapses into the coefficient
-    family (the key ring would then be commutative for trivial
-    reasons), or, once the public vector is known, when it maps that
-    vector to a scalar multiple of itself.  Raises after
-    ``max_attempts`` rejections.
+    draw is rejected when it collapses into the coefficient family (the
+    key ring would then be commutative for trivial reasons), or, once
+    the public vector is known, when it maps that vector to a scalar
+    multiple of itself; both rules are decided in R.  Raises after
+    ``SAMPLE_MAX_ATTEMPTS`` rejections.
 
     Draw order (fixed so seeded runs reproduce byte-for-byte): number
     of terms, then per term the factor count, per factor the grid
     (blocks row-major: kind then value) and its exponent, then the
     term coefficient.
     """
-    for _ in range(max_attempts):
+    for _ in range(SAMPLE_MAX_ATTEMPTS):
         terms: list[MonoTerm] = []
         n_terms = 1 + rng.below(4)
         for _ in range(n_terms):
@@ -450,16 +453,16 @@ def sample_ring_element(
                 factors.append((grid, rng.below(MAX_GRID_EXP + 1)))
             coeff = field.sample(rng)
             terms.append(MonoTerm(coeff, tuple(factors)))
-        mat = eval_recipe(field, k, d, terms)
-        if is_coefficient_embedding(mat, k, d):
+        ring = eval_recipe(field, k, d, terms)
+        if ring.is_embedding():
             continue
         if base_vector is not None and _is_parallel(
-            field, mat_apply(field, mat, base_vector), base_vector
+            field, ring.apply(field, base_vector), base_vector
         ):
             continue
-        return RingSample(mat, tuple(terms))
+        return RingSample(ring, tuple(terms))
     raise DegenerateRingElement(
-        f"no usable ring element after {max_attempts} attempts (k={k}, d={d})"
+        f"no usable ring element after {SAMPLE_MAX_ATTEMPTS} attempts (k={k}, d={d})"
     )
 
 

@@ -2,11 +2,13 @@
 
 Public parameters are (q, k, d, degree bound, a public vector, and a
 public ring element called the base).  A private key is a polynomial in
-the base with coefficient-embedding coefficients; its matrix is cached.
-The public key is the private matrix applied to the public vector, and
-the shared key is one's own private matrix applied to the peer's public
-key.  Any two private keys commute, so both parties derive the same
-vector.
+the base with coefficient-embedding coefficients.  The base and every
+private key are held as matrices over R = GF(q)[N]/(N**k); their dense
+m x m matrices are built when first read (to write params.json or
+key.json, and in ``derive_shared``).  The public key is the private key
+applied to the public vector, and the shared key is one's own private
+matrix applied to the peer's public key.  Any two private keys commute,
+so both parties derive the same vector.
 
 Both the base and the public vector are public: without a shared base
 the two parties' keys would not commute, and without the vector nobody
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .commutant import (
@@ -60,12 +63,12 @@ KEYGEN_MAX_ATTEMPTS = 16
 
 @dataclass
 class Params:
-    """Public parameters.  The constructor checks shapes, that the
-    degree bound D is at most m**2 (the passive attack's retry cap; a key
-    evaluation keeps D+1 powers of the base), and that the base is a
-    matrix over R (every k x k block upper-triangular Toeplitz), and
-    caches the base in that form as ``z_ring``; semantic
-    non-degeneracy of the base is enforced where it is sampled.
+    """Public parameters.  The constructor checks shapes, including that
+    the base is a d x d matrix over R, and that the degree bound D is at
+    most m**2 (the passive attack's retry cap; a key evaluation keeps
+    D+1 powers of the base).  ``z_ring`` is the base in R; a file's z is
+    checked to lie in R where it is read (``ring_sample_from_obj``), and
+    semantic non-degeneracy of the base is enforced where it is sampled.
 
     ``passive_system`` is the passive attack's cache, built by its first
     attack on these params: (degree bound, the public vector's orbit
@@ -83,7 +86,6 @@ class Params:
     base_vector: list[int]
     ring_base: RingSample
     seed: Optional[int] = None
-    z_ring: RingMatrix = dc_field(init=False, repr=False, compare=False)
     passive_system: Optional[tuple[int, list[list[int]], RingElimination]] = dc_field(
         default=None, init=False, repr=False, compare=False
     )
@@ -103,13 +105,12 @@ class Params:
             raise InvalidParams(f"public vector must have length {m}")
         if not any(self.base_vector):
             raise InvalidParams("public vector must be nonzero")
-        zmat = self.ring_base.matrix
-        if zmat.rows != m or zmat.cols != m:
+        if (self.z_ring.k, self.z_ring.d) != (self.k, self.d):
             raise InvalidParams(f"ring base must be {m}x{m}")
-        try:
-            self.z_ring = RingMatrix.from_matrix(zmat, self.k, self.d)
-        except NotBlockToeplitz as exc:
-            raise InvalidParams(f"ring base: {exc}") from None
+
+    @property
+    def z_ring(self) -> RingMatrix:
+        return self.ring_base.ring
 
     @property
     def m(self) -> int:
@@ -121,10 +122,15 @@ class Params:
 
 @dataclass
 class PrivateKey:
-    """Polynomial coefficients plus the cached evaluated matrix."""
+    """Polynomial coefficients plus the key they evaluate to in R.  The
+    dense m x m ``matrix`` is built on first read."""
 
     coeffs: list[ShiftPoly]
-    matrix: Matrix
+    key: RingMatrix
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        return self.key.to_matrix()
 
 
 @dataclass
@@ -184,11 +190,11 @@ def gen_params(
 def private_key_from_coeffs(params: Params, coeffs: Sequence[ShiftPoly]) -> PrivateKey:
     """Build a private key from explicit coefficients (no rejection rules)."""
     key = eval_key_poly(params.field(), coeffs, params.z_ring, params.d)
-    return PrivateKey(list(coeffs), key.to_matrix())
+    return PrivateKey(list(coeffs), key)
 
 
 def public_key(params: Params, sk: PrivateKey) -> PublicKey:
-    return PublicKey(mat_apply(params.field(), sk.matrix, params.base_vector))
+    return PublicKey(sk.key.apply(params.field(), params.base_vector))
 
 
 def keygen(params: Params, rng: Rng) -> tuple[PrivateKey, PublicKey]:
@@ -199,8 +205,7 @@ def keygen(params: Params, rng: Rng) -> tuple[PrivateKey, PublicKey]:
     matrix kills the public vector or is a scalar multiple of the
     identity; both are weak keys the construction does not need.  The
     key is evaluated and applied to the public vector in R, where both
-    rules are decided; the dense matrix is built only for the key
-    returned.
+    rules are decided.
     """
     field = params.field()
     for _ in range(KEYGEN_MAX_ATTEMPTS):
@@ -211,7 +216,7 @@ def keygen(params: Params, rng: Rng) -> tuple[PrivateKey, PublicKey]:
         pub = key.apply(field, params.base_vector)
         if not any(pub):
             continue
-        return PrivateKey(coeffs, key.to_matrix()), PublicKey(pub)
+        return PrivateKey(coeffs, key), PublicKey(pub)
     raise DegenerateKey(f"no usable key after {KEYGEN_MAX_ATTEMPTS} attempts")
 
 
@@ -380,10 +385,21 @@ def ring_sample_to_obj(sample: RingSample) -> dict:
 def ring_sample_from_obj(obj, q: int, k: int, d: int, path: str) -> RingSample:
     """A z object for params of shape (k, d), which the caller has
     checked: a recipe's grids must be d x d and its exponents within the
-    sampler's [0, MAX_GRID_EXP].  Every malformed part is a ParseError."""
+    sampler's [0, MAX_GRID_EXP], and the matrix must be m x m with every
+    k x k block upper-triangular Toeplitz (a matrix over R).  Every
+    malformed part is a ParseError."""
     matrix = matrix_from_obj(_need(obj, "matrix", path), q, f"{path}.matrix")
-    if "recipe" not in obj:
-        return RingSample(matrix)
+    recipe = _recipe_from_obj(obj, q, k, d, path) if "recipe" in obj else None
+    m = k * d
+    if matrix.rows != m or matrix.cols != m:
+        raise ParseError(f"params: ring base must be {m}x{m}")
+    try:
+        return RingSample(RingMatrix.from_matrix(matrix, k, d), recipe)
+    except NotBlockToeplitz as exc:
+        raise ParseError(f"params: ring base: {exc}") from None
+
+
+def _recipe_from_obj(obj, q: int, k: int, d: int, path: str) -> tuple[MonoTerm, ...]:
     raw = obj["recipe"]
     if not isinstance(raw, list):
         raise ParseError(f"{path}.recipe: expected a list")
@@ -414,7 +430,7 @@ def ring_sample_from_obj(obj, q: int, k: int, d: int, path: str) -> RingSample:
             )
             factors.append((BlockGrid(blocks), exp))
         terms.append(MonoTerm(coeff, tuple(factors)))
-    return RingSample(matrix, tuple(terms))
+    return tuple(terms)
 
 
 def params_to_obj(params: Params) -> dict:
@@ -481,9 +497,10 @@ def private_key_from_obj(obj, params: Params) -> PrivateKey:
         if c.k != k:
             raise ParseError(f"key.coeffs[{i}]: expected {k} entries, got {c.k}")
     matrix = matrix_from_obj(_need(obj, "T", "key"), q, "key.T")
-    if eval_key_poly(params.field(), coeffs, params.z_ring, params.d).to_matrix() != matrix:
+    sk = PrivateKey(coeffs, eval_key_poly(params.field(), coeffs, params.z_ring, params.d))
+    if sk.matrix != matrix:
         raise ParseError("key.T: not the key polynomial of key.coeffs in the params' base")
-    return PrivateKey(coeffs, matrix)
+    return sk
 
 
 def private_key_to_json(sk: PrivateKey) -> str:

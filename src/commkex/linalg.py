@@ -108,9 +108,6 @@ class Matrix:
     def to_rows(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, self.entries)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Matrix)

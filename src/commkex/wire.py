@@ -273,7 +273,7 @@ class EavesdropResult:
     confirms_observed: int
 
 
-def eavesdrop(transcript: Transcript, degree_bound: Optional[int] = None) -> EavesdropResult:
+def eavesdrop(transcript: Transcript) -> EavesdropResult:
     """Recover the session key of a recorded exchange from public data.
 
     Needs the PARAMS frame and both PUBKEY frames (initiator's first).
@@ -295,7 +295,7 @@ def eavesdrop(transcript: Transcript, degree_bound: Optional[int] = None) -> Eav
         raise IncompleteTranscript(f"unreadable PARAMS frame: {exc}") from None
     pub_a = _pubkey_from_payload(pubkey_frames[0].payload, params)
     pub_b = _pubkey_from_payload(pubkey_frames[1].payload, params)
-    attack = passive_commutant_attack(params, pub_a, pub_b, degree_bound)
+    attack = passive_commutant_attack(params, pub_a, pub_b)
     expected = checksum64(attack.shared_key.to_bytes()).to_bytes(8, "big")
     verdict = bool(confirm_frames) and all(
         f.payload == expected for f in confirm_frames

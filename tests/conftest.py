@@ -2,7 +2,7 @@ import copy
 
 import pytest
 
-from commkex.commutant import RingSample, ShiftPoly
+from commkex.commutant import RingMatrix, RingSample, ShiftPoly
 from commkex.kex import Params, private_key_from_coeffs, public_key
 from commkex.linalg import Matrix
 
@@ -17,7 +17,7 @@ GRID_DEGREES = [1, 3]
 def micro_params():
     """The hand-checkable q=7, k=1, d=2 instance used throughout."""
     base = Matrix.from_rows([[1, 1], [0, 1]])
-    return Params(7, 1, 2, 1, [1, 2], RingSample(base))
+    return Params(7, 1, 2, 1, [1, 2], RingSample(RingMatrix.from_matrix(base, 1, 2)))
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import signal
@@ -5,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import commkex
 
-from commkex.cli import main
+from commkex.cli import _parse_addr, main
 from commkex.gf import Rng
 from commkex.kex import (
     derive_shared,
@@ -153,6 +156,49 @@ def test_pipeline_reproducible_byte_for_byte(tmp_path):
     second = gen_pipeline(tmp_path / "two")
     for name in ("params", "alice_key", "alice_pub", "bob_key", "bob_pub"):
         assert first[name].read_bytes() == second[name].read_bytes()
+
+
+# SHA-256 of the seeded artifacts per (q, k, d, D): gen-params --seed 7,
+# keygen --seed 1 (alice) and --seed 2 (bob), alice's derive against
+# bob's public key, and the passive attack's report on stdout.  Any
+# change to these bytes changes the seeded outputs.
+PINNED_ARTIFACTS = {
+    (101, 1, 4, 3): {
+        "params": "803fdd62fba365501a7f7697c1c2b88a24f0fe23f0a39d66b6594a1f8172f960",
+        "alice_key": "463712c3d0644be19dba5d662e1f20c5f98f4e24ec60495fd753c1f50ebffb89",
+        "alice_pub": "09fea55ca27bd8217b0d0ce8bd623a0a1ef49851457912cd70eba408ebdfe85c",
+        "bob_key": "e1bd2b95dd8bd5b9261d9c5cfdd1f070de048fd421047737bb956611b58c744a",
+        "bob_pub": "8a1bf84e9eaff45f2ff1ff35aa3ae7587816414f47cf3fed34abcd99047b6629",
+        "shared": "e3396f52500b182d846e96209d6e7ab27516c0b77ea5064a7af069266edbc8da",
+        "passive": "6a5ddf02c4c7f476ed8cdeb595704c424cbf905823b73f1004f57f4748339c32",
+    },
+    (2147483647, 4, 2, 3): {
+        "params": "f85fcf06073ab88375d05ebd1192a5204ea56b6873136322faf309f9e8025692",
+        "alice_key": "2ed75553af957ec8b3bbf0381210cff98565a86f6ec9ad6dd75e4d12ad7d6f06",
+        "alice_pub": "3f85fbe21f45d35761cd76f4910132f9db30656a5280ab99f54bd3557b416d53",
+        "bob_key": "553f433f34ac53fcf651a9dbb7d951e6c00f77832c30c4619976403a7eaf2def",
+        "bob_pub": "f0f905adb9c76aaecedf0fb302832568936e38f87b4612953616b1aae0ed6c26",
+        "shared": "2540fb2601e1229e670294c00165af8ad31b255a06f15864c47b66382cc389eb",
+        "passive": "49d73411f2385917b517143657274ffe9277ef0fbacb2dd170b33bff9895aa2c",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", list(PINNED_ARTIFACTS), ids=str)
+def test_seeded_artifacts_are_pinned(tmp_path, capsys, shape):
+    q, k, d, degree = shape
+    paths = gen_pipeline(tmp_path, seed_params=7, seed_a=1, seed_b=2, q=q, k=k, d=d, degree=degree)
+    paths["shared"] = tmp_path / "shared.bin"
+    paths["passive"] = tmp_path / "passive.json"
+    given = ["--params", str(paths["params"])]
+    derive = ["derive", *given, "--key", str(paths["alice_key"]), "--peer-pub", str(paths["bob_pub"])]
+    assert run([*derive, "-o", str(paths["shared"])]) == 0
+    capsys.readouterr()
+    passive = ["attack", "passive", *given, "--pub-a", str(paths["alice_pub"])]
+    assert run([*passive, "--pub-b", str(paths["bob_pub"])]) == 0
+    paths["passive"].write_text(capsys.readouterr().out)
+    for name, digest in PINNED_ARTIFACTS[shape].items():
+        assert hashlib.sha256(paths[name].read_bytes()).hexdigest() == digest, name
 
 
 def test_attack_recover_key_cli(tmp_path, capsys):
@@ -569,3 +615,17 @@ def test_bad_address_exits_3(tmp_path, capsys):
     )
     assert code == 3
     capsys.readouterr()
+
+
+def test_out_of_range_port_exits_3(tmp_path, capsys):
+    # the socket calls would raise OverflowError (a traceback) or a
+    # transport error for these; the address parser rejects them first
+    paths = gen_pipeline(tmp_path)
+    capsys.readouterr()
+    assert run(["demo", "listen", "--addr", "127.0.0.1:99999"]) == 3
+    for port in ("70000", "9" * 20):
+        addr = f"127.0.0.1:{port}"
+        assert run(["demo", "connect", "--addr", addr, "--params", str(paths["params"])]) == 3
+    assert capsys.readouterr().err.count("port must be in [0, 65535]") == 3
+    assert _parse_addr("localhost:65535") == ("localhost", 65535)
+    assert _parse_addr(":0") == ("127.0.0.1", 0)

@@ -20,7 +20,6 @@ from commkex.commutant import (
     embed_block_diag,
     eval_key_poly,
     eval_recipe,
-    is_coefficient_embedding,
     random_block_grid,
     random_shift_poly,
     sample_ring_element,
@@ -203,7 +202,7 @@ def test_sample_single_mono_term_is_the_grid():
     rng = Rng(12)
     grid = random_block_grid(field, 2, 2, rng)
     terms = [MonoTerm(1, ((grid, 1),))]
-    assert eval_recipe(field, 2, 2, terms) == grid.realize(field)
+    assert eval_recipe(field, 2, 2, terms).to_matrix() == grid.realize(field)
 
 
 def test_sampled_base_commutes_with_diag_family():
@@ -225,12 +224,19 @@ def test_sample_determinism():
     assert s1.recipe == s2.recipe
 
 
+def _is_coefficient_embedding(field, mat, k, d):
+    """Dense check: mat is diag(P, ..., P) for the upper-triangular
+    Toeplitz P whose first row is mat's first k entries."""
+    first = ShiftPoly(tuple(mat.entries[:k]))
+    return mat.rows == k * d and mat == embed_block_diag(field, first, d)
+
+
 def test_sample_rejects_coefficient_embeddings():
     rng = Rng(31)
     field = Field(7)
     for _ in range(50):
         s = sample_ring_element(field, 1, 2, rng)
-        assert not is_coefficient_embedding(s.matrix, 1, 2)
+        assert not _is_coefficient_embedding(field, s.matrix, 1, 2)
 
 
 def test_sample_respects_base_vector_rejection():
@@ -259,15 +265,17 @@ def test_sample_raises_after_max_attempts(monkeypatch):
             return 0
 
     with pytest.raises(DegenerateRingElement):
-        sample_ring_element(field, 1, 2, RiggedRng(), max_attempts=16)
+        sample_ring_element(field, 1, 2, RiggedRng())
 
 
 def test_is_coefficient_embedding():
-    assert is_coefficient_embedding(Matrix.identity(4), 2, 2)
-    p = embed_block_diag(F7, ShiftPoly((3, 4)), 2)
-    assert is_coefficient_embedding(p, 2, 2)
-    q = Matrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert not is_coefficient_embedding(q, 2, 2)
+    for mat, expected in (
+        (Matrix.identity(4), True),
+        (embed_block_diag(F7, ShiftPoly((3, 4)), 2), True),
+        (Matrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]]), False),
+    ):
+        assert _is_coefficient_embedding(F7, mat, 2, 2) is expected
+        assert RingMatrix.from_matrix(mat, 2, 2).is_embedding() is expected
 
 
 def test_eval_key_poly_examples(micro_params):
@@ -417,7 +425,7 @@ def test_eval_recipe_ring_matches_oracle():
             for term in sample.recipe
         ]
         oracle = Matrix.from_rows(recipe_mod(terms, k * d, q))
-        assert eval_recipe(field, k, d, sample.recipe) == oracle == sample.matrix
+        assert eval_recipe(field, k, d, sample.recipe).to_matrix() == oracle == sample.matrix
 
 
 def test_ring_matrix_product_matches_dense():
@@ -456,6 +464,6 @@ def test_ring_matrix_from_matrix_rejects_non_toeplitz_blocks():
     for bad in (below, off_diagonal):
         with pytest.raises(NotBlockToeplitz):
             RingMatrix.from_matrix(bad, 2, 2)
-        assert not is_coefficient_embedding(bad, 2, 2)
+        assert not _is_coefficient_embedding(F7, bad, 2, 2)
     with pytest.raises(DimensionMismatch):
         RingMatrix.from_matrix(Matrix.identity(4), 2, 3)

@@ -10,10 +10,11 @@ from commkex.errors import (
     DegenerateRingElement,
     DimensionMismatch,
     InvalidParams,
+    NotBlockToeplitz,
     ParseError,
 )
 from commkex.gf import OpCounter, Rng
-from commkex.commutant import RingSample, ShiftPoly
+from commkex.commutant import RingMatrix, RingSample, ShiftPoly
 from commkex.kex import (
     Params,
     PublicKey,
@@ -171,7 +172,7 @@ def test_count_ops_derive():
         2,
         3,
         [1] + [0] * 63,
-        RingSample(Matrix.identity(64)),
+        RingSample(RingMatrix.from_matrix(Matrix.identity(64), 32, 2)),
     )
     report = count_ops("derive_shared", big)
     assert report.mul_count == 64 * 64 == 4096
@@ -208,6 +209,7 @@ def test_params_json_round_trip():
     assert again.q == 101 and again.k == 2 and again.d == 3 and again.degree == 2
     assert again.seed == 77
     assert again.ring_base.recipe == params.ring_base.recipe
+    assert again == params  # value equality, the base compared in R
 
 
 def test_key_and_pub_json_round_trip(micro_params, micro_keys):
@@ -216,6 +218,7 @@ def test_key_and_pub_json_round_trip(micro_params, micro_keys):
     again = private_key_from_json(text, micro_params)
     assert private_key_to_json(again) == text
     assert again.matrix == sk_a.matrix
+    assert again == sk_a
 
     ptext = public_key_to_json(pk_a)
     assert public_key_to_json(public_key_from_json(ptext, micro_params.q)) == ptext
@@ -246,7 +249,7 @@ def test_parse_errors():
 
 
 def test_params_constructor_validation():
-    base = RingSample(Matrix.identity(2))
+    base = RingSample(RingMatrix.from_matrix(Matrix.identity(2), 1, 2))
     with pytest.raises(InvalidParams):
         Params(7, 1, 2, 1, [0, 0], base)  # zero public vector
     with pytest.raises(InvalidParams):
@@ -260,7 +263,7 @@ def test_params_constructor_validation():
 def test_degree_bound_is_m_squared():
     # m = 2: D = 4 is accepted, D = 5 is not, constructed or sampled;
     # files and PARAMS frames are covered in test_cli and test_wire
-    base = RingSample(Matrix.from_rows([[1, 1], [0, 1]]))
+    base = RingSample(RingMatrix.from_matrix(Matrix.from_rows([[1, 1], [0, 1]]), 1, 2))
     assert Params(7, 1, 2, 4, [1, 2], base).degree == 4
     with pytest.raises(InvalidParams):
         Params(7, 1, 2, 5, [1, 2], base)
@@ -350,11 +353,24 @@ def test_gen_params_propagates_degenerate_base():
 def test_params_rejects_base_outside_ring():
     z = Matrix.identity(4)
     z.entries[3 * 4 + 2] = 1  # under the diagonal of block (1, 1)
+    with pytest.raises(NotBlockToeplitz):
+        RingMatrix.from_matrix(z, 2, 2)
+    # a file's z is read into R where it is loaded (exit 3: test_cli)
+    obj = json.loads(params_to_json(gen_params(7, 2, 2, 1, Rng(3))))
+    obj["z"]["matrix"]["entries"] = [str(e) for e in z.entries]
+    with pytest.raises(ParseError, match=r"^params: ring base: block \(1, 1\) is not"):
+        params_from_json(json.dumps(obj))
+    obj["z"]["matrix"] = {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}
+    with pytest.raises(ParseError, match=r"^params: ring base must be 4x4$"):
+        params_from_json(json.dumps(obj))
+    # a constructed base of another shape
+    six = RingSample(RingMatrix.from_matrix(Matrix.identity(6), 3, 2))
     with pytest.raises(InvalidParams):
-        Params(7, 2, 2, 1, [1, 0, 0, 0], RingSample(z))
+        Params(7, 2, 2, 1, [1, 0, 0, 0], six)
     # every k = 1 matrix and the identity at any k are in R
-    Params(7, 1, 2, 1, [1, 0], RingSample(Matrix.from_rows([[1, 2], [3, 4]])))
-    Params(7, 4, 2, 1, [1] + [0] * 7, RingSample(Matrix.identity(8)))
+    k1 = RingMatrix.from_matrix(Matrix.from_rows([[1, 2], [3, 4]]), 1, 2)
+    Params(7, 1, 2, 1, [1, 0], RingSample(k1))
+    Params(7, 4, 2, 1, [1] + [0] * 7, RingSample(RingMatrix.from_matrix(Matrix.identity(8), 4, 2)))
 
 
 class _Rejected(Exception):
@@ -386,8 +402,8 @@ def test_keygen_rejections_match_dense_rules():
         gen_params(3, 2, 2, 1, Rng(2)),
         gen_params(2, 3, 2, 1, Rng(3)),
         gen_params(2, 2, 3, 2, Rng(4)),
-        Params(3, 2, 2, 1, [1, 0, 0, 0], RingSample(eigen_base)),
-        Params(2, 2, 2, 2, [1, 0, 0, 0], RingSample(eigen_base)),
+        Params(3, 2, 2, 1, [1, 0, 0, 0], RingSample(RingMatrix.from_matrix(eigen_base, 2, 2))),
+        Params(2, 2, 2, 2, [1, 0, 0, 0], RingSample(RingMatrix.from_matrix(eigen_base, 2, 2))),
     ]
     seen = {"scalar": 0, "kills": 0, "accepted": 0}
     for params in instances:
