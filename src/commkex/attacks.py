@@ -35,8 +35,8 @@ input vector in degree+1 unknowns over R, and is solved there
 first e_i shifts, so the reduced-echelon solution is the one with
 deg c_i < e_i and the rank is sum(e_i).  The full-matrix and directory
 attacks solve over GF(q) (``linalg.eliminate``).  Known private keys are
-applied to vectors in R (``RingMatrix.apply``); a dense matrix is built
-only for a recovered key that a report carries.
+applied to vectors in R (``RingMatrix.apply``), z by ``Params.z_powers``;
+a dense matrix is built only for a recovered key that a report carries.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .commutant import RingMatrix, ShiftPoly, apply_key_poly, eval_key_poly
+from .commutant import PowerTable, ShiftPoly, apply_key_poly, eval_key_poly
 from .errors import (
     InconsistentSystem,
     InsufficientRank,
@@ -143,12 +143,13 @@ class PassiveResult:
         return _structured_key(self.params, self.coefficients)
 
 
-def _orbit(field: Field, params: Params, vec: Sequence[int], degree_bound: int) -> list[list[int]]:
+def _orbit(params: Params, vec: Sequence[int], degree_bound: int) -> list[list[int]]:
     """vec, z vec, ..., z**degree_bound vec, each power z applied in R
-    to the last."""
+    to the last through ``params.z_powers``."""
+    z = params.z_powers
     images = [list(vec)]
     for _ in range(degree_bound):
-        images.append(params.z_ring.apply(field, images[-1]))
+        images.append(z.apply(images[-1]))
     return images
 
 
@@ -174,7 +175,7 @@ def _passive_system(
     the entry is kept on them; one for another bound replaces it."""
     entry = params.passive_system
     if entry is None or entry[0] != bound:
-        orbit = _orbit(field, params, params.base_vector, bound)
+        orbit = _orbit(params, params.base_vector, bound)
         entry = (bound, orbit, _structured_elimination(field, params, [orbit]))
         params.passive_system = entry
     return entry
@@ -186,15 +187,14 @@ def _key_chunks(params: Params, coeffs: Sequence[int]) -> list[ShiftPoly]:
 
 
 def _structured_key(params: Params, coeffs: Sequence[int]) -> Matrix:
-    """sum_{i,j} c_{i*k+j} N**j z**i as a dense matrix.  Beyond the key
-    degree the powers of z go into a table of their own, so that a
-    report on a raised degree bound does not grow the one kept with the
-    params."""
+    """sum_{i,j} c_{i*k+j} N**j z**i as a dense matrix.  A polynomial
+    longer than the params' table (a report on a raised degree bound)
+    is evaluated against a table of its own."""
     chunks = _key_chunks(params, coeffs)
-    z = params.z_ring
-    if len(chunks) > params.degree + 1:
-        z = RingMatrix(z.k, z.d, z.blocks)
-    return eval_key_poly(params.field(), chunks, z, params.d).to_matrix()
+    field, table = params.field(), params.z_powers
+    if len(chunks) > table.count:
+        table = PowerTable(field, params.z_ring, len(chunks))
+    return eval_key_poly(field, chunks, table, params.d).to_matrix()
 
 
 def _structured_apply(
@@ -251,7 +251,7 @@ def recover_private_key(
     outputs: list[int] = list(target_pub.vec)
     for r in rhos:
         outputs.extend(r)
-    orbits = [_orbit(field, params, v, params.degree) for v in inputs]
+    orbits = [_orbit(params, v, params.degree) for v in inputs]
     elim = _structured_elimination(field, params, orbits)
     coeffs = elim.solve(outputs)
     if coeffs is None:
@@ -340,7 +340,7 @@ def passive_commutant_attack(
     # powers without a pivot (e_i = 0) have zero coefficients
     top = max((i for i, e in enumerate(elim.exps) if e), default=0)
     used = coeffs[: (top + 1) * params.k]
-    images = _orbit(field, params, pub_b.vec, top)
+    images = _orbit(params, pub_b.vec, top)
     shared = SharedKey(_structured_apply(field, params, used, images))
     verified = _structured_apply(field, params, used, orbit[: top + 1]) == list(pub_a.vec)
     return PassiveResult(shared, bound, m, elim.rank, verified, params, coeffs)

@@ -128,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="commkex",
         description="Commuting-matrix key exchange over GF(q): protocol, attacks, benchmark, live demo.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="progress notes on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-params", help="sample public parameters")
@@ -188,8 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=BENCH_DEFAULTS["k"])
     p.add_argument("--d", type=int, default=BENCH_DEFAULTS["d"])
     p.add_argument("--degree", type=int, default=BENCH_DEFAULTS["degree"])
-    p.add_argument("--dh-p", type=int, default=DEFAULT_DH_P)
-    p.add_argument("--dh-g", type=int, default=DEFAULT_DH_G)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--out", required=True, help="output report.json")
     p.set_defaults(handler=_cmd_bench)
@@ -226,8 +223,6 @@ def _cmd_gen_params(args) -> int:
     rng = Rng(args.seed)
     params = kex.gen_params(args.q, args.k, args.d, args.degree, rng, seed=args.seed)
     _write_text(args.out, kex.params_to_json(params))
-    if args.verbose:
-        print(f"params written to {args.out} (m={params.m})", file=sys.stderr)
     return EXIT_OK
 
 
@@ -237,8 +232,6 @@ def _cmd_keygen(args) -> int:
     private, public = kex.keygen(params, rng)
     _write_text(args.out, kex.private_key_to_json(private))
     _write_text(args.pub, kex.public_key_to_json(public))
-    if args.verbose:
-        print(f"key pair written to {args.out} / {args.pub}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -248,9 +241,6 @@ def _cmd_derive(args) -> int:
     peer = _load_public(args.peer_pub, params.q)
     shared = kex.derive_shared(params, private, peer)
     _write_bytes(args.out, shared.to_bytes())
-    if args.verbose:
-        checksum = wire.checksum64(shared.to_bytes())
-        print(f"shared key written to {args.out} (fnv64 {checksum:016x})", file=sys.stderr)
     return EXIT_OK
 
 
@@ -293,7 +283,7 @@ def _cmd_attack_passive(args) -> int:
 def _cmd_bench(args) -> int:
     rng = Rng(args.seed)
     params = kex.gen_params(args.q, args.k, args.d, args.degree, rng, seed=args.seed)
-    dh_params = dh.DhParams(args.dh_p, args.dh_g)
+    dh_params = dh.DhParams(DEFAULT_DH_P, DEFAULT_DH_G)
     m = params.m
     # Public-key size matching: m entries at the modulus' byte width,
     # versus a DH exponent bound of the same bit count.

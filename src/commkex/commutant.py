@@ -29,7 +29,8 @@ R = GF(q)[N]/(N**k): each k x k block is upper-triangular Toeplitz,
 i.e. a ShiftPoly.  The algebra is computed in that form (RingMatrix),
 including such a matrix applied to a vector (RingMatrix.apply,
 apply_key_poly); dense m x m matrices are only built where a caller
-needs one.
+needs one.  A public base's packed powers, which key evaluation reads,
+live in one PowerTable kept by the parameters (``kex.Params.z_powers``).
 """
 
 from __future__ import annotations
@@ -137,19 +138,17 @@ class RingMatrix:
     packed integers, d**3 big-integer products in all against (d*k)**3
     multiplications for the dense m x m product.  Applied to a vector
     (``apply``), it costs d**2 big-integer products against m**2
-    multiplications.  A matrix keeps its packed powers (``powers``),
-    which ``apply`` and key-polynomial evaluation read; ring matrices are
-    never mutated, which keeps that cache valid.  Ring operations are not
-    charged to an OpCounter.
+    multiplications.  A ring matrix is a plain value: it caches nothing,
+    and the packed powers of a public base live in a ``PowerTable``.
+    Ring operations are not charged to an OpCounter.
     """
 
-    __slots__ = ("k", "d", "blocks", "_powers")
+    __slots__ = ("k", "d", "blocks")
 
     def __init__(self, k: int, d: int, blocks: list[list[int]]):
         self.k = k
         self.d = d
         self.blocks = blocks
-        self._powers: Optional[_PowerTable] = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingMatrix):
@@ -255,69 +254,69 @@ class RingMatrix:
         return self.is_embedding() and not any(self.blocks[0][1:])
 
     def apply(self, field: Field, vec: Sequence[int]) -> list[int]:
-        """self @ vec for a vector of m canonical residues.
+        """self @ vec for a vector of m canonical residues, through a
+        table of this call's own (see ``PowerTable.apply``)."""
+        return PowerTable(field, self, 1).apply(vec)
+
+
+class PowerTable:
+    """The packed powers z**0 .. z**(count-1) of a ring matrix z, for
+    key polynomials of up to ``count`` coefficients; ``Params.z_powers``
+    is the public base's, at count D+1.  A table's count is fixed.
+
+    ``base`` is z's blocks, packed, row-major.  ``columns[n][i]`` is
+    block n of z**i, packed (z**0 is the identity); the columns are built
+    on first read and published by one assignment, so threads sharing a
+    table at worst build them twice.  Slots are wide enough for a sum of
+    count*k terms (a key-polynomial block) and of d*k terms (a block row
+    applied to a vector).
+    """
+
+    __slots__ = ("field", "z", "count", "slot", "base", "_columns")
+
+    def __init__(self, field: Field, z: RingMatrix, count: int):
+        self.field = field
+        self.z = z
+        self.count = count
+        self.slot = _slot_bytes(field.q, max(count, z.d) * z.k)
+        self.base = [_pack(e, self.slot) for e in z.blocks]
+        self._columns: Optional[list[tuple[int, ...]]] = None
+
+    @property
+    def columns(self) -> list[tuple[int, ...]]:
+        columns = self._columns
+        if columns is None:
+            field, z = self.field, self.z
+            packed = [[int(n % (z.d + 1) == 0) for n in range(z.d * z.d)], self.base]
+            power = z
+            for _ in range(2, self.count):
+                power = power.mul(field, z)
+                packed.append([_pack(e, self.slot) for e in power.blocks])
+            columns = self._columns = list(zip(*packed[: self.count]))
+        return columns
+
+    def apply(self, vec: Sequence[int]) -> list[int]:
+        """z @ vec for a vector of m canonical residues.
 
         The vector is read as d chunks of k.  A block acts on a chunk as
         a truncated convolution once the chunk is reversed, so each chunk
         is reversed and packed, and output chunk i is the low k slots of
         one dot product of row i's packed blocks with the packed chunks,
-        reversed back.  The packed blocks are those of this matrix's
-        power table (built on first use, see ``powers``).
+        reversed back.
         """
-        k, d, q = self.k, self.d, field.q
+        k, d, slot = self.z.k, self.z.d, self.slot
         if len(vec) != k * d:
             raise DimensionMismatch(f"ring matrix of size {k * d} applied to length {len(vec)}")
-        table = self.powers(field, 2)
-        slot, packed = table.slot, table.base
         chunks = [_pack(vec[s : s + k][::-1], slot) for s in range(0, k * d, k)]
-        mul = operator.mul
-        out: list[int] = []
-        for i in range(0, d * d, d):
-            out += _unpack(sum(map(mul, packed[i : i + d], chunks)), k, slot, q)[::-1]
-        return out
-
-    def powers(self, field: Field, count: int) -> "_PowerTable":
-        """The packed blocks of self**1 .. self**(count-1), with
-        self**1 always included.
-
-        Built on first use and kept on this matrix; a request for more
-        powers (or another modulus) builds a larger table in its place.
-        A published table is never changed, so threads sharing one base
-        read consistent tables; two first calls may each build one.
-        """
-        table = self._powers
-        if table is None or table.count < count or table.q != field.q:
-            table = _PowerTable(field, self, max(count, 2))
-            self._powers = table
-        return table
+        rows = [self.base[i : i + d] for i in range(0, d * d, d)]
+        return [x for out in _packed_dots(chunks, rows, k, slot, self.field.q) for x in out[::-1]]
 
 
-class _PowerTable:
-    """Packed powers z**1 .. z**(count-1) of a ring matrix z (count >= 2),
-    for key polynomials of up to ``count`` coefficients and for applying
-    z to vectors.
-
-    ``base`` is z's blocks, packed, row-major; ``blocks[n][i-1]`` is
-    block n of z**i.  Slots are wide enough for a sum of count*k terms
-    (a key-polynomial block) and of d*k terms (a block row applied to a
-    vector).  z**0 is the identity and is not stored: its coefficient
-    goes straight onto the diagonal blocks.
-    """
-
-    __slots__ = ("q", "count", "slot", "base", "blocks")
-
-    def __init__(self, field: Field, z: RingMatrix, count: int):
-        self.q = field.q
-        self.count = count
-        self.slot = _slot_bytes(field.q, max(count, z.d) * z.k)
-        packed = []
-        power = z
-        for i in range(1, count):
-            if i > 1:
-                power = power.mul(field, z)
-            packed.append([_pack(e, self.slot) for e in power.blocks])
-        self.base = packed[0]
-        self.blocks = list(zip(*packed))
+def _packed_dots(left: Sequence[int], columns, k: int, slot: int, q: int) -> list[list[int]]:
+    """The low k slots of each column's dot product with ``left``,
+    unpacked: the one loop of packed key evaluation and application."""
+    mul = operator.mul
+    return [_unpack(sum(map(mul, left, col)), k, slot, q) for col in columns]
 
 
 def embed_block_diag(field: Field, poly: ShiftPoly, d: int) -> Matrix:
@@ -467,17 +466,16 @@ def sample_ring_element(
 
 
 def eval_key_poly(
-    field: Field, coeffs: Sequence[ShiftPoly], base: RingMatrix | Matrix, d: int
+    field: Field, coeffs: Sequence[ShiftPoly], base: PowerTable | Matrix, d: int
 ) -> RingMatrix | Matrix:
-    """Evaluate sum_i diag(a_i) * base**i in R, in one pass.
+    """Evaluate sum_i diag(a_i) * z**i in R, in one pass.
 
-    R is commutative, so block n of the result is sum_i a_i * (base**i)_n:
-    a_0 on the diagonal blocks plus one packed dot product per block
-    over the base's power table (see ``RingMatrix.powers``), which a
-    long-lived base keeps between calls.  The result commutes with
-    ``base``.  ``base`` is a RingMatrix, or its dense m x m matrix, which
-    is read into R (raising NotBlockToeplitz if it is not in R); the
-    result has the same form as ``base``.
+    R is commutative, so block n of the result is sum_i a_i * (z**i)_n:
+    one packed dot product of the a_i with column n of z's power table.
+    The result commutes with z.  ``base`` is a PowerTable of at least
+    len(coeffs) powers, and the result is a RingMatrix; or z's dense
+    m x m matrix, read into R (raising NotBlockToeplitz if it is not in
+    R) with a table of its own, and the result is dense.
     """
     if not coeffs:
         raise DimensionMismatch("key polynomial needs at least one coefficient")
@@ -486,22 +484,14 @@ def eval_key_poly(
         if c.k != k:
             raise DimensionMismatch("coefficient sizes differ")
     dense = isinstance(base, Matrix)
-    z = RingMatrix.from_matrix(base, k, d) if dense else base
-    if z.k != k or z.d != d:
-        raise DimensionMismatch(f"base has k={z.k}, d={z.d}, expected k={k}, d={d}")
-    q = field.q
-    table = z.powers(field, len(coeffs))
-    slot = table.slot
-    c0, *rest = [_pack([x % q for x in c.coeffs], slot) for c in coeffs]
-    mul = operator.mul
-    key = RingMatrix(
-        k,
-        d,
-        [
-            _unpack(sum(map(mul, rest, col), c0 if n % (d + 1) == 0 else 0), k, slot, q)
-            for n, col in enumerate(table.blocks)
-        ],
-    )
+    table = PowerTable(field, RingMatrix.from_matrix(base, k, d), len(coeffs)) if dense else base
+    z, q, slot = table.z, field.q, table.slot
+    if z.k != k or z.d != d or len(coeffs) > table.count:
+        raise DimensionMismatch(
+            f"{len(coeffs)} coefficients (k={k}, d={d}) for {table.count} powers (k={z.k}, d={z.d})"
+        )
+    packed = [_pack([x % q for x in c.coeffs], slot) for c in coeffs]
+    key = RingMatrix(k, d, _packed_dots(packed, table.columns, k, slot, q))
     return key.to_matrix() if dense else key
 
 
@@ -510,11 +500,11 @@ def apply_key_poly(
 ) -> list[int]:
     """sum_i diag(a_i) @ images[i].
 
-    With images[i] = base**i @ vec (each power one ``RingMatrix.apply``
-    on the last), this is the key polynomial applied to vec, without
+    With images[i] = z**i @ vec (each power one ``PowerTable.apply`` on
+    the last), this is the key polynomial applied to vec, without
     building the key.  Output chunk b is one packed dot product of the
     a_i with chunk b of the images, each chunk reversed as in
-    ``RingMatrix.apply``.
+    ``PowerTable.apply``.
     """
     if not coeffs or len(images) != len(coeffs):
         raise DimensionMismatch(f"{len(coeffs)} coefficients for {len(images)} images")
@@ -523,12 +513,8 @@ def apply_key_poly(
         raise DimensionMismatch("coefficient and image sizes disagree")
     slot = _slot_bytes(q, len(coeffs) * k)
     packed = [_pack([x % q for x in c.coeffs], slot) for c in coeffs]
-    mul = operator.mul
-    out: list[int] = []
-    for s in range(0, m, k):
-        chunks = [_pack(image[s : s + k][::-1], slot) for image in images]
-        out += _unpack(sum(map(mul, packed, chunks)), k, slot, q)[::-1]
-    return out
+    chunks = [[_pack(image[s : s + k][::-1], slot) for image in images] for s in range(0, m, k)]
+    return [x for out in _packed_dots(packed, chunks, k, slot, q) for x in out[::-1]]
 
 
 def check_commute(field: Field, a: Matrix, b: Matrix) -> bool:

@@ -118,7 +118,7 @@ class Field:
 
     All methods are total on canonical residues.  ``mul`` bumps the
     attached counter's mul_count (additions are charged by the linalg
-    kernels that make them).  Negation and inversion are not counted.
+    kernels that make them).  Inversion is not counted.
     """
 
     __slots__ = ("q", "counter")
@@ -128,9 +128,6 @@ class Field:
             raise InvalidParams(f"modulus must be a prime in [2, 2**61), got {q}")
         self.q = q
         self.counter = counter
-
-    def neg(self, a: int) -> int:
-        return self.q - a if a else 0
 
     def mul(self, a: int, b: int) -> int:
         if self.counter is not None:

@@ -5,10 +5,12 @@ public ring element called the base).  A private key is a polynomial in
 the base with coefficient-embedding coefficients.  The base and every
 private key are held as matrices over R = GF(q)[N]/(N**k); their dense
 m x m matrices are built when first read (to write params.json or
-key.json, and in ``derive_shared``).  The public key is the private key
-applied to the public vector, and the shared key is one's own private
-matrix applied to the peer's public key.  Any two private keys commute,
-so both parties derive the same vector.
+key.json, and in ``derive_shared``).  Keys are evaluated from the base's
+packed powers z**0 .. z**D, which the params keep (``z_powers``).  The
+public key is the private key applied to the public vector, and the
+shared key is one's own private matrix applied to the peer's public
+key.  Any two private keys commute, so both parties derive the same
+vector.
 
 Both the base and the public vector are public: without a shared base
 the two parties' keys would not commute, and without the vector nobody
@@ -39,6 +41,7 @@ from typing import Optional, Sequence
 from .commutant import (
     MAX_GRID_EXP,
     MonoTerm,
+    PowerTable,
     RingMatrix,
     RingSample,
     ShiftPoly,
@@ -64,11 +67,16 @@ KEYGEN_MAX_ATTEMPTS = 16
 @dataclass
 class Params:
     """Public parameters.  The constructor checks shapes, including that
-    the base is a d x d matrix over R, and that the degree bound D is at
-    most m**2 (the passive attack's retry cap; a key evaluation keeps
-    D+1 powers of the base).  ``z_ring`` is the base in R; a file's z is
-    checked to lie in R where it is read (``ring_sample_from_obj``), and
-    semantic non-degeneracy of the base is enforced where it is sampled.
+    the base is a d x d matrix over R, that the public vector and the
+    base hold canonical residues mod q, and that the degree bound D is
+    at most m**2 (the passive attack's retry cap).  ``z_ring`` is the
+    base in R; a file's z is checked to lie in R where it is read
+    (``ring_sample_from_obj``), and semantic non-degeneracy of the base
+    is enforced where it is sampled.
+
+    ``z_powers`` is the base's one ``PowerTable``, at count D+1.  It is
+    built on first use (threads racing on that may each build one) and
+    kept; a longer polynomial gets a table of its own.
 
     ``passive_system`` is the passive attack's cache, built by its first
     attack on these params: (degree bound, the public vector's orbit
@@ -89,6 +97,7 @@ class Params:
     passive_system: Optional[tuple[int, list[list[int]], RingElimination]] = dc_field(
         default=None, init=False, repr=False, compare=False
     )
+    _z_powers: Optional[PowerTable] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -105,12 +114,23 @@ class Params:
             raise InvalidParams(f"public vector must have length {m}")
         if not any(self.base_vector):
             raise InvalidParams("public vector must be nonzero")
-        if (self.z_ring.k, self.z_ring.d) != (self.k, self.d):
+        q, z = self.q, self.z_ring
+        if not all(0 <= x < q for x in self.base_vector):
+            raise InvalidParams(f"public vector entries must be canonical residues mod {q}")
+        if (z.k, z.d) != (self.k, self.d):
             raise InvalidParams(f"ring base must be {m}x{m}")
+        if not all(0 <= x < q for blk in z.blocks for x in blk):
+            raise InvalidParams(f"ring base entries must be canonical residues mod {q}")
 
     @property
     def z_ring(self) -> RingMatrix:
         return self.ring_base.ring
+
+    @property
+    def z_powers(self) -> PowerTable:
+        if self._z_powers is None:
+            self._z_powers = PowerTable(self.field(), self.z_ring, self.degree + 1)
+        return self._z_powers
 
     @property
     def m(self) -> int:
@@ -188,8 +208,8 @@ def gen_params(
 
 
 def private_key_from_coeffs(params: Params, coeffs: Sequence[ShiftPoly]) -> PrivateKey:
-    """Build a private key from explicit coefficients (no rejection rules)."""
-    key = eval_key_poly(params.field(), coeffs, params.z_ring, params.d)
+    """Build a private key from 1..D+1 coefficients (no rejection rules)."""
+    key = eval_key_poly(params.field(), coeffs, params.z_powers, params.d)
     return PrivateKey(list(coeffs), key)
 
 
@@ -204,13 +224,13 @@ def keygen(params: Params, rng: Rng) -> tuple[PrivateKey, PublicKey]:
     coefficients each, in order).  A draw is rejected when the key
     matrix kills the public vector or is a scalar multiple of the
     identity; both are weak keys the construction does not need.  The
-    key is evaluated and applied to the public vector in R, where both
-    rules are decided.
+    key is evaluated from ``params.z_powers`` and applied to the public
+    vector in R, where both rules are decided.
     """
     field = params.field()
     for _ in range(KEYGEN_MAX_ATTEMPTS):
         coeffs = [random_shift_poly(field, params.k, rng) for _ in range(params.degree + 1)]
-        key = eval_key_poly(field, coeffs, params.z_ring, params.d)
+        key = eval_key_poly(field, coeffs, params.z_powers, params.d)
         if key.is_scalar():
             continue
         pub = key.apply(field, params.base_vector)
@@ -260,10 +280,10 @@ def count_ops(action: str, params: Params) -> OpReport:
     degree * m**3 additions -- assembling a coefficient embedding places
     entries and multiplies nothing.  keygen itself computes in R: it
     packs the degree+1 coefficients and takes one dot product per block
-    against the base's cached packed powers z**1 .. z**degree,
-    degree * d**2 big-integer products; the reported figure is the dense
-    one.  Counts are structural, so they do not depend on the sampled
-    values.
+    against the packed powers z**0 .. z**degree that ``Params.z_powers``
+    keeps, (degree+1) * d**2 big-integer products; the reported figure is
+    the dense one.  Counts are structural, so they do not depend on the
+    sampled values.
     """
     m = params.m
     if action == "derive_shared":
@@ -497,7 +517,7 @@ def private_key_from_obj(obj, params: Params) -> PrivateKey:
         if c.k != k:
             raise ParseError(f"key.coeffs[{i}]: expected {k} entries, got {c.k}")
     matrix = matrix_from_obj(_need(obj, "T", "key"), q, "key.T")
-    sk = PrivateKey(coeffs, eval_key_poly(params.field(), coeffs, params.z_ring, params.d))
+    sk = PrivateKey(coeffs, eval_key_poly(params.field(), coeffs, params.z_powers, params.d))
     if sk.matrix != matrix:
         raise ParseError("key.T: not the key polynomial of key.coeffs in the params' base")
     return sk

@@ -10,11 +10,12 @@ instrumented.
 Elimination pivots on the first nonzero entry in column order -- there
 is no magnitude over GF(q) -- and always fully reduces, so echelon
 forms, particular solutions and nullspace bases are identical across
-runs.  There is one eliminator, ``eliminate``: it takes a coefficient
-matrix by columns, packs each column into a single integer (Kronecker
-substitution), so a row operation costs one big-integer multiply-add
-per column rather than a Python loop over its entries, and records its
-row operations.  A right-hand side is reduced by replaying that record
+runs.  There are two eliminators, one per coefficient ring.  Over
+GF(q) it is ``eliminate``: it takes a coefficient matrix by columns,
+packs each column into a single integer (Kronecker substitution), so a
+row operation costs one big-integer multiply-add per column rather than
+a Python loop over its entries, and records its row operations.  A
+right-hand side is reduced by replaying that record
 (``Elimination.reduce``), so systems that share a coefficient matrix are
 eliminated once and solved many times; ``solve_linear``, ``rank``,
 ``pivot_columns`` and ``invert`` are all built on it, and so are the
@@ -22,8 +23,8 @@ full-matrix and directory attacks.  It performs the textbook loop's row
 operations and swaps, so its results are the textbook's, and like the
 rest of elimination it is not charged to an OpCounter.
 
-Beside it, ``eliminate_ring`` eliminates and records a system over the
-chain ring R = GF(q)[x]/(x**k), whose elements are vectors' k-chunks (the
+Over the chain ring R = GF(q)[x]/(x**k), ``eliminate_ring`` eliminates
+and records a system whose elements are vectors' k-chunks (the
 structured attack systems, d rows per input vector in degree+1 unknowns
 over R).  Its elements are packed the same way, 2k - 1 slots apiece, so
 one integer product per pivot updates a whole column.  Its solution,

@@ -253,9 +253,11 @@ def run_peer(
         elif params_to_json(params) != params_to_json(wire_params):
             raise ProtocolViolation("received parameters differ from configured ones")
         if private_key is None:
-            private_key, _ = keygen(params, rng if rng is not None else Rng())
+            private_key, own_pub = keygen(params, rng if rng is not None else Rng())
+        else:
+            own_pub = public_key(params, private_key)
         peer_pub = _pubkey_from_payload(expect(TAG_PUBKEY).payload, params)
-        send(TAG_PUBKEY, vector_to_bytes(public_key(params, private_key).vec))
+        send(TAG_PUBKEY, vector_to_bytes(own_pub.vec))
         shared = derive_shared(params, private_key, peer_pub)
         confirm = checksum64(shared.to_bytes()).to_bytes(8, "big")
         peer_confirm = expect(TAG_CONFIRM).payload

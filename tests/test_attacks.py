@@ -247,7 +247,7 @@ def test_passive_attack_degree_retry():
 
 
 def test_passive_recovered_above_degree_matches_oracle():
-    # keygen caches D+1 = 4 powers of z; a bound of D + 3 needs 7
+    # the params keep D+1 = 4 powers of z; a bound of D + 3 needs 7
     rng = Rng(9753)
     for q, k, d in ((101, 2, 3), (2147483647, 3, 2)):
         params = gen_params(q, k, d, 3, rng)
@@ -279,19 +279,21 @@ def test_passive_degree_bound_is_capped_at_m_squared():
 
 
 def test_passive_attack_keeps_the_params_power_table():
-    # the attack applies z to vectors; a report on a raised bound builds
-    # its powers aside, so the params keep at most the key degree's D+1
+    # the attack applies z to vectors through the params' table; a report
+    # on a raised bound builds its powers aside, so the params keep their
+    # one table of the key degree's D+1 powers
     rng = Rng(6765)
     params = gen_params(101, 2, 2, 2, rng)  # m**2 = 16
     _, pk_a = keygen(params, rng)
     _, pk_b = keygen(params, rng)
+    table = params.z_powers
     for bound in (0, 16):
         try:
             res = passive_commutant_attack(params, pk_a, pk_b, degree_bound=bound)
         except NoSolution:
             continue
         assert mat_apply(params.field(), res.recovered, params.base_vector) == pk_a.vec
-        assert params.z_ring._powers.count <= params.degree + 1
+        assert params.z_powers is table and table.count == params.degree + 1
 
 
 def test_corrupted_directory_raises_inconsistent():

@@ -13,6 +13,7 @@ from commkex.commutant import (
     BlockGrid,
     GeneratorBlock,
     MonoTerm,
+    PowerTable,
     RingMatrix,
     ShiftPoly,
     apply_key_poly,
@@ -383,14 +384,14 @@ def test_eval_key_poly_ring_matches_oracle():
             base = sample_ring_element(field, k, d, rng).matrix
             z = RingMatrix.from_matrix(base, k, d)
             assert z.to_matrix() == base
-        # rising degrees grow z's cached power table; the constant last
-        # is served from the larger table
+        # one table serves every shorter polynomial, the constant included
+        table = PowerTable(field, z, max(GRID_DEGREES) + 1)
         for degree in (*GRID_DEGREES, 0):
             if top:
                 coeffs = [ShiftPoly((q - 1,) * k)] * (degree + 1)
             else:
                 coeffs = [random_shift_poly(field, k, rng) for _ in range(degree + 1)]
-            key = eval_key_poly(field, coeffs, z, d)
+            key = eval_key_poly(field, coeffs, table, d)
             assert isinstance(key, RingMatrix)
             oracle = key_poly_mod([c.coeffs for c in coeffs], base.to_rows(), d, q)
             assert key.to_matrix() == Matrix.from_rows(oracle)
@@ -399,8 +400,10 @@ def test_eval_key_poly_ring_matches_oracle():
             vec = [q - 1] * (k * d) if top else [field.sample(rng) for _ in range(k * d)]
             images = [vec]
             for _ in coeffs[1:]:
-                images.append(z.apply(field, images[-1]))
+                images.append(table.apply(images[-1]))
             assert apply_key_poly(field, coeffs, images) == mat_vec_mod(oracle, vec, q)
+        with pytest.raises(DimensionMismatch):
+            eval_key_poly(field, [coeffs[0]] * (table.count + 1), table, d)
 
 
 def test_eval_recipe_ring_matches_oracle():

@@ -14,10 +14,7 @@ from oracles import inv_by_search, pow_by_repeated_mul
 
 def test_add_mul_neg_trivia():
     f = Field(7)
-    assert (3 + f.neg(3)) % 7 == 0
     assert f.mul(3, 5) == 1
-    for q in TEST_PRIMES:
-        assert Field(q).neg(0) == 0
 
 
 def test_inverse_examples():

@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import sys
 import threading
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from commkex.errors import (
     NotBlockToeplitz,
     ParseError,
 )
+from commkex import kex
 from commkex.gf import OpCounter, Rng
 from commkex.commutant import RingMatrix, RingSample, ShiftPoly
 from commkex.kex import (
@@ -373,6 +376,44 @@ def test_params_rejects_base_outside_ring():
     Params(7, 4, 2, 1, [1] + [0] * 7, RingSample(RingMatrix.from_matrix(Matrix.identity(8), 4, 2)))
 
 
+def test_params_rejects_non_canonical_residues():
+    # such params would write a params.json their own loader rejects
+    two = Matrix.identity(4)
+    two.entries[0] = two.entries[5] = 2  # block (0, 0) = 2 * I, at q = 2
+    with pytest.raises(InvalidParams, match=r"^ring base entries must be canonical .* mod 2$"):
+        Params(2, 2, 2, 2, [1, 0, 0, 0], RingSample(RingMatrix.from_matrix(two, 2, 2)))
+    base = RingSample(RingMatrix.from_matrix(Matrix.identity(2), 1, 2))
+    with pytest.raises(InvalidParams, match=r"^public vector entries must be canonical .* mod 7$"):
+        Params(7, 1, 2, 1, [9, 0], base)
+    with pytest.raises(InvalidParams):
+        Params(7, 1, 2, 1, [1, -1], base)
+
+
+def test_benchmark_trace_contract():
+    # perfbench's traced run reads these two edges; a keygen or derive
+    # that bypasses them fails the benchmark's smoke gate
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    )
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        with tracer.root("op"):
+            rng = Rng(11)
+            params = kex.gen_params(101, 2, 3, 2, rng)
+            sk_a, _ = kex.keygen(params, rng)
+            _, pk_b = kex.keygen(params, rng)
+            kex.derive_shared(params, sk_a, pk_b)
+    finally:
+        tracer.uninstall()
+    edges = tracer.summary().edges
+    assert edges["op", "kex.keygen", "commutant.eval_key_poly"]["calls"] >= 2
+    derive = edges["op", "kex.derive_shared", "linalg.mat_apply"]
+    assert derive["calls"] == 1 and derive["mults"] == params.m**2
+
+
 class _Rejected(Exception):
     pass
 
@@ -397,13 +438,18 @@ def test_keygen_rejections_match_dense_rules():
     eigen_base = Matrix.from_rows(
         [[2, 1, 1, 0], [0, 2, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
     )
+
+    def eigen_params(q, degree):
+        base = Matrix(4, 4, [x % q for x in eigen_base.entries])
+        return Params(q, 2, 2, degree, [1, 0, 0, 0], RingSample(RingMatrix.from_matrix(base, 2, 2)))
+
     instances = [
         gen_params(2, 1, 2, 1, Rng(1)),
         gen_params(3, 2, 2, 1, Rng(2)),
         gen_params(2, 3, 2, 1, Rng(3)),
         gen_params(2, 2, 3, 2, Rng(4)),
-        Params(3, 2, 2, 1, [1, 0, 0, 0], RingSample(RingMatrix.from_matrix(eigen_base, 2, 2))),
-        Params(2, 2, 2, 2, [1, 0, 0, 0], RingSample(RingMatrix.from_matrix(eigen_base, 2, 2))),
+        eigen_params(3, 1),
+        eigen_params(2, 2),
     ]
     seen = {"scalar": 0, "kills": 0, "accepted": 0}
     for params in instances:
