@@ -35,8 +35,13 @@ input vector in degree+1 unknowns over R, and is solved there
 first e_i shifts, so the reduced-echelon solution is the one with
 deg c_i < e_i and the rank is sum(e_i).  The full-matrix and directory
 attacks solve over GF(q) (``linalg.eliminate``).  Known private keys are
-applied to vectors in R (``RingMatrix.apply``), z by ``Params.z_powers``;
-a dense matrix is built only for a recovered key that a report carries.
+applied to vectors in R (``RingMatrix.apply``).  The structured systems
+read each input vector's orbit v, z v, ..., packed (``commutant.Orbit``)
+and unpacked only for the columns the elimination reads; the public
+vector's is the one ``Params.zeta_orbit`` keeps.  A solution is applied
+to a vector as a key polynomial against the vector's packed orbit
+(``apply_key_poly``), and a dense matrix is built only for a recovered
+key that a report carries.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .commutant import PowerTable, ShiftPoly, apply_key_poly, eval_key_poly
+from .commutant import Orbit, PowerTable, ShiftPoly, apply_key_poly, eval_key_poly
 from .errors import (
     InconsistentSystem,
     InsufficientRank,
@@ -143,40 +148,40 @@ class PassiveResult:
         return _structured_key(self.params, self.coefficients)
 
 
-def _orbit(params: Params, vec: Sequence[int], degree_bound: int) -> list[list[int]]:
-    """vec, z vec, ..., z**degree_bound vec, each power z applied in R
-    to the last through ``params.z_powers``."""
-    z = params.z_powers
-    images = [list(vec)]
-    for _ in range(degree_bound):
-        images.append(z.apply(images[-1]))
-    return images
+class _Columns:
+    """A structured system's columns, as ``eliminate_ring`` reads them:
+    column i holds z**i v for every input v (``orbits[v]`` is input v's
+    packed orbit), stacked, d rows per input, and the shifts N**j are
+    the powers of x; unknown (i, j), the coefficient of N**j z**i, has
+    index i*k + j.  A column is unpacked when it is read, so the orbits
+    grow only as far as the elimination reads."""
+
+    __slots__ = ("orbits", "count")
+
+    def __init__(self, orbits: Sequence[Orbit], count: int):
+        self.orbits = orbits
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i: int) -> list[int]:
+        return [x for orbit in self.orbits for x in orbit.table.unpack(orbit.upto(i)[i])]
 
 
-def _structured_elimination(
-    field: Field, params: Params, orbits: list[list[list[int]]]
-) -> RingElimination:
-    """The elimination over R of the system stacking the images of each
-    input vector under the structured basis {embed(shift^j) * base^i}.
-    Over R it has one column per power i, holding z**i v for every input
-    v (``orbits[v]`` is input v's ``_orbit``), d rows per input, and the
-    shifts N**j are the powers of x; unknown (i, j), the coefficient of
-    N**j z**i, has index i*k + j."""
-    return eliminate_ring(
-        field, params.k, [[x for orbit in orbits for x in orbit[i]] for i in range(len(orbits[0]))]
-    )
-
-
-def _passive_system(
-    field: Field, params: Params, bound: int
-) -> tuple[int, list[list[int]], RingElimination]:
-    """(bound, the public vector's orbit, the elimination of the passive
-    system) at ``bound``.  The system depends on the params alone, so
-    the entry is kept on them; one for another bound replaces it."""
+def _passive_system(field: Field, params: Params, bound: int) -> tuple[int, Orbit, RingElimination]:
+    """(bound, the public vector's packed orbit, the elimination of the
+    passive system) at ``bound``.  The orbit is ``params.zeta_orbit``
+    when the bound is at most D, and by a table of bound+1 powers of its
+    own above D.  The system depends on the params alone, so the entry is
+    kept on them; one for another bound replaces it."""
     entry = params.passive_system
     if entry is None or entry[0] != bound:
-        orbit = _orbit(params, params.base_vector, bound)
-        entry = (bound, orbit, _structured_elimination(field, params, [orbit]))
+        if bound <= params.degree:
+            orbit = params.zeta_orbit
+        else:
+            orbit = Orbit(PowerTable(field, params.z_ring, bound + 1), params.base_vector)
+        entry = (bound, orbit, eliminate_ring(field, params.k, _Columns([orbit], bound + 1)))
         params.passive_system = entry
     return entry
 
@@ -195,14 +200,6 @@ def _structured_key(params: Params, coeffs: Sequence[int]) -> Matrix:
     if len(chunks) > table.count:
         table = PowerTable(field, params.z_ring, len(chunks))
     return eval_key_poly(field, chunks, table, params.d).to_matrix()
-
-
-def _structured_apply(
-    field: Field, params: Params, coeffs: Sequence[int], orbit: list[list[int]]
-) -> list[int]:
-    """(sum_{i,j} c_{i*k+j} N**j z**i) vec from vectors alone, given
-    vec's ``_orbit``."""
-    return apply_key_poly(field, _key_chunks(params, coeffs), orbit)
 
 
 def recover_private_key(
@@ -247,24 +244,25 @@ def recover_private_key(
     if mode != MODE_STRUCTURED:
         raise ValueError(f"unknown recovery mode {mode!r}")
 
-    inputs = [params.base_vector] + [pk.vec for _, pk in pairs]
+    table, degree = params.z_powers, params.degree
+    orbits = [params.zeta_orbit] + [Orbit(table, pk.vec) for _, pk in pairs]
     outputs: list[int] = list(target_pub.vec)
     for r in rhos:
         outputs.extend(r)
-    orbits = [_orbit(params, v, params.degree) for v in inputs]
-    elim = _structured_elimination(field, params, orbits)
+    elim = eliminate_ring(field, params.k, _Columns(orbits, degree + 1))
     coeffs = elim.solve(outputs)
     if coeffs is None:
         raise InconsistentSystem("structured recovery system is inconsistent")
     t_hat = _structured_key(params, coeffs)
     rank = elim.rank
-    deficit = (params.degree + 1) * params.k - rank
+    deficit = (degree + 1) * params.k - rank
+    chunks = _key_chunks(params, coeffs)
     verified = all(
-        _structured_apply(field, params, coeffs, orbit) == out
+        apply_key_poly(table, chunks, orbit.upto(degree)) == out
         for orbit, out in zip(orbits, [target_pub.vec] + rhos)
     )
     return RecoveredKey(
-        t_hat, MODE_STRUCTURED, deficit, len(inputs), rank, verified
+        t_hat, MODE_STRUCTURED, deficit, len(orbits), rank, verified
     )
 
 
@@ -339,10 +337,10 @@ def passive_commutant_attack(
         bound = min(cap, bound * 2 if bound else 1)
     # powers without a pivot (e_i = 0) have zero coefficients
     top = max((i for i, e in enumerate(elim.exps) if e), default=0)
-    used = coeffs[: (top + 1) * params.k]
-    images = _orbit(params, pub_b.vec, top)
-    shared = SharedKey(_structured_apply(field, params, used, images))
-    verified = _structured_apply(field, params, used, orbit[: top + 1]) == list(pub_a.vec)
+    used = _key_chunks(params, coeffs[: (top + 1) * params.k])
+    table = orbit.table
+    shared = SharedKey(apply_key_poly(table, used, Orbit(table, pub_b.vec).upto(top)))
+    verified = apply_key_poly(table, used, orbit.upto(top)) == list(pub_a.vec)
     return PassiveResult(shared, bound, m, elim.rank, verified, params, coeffs)
 
 

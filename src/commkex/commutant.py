@@ -30,7 +30,9 @@ i.e. a ShiftPoly.  The algebra is computed in that form (RingMatrix),
 including such a matrix applied to a vector (RingMatrix.apply,
 apply_key_poly); dense m x m matrices are only built where a caller
 needs one.  A public base's packed powers, which key evaluation reads,
-live in one PowerTable kept by the parameters (``kex.Params.z_powers``).
+live in one PowerTable kept by the parameters (``kex.Params.z_powers``),
+and so does the public vector's packed orbit (``kex.Params.zeta_orbit``),
+which key application reads.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .errors import (
     NotBlockToeplitz,
 )
 from .gf import Field, Rng
-from .linalg import Matrix, _pack, _slot_bytes, _unpack, mat_mul
+from .linalg import Matrix, _pack, _reduce, _slot_bytes, _unpack, mat_mul
 
 KIND_SCALAR = "scalar"
 KIND_JORDAN = "jordan"
@@ -215,31 +217,14 @@ class RingMatrix:
     def mul(self, field: Field, other: "RingMatrix") -> "RingMatrix":
         """self @ other.  Block (i, j) is sum_l a_il * b_lj in R: the low
         k slots of one dot product of row i's packed blocks with column
-        j's, with slots wide enough for d*k terms."""
+        j's, with slots wide enough for d*k terms (``_block_products``)."""
         self._check_shape(other)
         k, d, q = self.k, self.d, field.q
         slot = _slot_bytes(q, d * k)
         a = [_pack(e, slot) for e in self.blocks]
         b = [_pack(e, slot) for e in other.blocks]
-        rows = [a[i * d : (i + 1) * d] for i in range(d)]
-        cols = [b[j::d] for j in range(d)]
-        mul = operator.mul
-        return RingMatrix(
-            k, d, [_unpack(sum(map(mul, r, c)), k, slot, q) for r in rows for c in cols]
-        )
-
-    def add(self, field: Field, other: "RingMatrix") -> "RingMatrix":
-        self._check_shape(other)
-        q = field.q
-        return RingMatrix(
-            self.k,
-            self.d,
-            [[(x + y) % q for x, y in zip(u, v)] for u, v in zip(self.blocks, other.blocks)],
-        )
-
-    def scale(self, field: Field, c: int) -> "RingMatrix":
-        q = field.q
-        return RingMatrix(self.k, self.d, [[c * x % q for x in u] for u in self.blocks])
+        product = _block_products(a, b, d, k, slot, q)
+        return RingMatrix(k, d, [_unpack(x, k, slot, q) for x in product])
 
     def is_embedding(self) -> bool:
         """True iff this is diag(P, ..., P) for one P in R."""
@@ -261,8 +246,9 @@ class RingMatrix:
 
 class PowerTable:
     """The packed powers z**0 .. z**(count-1) of a ring matrix z, for
-    key polynomials of up to ``count`` coefficients; ``Params.z_powers``
-    is the public base's, at count D+1.  A table's count is fixed.
+    key polynomials of up to ``count`` coefficients, and z acting on
+    packed vectors; ``Params.z_powers`` is the public base's, at count
+    D+1.  A table's count is fixed.
 
     ``base`` is z's blocks, packed, row-major.  ``columns[n][i]`` is
     block n of z**i, packed (z**0 is the identity); the columns are built
@@ -270,9 +256,15 @@ class PowerTable:
     table at worst build them twice.  Slots are wide enough for a sum of
     count*k terms (a key-polynomial block) and of d*k terms (a block row
     applied to a vector).
+
+    A vector of m residues is packed (``pack``) as d chunks of k, each
+    reversed, since a block then acts on a chunk as a truncated
+    convolution.  ``act`` applies z to a packed vector and keeps it
+    packed, so an orbit v, z v, z**2 v, ... (``Orbit``) is packed once
+    and unpacked only where a caller reads a vector.
     """
 
-    __slots__ = ("field", "z", "count", "slot", "base", "_columns")
+    __slots__ = ("field", "z", "count", "slot", "base", "_rows", "_columns")
 
     def __init__(self, field: Field, z: RingMatrix, count: int):
         self.field = field
@@ -280,43 +272,88 @@ class PowerTable:
         self.count = count
         self.slot = _slot_bytes(field.q, max(count, z.d) * z.k)
         self.base = [_pack(e, self.slot) for e in z.blocks]
+        self._rows = [self.base[i : i + z.d] for i in range(0, z.d * z.d, z.d)]
         self._columns: Optional[list[tuple[int, ...]]] = None
 
     @property
     def columns(self) -> list[tuple[int, ...]]:
         columns = self._columns
         if columns is None:
-            field, z = self.field, self.z
-            packed = [[int(n % (z.d + 1) == 0) for n in range(z.d * z.d)], self.base]
-            power = z
+            k, d, q, slot = self.z.k, self.z.d, self.field.q, self.slot
+            packed = [[int(n % (d + 1) == 0) for n in range(d * d)], self.base]
             for _ in range(2, self.count):
-                power = power.mul(field, z)
-                packed.append([_pack(e, self.slot) for e in power.blocks])
+                packed.append(_block_products(packed[-1], self.base, d, k, slot, q))
             columns = self._columns = list(zip(*packed[: self.count]))
         return columns
 
-    def apply(self, vec: Sequence[int]) -> list[int]:
-        """z @ vec for a vector of m canonical residues.
-
-        The vector is read as d chunks of k.  A block acts on a chunk as
-        a truncated convolution once the chunk is reversed, so each chunk
-        is reversed and packed, and output chunk i is the low k slots of
-        one dot product of row i's packed blocks with the packed chunks,
-        reversed back.
-        """
+    def pack(self, vec: Sequence[int]) -> list[int]:
+        """A vector of m canonical residues as d packed chunks, each
+        reversed: the entries are written big-endian, and each chunk is
+        read as one big-endian integer."""
         k, d, slot = self.z.k, self.z.d, self.slot
         if len(vec) != k * d:
             raise DimensionMismatch(f"ring matrix of size {k * d} applied to length {len(vec)}")
-        chunks = [_pack(vec[s : s + k][::-1], slot) for s in range(0, k * d, k)]
-        rows = [self.base[i : i + d] for i in range(0, d * d, d)]
-        return [x for out in _packed_dots(chunks, rows, k, slot, self.field.q) for x in out[::-1]]
+        raw = b"".join([c.to_bytes(slot, "big") for c in vec])
+        width = k * slot
+        return [int.from_bytes(raw[s : s + width], "big") for s in range(0, d * width, width)]
+
+    def act(self, chunks: Sequence[int]) -> list[int]:
+        """z @ v for v packed by ``pack``, packed the same way: output
+        chunk i is the low k slots of one dot product of row i's packed
+        blocks with the chunks, each slot reduced mod q (d**2 products)."""
+        k, slot, q = self.z.k, self.slot, self.field.q
+        mul = operator.mul
+        return _reduce([sum(map(mul, row, chunks)) for row in self._rows], k, slot, q)
+
+    def unpack(self, chunks: Sequence[int]) -> list[int]:
+        """The vector that packed chunks hold: each chunk's low k slots,
+        reduced mod q, in vector order."""
+        width, slot, q = self.z.k * self.slot, self.slot, self.field.q
+        low = (1 << (8 * width)) - 1
+        raw = b"".join([(c & low).to_bytes(width, "big") for c in chunks])
+        return [int.from_bytes(raw[o : o + slot], "big") % q for o in range(0, len(raw), slot)]
+
+    def apply(self, vec: Sequence[int]) -> list[int]:
+        """z @ vec for a vector of m canonical residues."""
+        return self.unpack(self.act(self.pack(vec)))
 
 
-def _packed_dots(left: Sequence[int], columns, k: int, slot: int, q: int) -> list[list[int]]:
-    """The low k slots of each column's dot product with ``left``,
-    unpacked: the one loop of packed key evaluation and application."""
+class Orbit:
+    """vec, z vec, z**2 vec, ... packed by a PowerTable of z, built only
+    as far as it is read; ``Params.zeta_orbit`` is the public vector's.
+    ``upto`` extends the powers built so far and republishes them by one
+    assignment, so threads sharing an orbit at worst build a power
+    twice."""
+
+    __slots__ = ("table", "vec", "_powers")
+
+    def __init__(self, table: PowerTable, vec: Sequence[int]):
+        self.table = table
+        self.vec = vec
+        self._powers: tuple[list[int], ...] = ()
+
+    def upto(self, top: int) -> tuple[list[int], ...]:
+        """The packed z**0 vec .. z**top vec."""
+        powers = self._powers
+        if len(powers) <= top:
+            table = self.table
+            grown = list(powers) or [table.pack(self.vec)]
+            while len(grown) <= top:
+                grown.append(table.act(grown[-1]))
+            powers = self._powers = tuple(grown)
+        return powers[: top + 1]
+
+
+def _block_products(
+    a: Sequence[int], b: Sequence[int], d: int, k: int, slot: int, q: int
+) -> list[int]:
+    """The blocks of a @ b over R, packed and reduced (``_reduce``), for
+    a and b given by their packed blocks, row-major, at a slot that
+    holds d*k terms."""
     mul = operator.mul
-    return [_unpack(sum(map(mul, left, col)), k, slot, q) for col in columns]
+    cols = [b[j::d] for j in range(d)]
+    dots = [sum(map(mul, a[i : i + d], c)) for i in range(0, d * d, d) for c in cols]
+    return _reduce(dots, k, slot, q)
 
 
 def embed_block_diag(field: Field, poly: ShiftPoly, d: int) -> Matrix:
@@ -377,18 +414,30 @@ class RingSample:
 
 
 def eval_recipe(field: Field, k: int, d: int, terms: Sequence[MonoTerm]) -> RingMatrix:
-    """Evaluate a sum of mono-terms in R."""
-    total = RingMatrix(k, d, [[0] * k for _ in range(d * d)])
+    """Evaluate a sum of mono-terms in R.  A term's product starts from
+    its first grid power (the identity only when every exponent is 0),
+    each grid is packed once per factor, and the products stay packed
+    and reduced (``_block_products``) until the sum is unpacked."""
+    q = field.q
+    slot = _slot_bytes(q, d * k)
+    total = [0] * (d * d)
     for term in terms:
-        prod = RingMatrix.embed(field, ShiftPoly.unit(k), d)
+        prod: Optional[list[int]] = None
         for grid, exp in term.factors:
             if grid.k != k or grid.d != d:
                 raise DimensionMismatch("grid shape disagrees with (k, d)")
-            g = RingMatrix.from_grid(field, grid)
+            if not exp:
+                continue
+            g = [_pack(blk.residues(field), slot) for row in grid.blocks for blk in row]
+            if prod is None:
+                prod, exp = g, exp - 1
             for _ in range(exp):
-                prod = prod.mul(field, g)
-        total = total.add(field, prod.scale(field, term.coeff % field.q))
-    return total
+                prod = _block_products(prod, g, d, k, slot, q)
+        if prod is None:
+            prod = [int(n % (d + 1) == 0) for n in range(d * d)]
+        c = term.coeff % q
+        total = _reduce([t + c * p for t, p in zip(total, prod)], k, slot, q)
+    return RingMatrix(k, d, [_unpack(t, k, slot, q) for t in total])
 
 
 def random_generator_block(field: Field, k: int, rng: Rng) -> GeneratorBlock:
@@ -491,30 +540,32 @@ def eval_key_poly(
             f"{len(coeffs)} coefficients (k={k}, d={d}) for {table.count} powers (k={z.k}, d={z.d})"
         )
     packed = [_pack([x % q for x in c.coeffs], slot) for c in coeffs]
-    key = RingMatrix(k, d, _packed_dots(packed, table.columns, k, slot, q))
+    mul = operator.mul
+    blocks = [_unpack(sum(map(mul, packed, col)), k, slot, q) for col in table.columns]
+    key = RingMatrix(k, d, blocks)
     return key.to_matrix() if dense else key
 
 
 def apply_key_poly(
-    field: Field, coeffs: Sequence[ShiftPoly], images: Sequence[Sequence[int]]
+    table: PowerTable, coeffs: Sequence[ShiftPoly], images: Sequence[Sequence[int]]
 ) -> list[int]:
-    """sum_i diag(a_i) @ images[i].
-
-    With images[i] = z**i @ vec (each power one ``PowerTable.apply`` on
-    the last), this is the key polynomial applied to vec, without
-    building the key.  Output chunk b is one packed dot product of the
-    a_i with chunk b of the images, each chunk reversed as in
-    ``PowerTable.apply``.
+    """sum_i diag(a_i) @ z**i vec for the table's z, given vec's packed
+    orbit images[i] = z**i vec (``Orbit.upto``): the key polynomial
+    applied to vec without building the key, d * len(coeffs) packed
+    products.  Output chunk b is one dot product of the packed a_i with
+    chunk b of the images.  It needs len(coeffs) <= table.count, so that
+    the table's slot holds the sum, as ``eval_key_poly`` does.
     """
-    if not coeffs or len(images) != len(coeffs):
-        raise DimensionMismatch(f"{len(coeffs)} coefficients for {len(images)} images")
-    k, q, m = coeffs[0].k, field.q, len(images[0])
-    if m % k or any(c.k != k for c in coeffs) or any(len(v) != m for v in images):
+    z, q, slot = table.z, table.field.q, table.slot
+    if not coeffs or len(images) != len(coeffs) or len(coeffs) > table.count:
+        raise DimensionMismatch(
+            f"{len(coeffs)} coefficients for {len(images)} images and {table.count} powers"
+        )
+    if any(c.k != z.k for c in coeffs) or any(len(v) != z.d for v in images):
         raise DimensionMismatch("coefficient and image sizes disagree")
-    slot = _slot_bytes(q, len(coeffs) * k)
     packed = [_pack([x % q for x in c.coeffs], slot) for c in coeffs]
-    chunks = [[_pack(image[s : s + k][::-1], slot) for image in images] for s in range(0, m, k)]
-    return [x for out in _packed_dots(packed, chunks, k, slot, q) for x in out[::-1]]
+    mul = operator.mul
+    return table.unpack([sum(map(mul, packed, chunks)) for chunks in zip(*images)])
 
 
 def check_commute(field: Field, a: Matrix, b: Matrix) -> bool:

@@ -7,10 +7,11 @@ private key are held as matrices over R = GF(q)[N]/(N**k); their dense
 m x m matrices are built when first read (to write params.json or
 key.json, and in ``derive_shared``).  Keys are evaluated from the base's
 packed powers z**0 .. z**D, which the params keep (``z_powers``).  The
-public key is the private key applied to the public vector, and the
-shared key is one's own private matrix applied to the peer's public
-key.  Any two private keys commute, so both parties derive the same
-vector.
+public key is the private key applied to the public vector, computed
+from the vector's packed orbit zeta, z zeta, ..., z**D zeta, which the
+params also keep (``zeta_orbit``).  The shared key is one's own
+private matrix applied to the peer's public key.  Any two private keys
+commute, so both parties derive the same vector.
 
 Both the base and the public vector are public: without a shared base
 the two parties' keys would not commute, and without the vector nobody
@@ -41,12 +42,14 @@ from typing import Optional, Sequence
 from .commutant import (
     MAX_GRID_EXP,
     MonoTerm,
+    Orbit,
     PowerTable,
     RingMatrix,
     RingSample,
     ShiftPoly,
     BlockGrid,
     GeneratorBlock,
+    apply_key_poly,
     eval_key_poly,
     random_shift_poly,
     sample_ring_element,
@@ -74,14 +77,18 @@ class Params:
     (``ring_sample_from_obj``), and semantic non-degeneracy of the base
     is enforced where it is sampled.
 
-    ``z_powers`` is the base's one ``PowerTable``, at count D+1.  It is
+    ``z_powers`` is the base's one ``PowerTable``, at count D+1, and
+    ``zeta_orbit`` the public vector's packed ``Orbit`` zeta, z zeta, ...
+    by that table, which keygen and ``public_key`` read up to z**D zeta
+    and the passive attack as far as its elimination reads.  Each is
     built on first use (threads racing on that may each build one) and
     kept; a longer polynomial gets a table of its own.
 
     ``passive_system`` is the passive attack's cache, built by its first
-    attack on these params: (degree bound, the public vector's orbit
-    zeta, z zeta, ..., z**bound zeta, the attack's system eliminated over
-    R, a ``linalg.RingElimination`` of d rows in bound+1 unknowns).  Later
+    attack on these params: (degree bound, the public vector's orbit by a
+    table of at least bound+1 powers -- ``zeta_orbit`` when the bound is
+    at most D -- and the attack's system eliminated over R, a
+    ``linalg.RingElimination`` of d rows in bound+1 unknowns).  Later
     attacks replay it on their public key.  It holds one entry; an attack
     at another bound replaces it.  An entry is published by one
     assignment of a fully built tuple and never changed after, so threads
@@ -94,10 +101,11 @@ class Params:
     base_vector: list[int]
     ring_base: RingSample
     seed: Optional[int] = None
-    passive_system: Optional[tuple[int, list[list[int]], RingElimination]] = dc_field(
+    passive_system: Optional[tuple[int, Orbit, RingElimination]] = dc_field(
         default=None, init=False, repr=False, compare=False
     )
     _z_powers: Optional[PowerTable] = dc_field(default=None, init=False, repr=False, compare=False)
+    _zeta_orbit: Optional[Orbit] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -131,6 +139,12 @@ class Params:
         if self._z_powers is None:
             self._z_powers = PowerTable(self.field(), self.z_ring, self.degree + 1)
         return self._z_powers
+
+    @property
+    def zeta_orbit(self) -> Orbit:
+        if self._zeta_orbit is None:
+            self._zeta_orbit = Orbit(self.z_powers, self.base_vector)
+        return self._zeta_orbit
 
     @property
     def m(self) -> int:
@@ -214,7 +228,10 @@ def private_key_from_coeffs(params: Params, coeffs: Sequence[ShiftPoly]) -> Priv
 
 
 def public_key(params: Params, sk: PrivateKey) -> PublicKey:
-    return PublicKey(sk.key.apply(params.field(), params.base_vector))
+    """T zeta from the key's coefficients and the public vector's packed
+    orbit: d * len(sk.coeffs) packed products, the key itself unread."""
+    orbit = params.zeta_orbit.upto(len(sk.coeffs) - 1)
+    return PublicKey(apply_key_poly(params.z_powers, sk.coeffs, orbit))
 
 
 def keygen(params: Params, rng: Rng) -> tuple[PrivateKey, PublicKey]:
@@ -224,16 +241,18 @@ def keygen(params: Params, rng: Rng) -> tuple[PrivateKey, PublicKey]:
     coefficients each, in order).  A draw is rejected when the key
     matrix kills the public vector or is a scalar multiple of the
     identity; both are weak keys the construction does not need.  The
-    key is evaluated from ``params.z_powers`` and applied to the public
-    vector in R, where both rules are decided.
+    key is evaluated in R from ``params.z_powers``, and the public key
+    from ``params.zeta_orbit`` (d*(D+1) packed products), where both
+    rules are decided.
     """
-    field = params.field()
+    field, table = params.field(), params.z_powers
+    orbit = params.zeta_orbit.upto(params.degree)
     for _ in range(KEYGEN_MAX_ATTEMPTS):
         coeffs = [random_shift_poly(field, params.k, rng) for _ in range(params.degree + 1)]
-        key = eval_key_poly(field, coeffs, params.z_powers, params.d)
+        key = eval_key_poly(field, coeffs, table, params.d)
         if key.is_scalar():
             continue
-        pub = key.apply(field, params.base_vector)
+        pub = apply_key_poly(table, coeffs, orbit)
         if not any(pub):
             continue
         return PrivateKey(coeffs, key), PublicKey(pub)
@@ -281,9 +300,11 @@ def count_ops(action: str, params: Params) -> OpReport:
     entries and multiplies nothing.  keygen itself computes in R: it
     packs the degree+1 coefficients and takes one dot product per block
     against the packed powers z**0 .. z**degree that ``Params.z_powers``
-    keeps, (degree+1) * d**2 big-integer products; the reported figure is
-    the dense one.  Counts are structural, so they do not depend on the
-    sampled values.
+    keeps, (degree+1) * d**2 big-integer products, and one per chunk of
+    the public key against the public vector's packed orbit that
+    ``Params.zeta_orbit`` keeps, (degree+1) * d more; the reported figure
+    is the dense one.  Counts are structural, so they do not depend on
+    the sampled values.
     """
     m = params.m
     if action == "derive_shared":
@@ -328,6 +349,22 @@ def _parse_residue(value, q: int, path: str) -> int:
     return v
 
 
+def _parse_residues(values: list, q: int, path: str) -> list[int]:
+    """Every entry of a JSON list as ``_parse_residue`` reads it (entry i
+    at ``path[i]``): decimal strings are converted in bulk and range
+    checked once; only a list that fails is read entry by entry, to name
+    its first bad entry."""
+    if all(type(v) is str for v in values):
+        try:
+            out = list(map(int, values))
+        except ValueError:
+            pass
+        else:
+            if not out or (min(out) >= 0 and max(out) < q):
+                return out
+    return [_parse_residue(v, q, f"{path}[{i}]") for i, v in enumerate(values)]
+
+
 def vector_to_obj(vec: Sequence[int]) -> dict:
     return {"entries": [str(e) for e in vec]}
 
@@ -336,7 +373,7 @@ def vector_from_obj(obj, q: int, path: str) -> list[int]:
     entries = _need(obj, "entries", path)
     if not isinstance(entries, list):
         raise ParseError(f"{path}.entries: expected a list")
-    return [_parse_residue(e, q, f"{path}.entries[{i}]") for i, e in enumerate(entries)]
+    return _parse_residues(entries, q, f"{path}.entries")
 
 
 def matrix_to_obj(mat: Matrix) -> dict:
@@ -351,8 +388,7 @@ def matrix_from_obj(obj, q: int, path: str) -> Matrix:
         raise ParseError(f"{path}: rows/cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ParseError(f"{path}.entries: expected {rows * cols} entries")
-    vals = [_parse_residue(e, q, f"{path}.entries[{i}]") for i, e in enumerate(entries)]
-    return Matrix(rows, cols, vals)
+    return Matrix(rows, cols, _parse_residues(entries, q, f"{path}.entries"))
 
 
 def shift_poly_to_obj(poly: ShiftPoly) -> dict:
@@ -363,9 +399,7 @@ def shift_poly_from_obj(obj, q: int, path: str) -> ShiftPoly:
     coeffs = _need(obj, "coeffs", path)
     if not isinstance(coeffs, list) or not coeffs:
         raise ParseError(f"{path}.coeffs: expected a non-empty list")
-    return ShiftPoly(
-        tuple(_parse_residue(c, q, f"{path}.coeffs[{i}]") for i, c in enumerate(coeffs))
-    )
+    return ShiftPoly(tuple(_parse_residues(coeffs, q, f"{path}.coeffs")))
 
 
 def _generator_block_to_obj(blk: GeneratorBlock) -> dict:

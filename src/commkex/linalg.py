@@ -217,6 +217,23 @@ def _unpack(packed: int, k: int, slot: int, q: int) -> list[int]:
     return [int.from_bytes(raw[i : i + slot], "little") % q for i in range(0, width, slot)]
 
 
+def _reduce(values: Sequence[int], k: int, slot: int, q: int) -> list[int]:
+    """The low k slots of each packed integer, each reduced mod q, packed
+    again at the same slot: ``_pack(_unpack(x, k, slot, q), slot)`` for
+    every x, in one pass over all their slots."""
+    width = k * slot
+    low = (1 << (8 * width)) - 1
+    read = int.from_bytes
+    raw = b"".join([(x & low).to_bytes(width, "little") for x in values])
+    reduced = b"".join(
+        [
+            (read(raw[i : i + slot], "little") % q).to_bytes(slot, "little")
+            for i in range(0, len(raw), slot)
+        ]
+    )
+    return [read(reduced[i : i + width], "little") for i in range(0, len(reduced), width)]
+
+
 def _replay(packed: int, steps: Sequence[tuple[int, int, int]], slot: int, q: int) -> int:
     """Apply recorded pivot steps (p, inv, G) to one packed column: per
     step, the pivot row's slot p is replaced by its entry x scaled to
@@ -393,14 +410,8 @@ def _ring_replay(
     """Apply recorded pivot steps (shift, G) to one packed column: per
     step, the pivot row's element s is read mod q, and G*s, masked to the
     low k slots of every element (x**k = 0), is added."""
-    width = k * slot
-    low = (1 << (8 * width)) - 1
-    read = int.from_bytes
-    offsets = range(0, width, slot)
     for shift, g in steps:
-        raw = ((packed & (low << shift)) >> shift).to_bytes(width, "little")
-        s = [(read(raw[o : o + slot], "little") % q).to_bytes(slot, "little") for o in offsets]
-        packed += (g * read(b"".join(s), "little")) & mask
+        packed += (g * _reduce([packed >> shift], k, slot, q)[0]) & mask
     return packed
 
 
@@ -511,12 +522,19 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
     k*q**2 per step, and back-substitution adds as much per later pivot;
     there are at most min(cols, rows*k) pivots, and the slot width holds
     that.
+
+    Once every row holds a pivot, no later column can have one, so
+    ``columns[i]`` is read only while free rows remain: a lazy sequence
+    (the attacks' packed orbits) is unpacked only as far as it is read.
     """
     q = field.q
-    n = len(columns[0]) if columns else 0
-    if not n or n % k or any(len(col) != n for col in columns):
-        raise DimensionMismatch(f"columns of a system over R with k={k} are empty or ragged")
-    rows, cols = n // k, len(columns)
+    cols = len(columns)
+    first = columns[0] if cols else ()
+    n = len(first)
+    ragged = f"columns of a system over R with k={k} are empty or ragged"
+    if not n or n % k:
+        raise DimensionMismatch(ragged)
+    rows = n // k
     slot = _slot_bytes(q, 2 * min(cols, n) * k)
     step = (2 * k - 1) * slot
     # the low k slots of every element, room for one annihilator per column
@@ -527,10 +545,13 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
     exps: list[int] = []
     steps: list[tuple[int, int]] = []
     pivots: list[tuple[int, int, int, list[tuple[int, int]]]] = []
-    for i, col in enumerate(columns):
+    for i in range(cols):
         if not free:
             exps.append(0)
             continue
+        col = columns[i] if i else first
+        if len(col) != n:
+            raise DimensionMismatch(ragged)
         packed = _ring_replay(_pack_vector(col, k, slot), steps, k, slot, q, mask)
         entries = _read_rows(packed, total, k, slot, q)
         vals = [next((t for t, x in enumerate(entries[r]) if x), k) for r in free]

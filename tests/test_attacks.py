@@ -12,7 +12,7 @@ from commkex.errors import (
     OutOfSpan,
 )
 from commkex.gf import Field, Rng
-from commkex.commutant import ShiftPoly
+from commkex.commutant import PowerTable, ShiftPoly
 from commkex.kex import (
     PublicKey,
     derive_shared,
@@ -247,14 +247,17 @@ def test_passive_attack_degree_retry():
 
 
 def test_passive_recovered_above_degree_matches_oracle():
-    # the params keep D+1 = 4 powers of z; a bound of D + 3 needs 7
+    # the params keep D+1 powers of z; a bound of 6 needs 7, and with
+    # d > D+1 rows the solution uses powers past D, which the attack
+    # applies through a table and orbit of its own
     rng = Rng(9753)
-    for q, k, d in ((101, 2, 3), (2147483647, 3, 2)):
-        params = gen_params(q, k, d, 3, rng)
-        _, pk_a = keygen(params, rng)
+    for q, k, d, degree in ((101, 2, 3, 3), (2147483647, 3, 2, 3), (2305843009213693951, 2, 4, 1)):
+        params = gen_params(q, k, d, degree, rng)
+        sk_a, pk_a = keygen(params, rng)
         _, pk_b = keygen(params, rng)
         res = passive_commutant_attack(params, pk_a, pk_b, degree_bound=6)
         assert res.degree_bound == 6 and len(res.coefficients) == 7 * k
+        assert res.verified and res.shared_key == derive_shared(params, sk_a, pk_b)
         assert mat_apply(params.field(), res.recovered, params.base_vector) == pk_a.vec
         # the echelon solution leaves the top powers' coefficients zero;
         # random ones make every power of z count
@@ -294,6 +297,26 @@ def test_passive_attack_keeps_the_params_power_table():
             continue
         assert mat_apply(params.field(), res.recovered, params.base_vector) == pk_a.vec
         assert params.z_powers is table and table.count == params.degree + 1
+
+
+def test_cold_attack_applies_z_only_to_the_columns_it_reads(monkeypatch):
+    # at 8x2, D = 3 (the sniff workload's shape) both rows take unit
+    # pivots in powers 0 and 1, so the elimination never reads z**2 zeta
+    # or z**3 zeta: a cold attack applies z once to zeta and once to pub_b
+    rng = Rng(2718)
+    params = gen_params(2**31 - 1, 8, 2, 3, rng)
+    sk_a, pk_a = keygen(params, rng)
+    _, pk_b = keygen(params, rng)
+    cold = params_from_json(params_to_json(params))
+    calls = []
+    act = PowerTable.act
+    monkeypatch.setattr(
+        PowerTable, "act", lambda table, chunks: calls.append(1) or act(table, chunks)
+    )
+    res = passive_commutant_attack(cold, pk_a, pk_b)
+    assert cold.passive_system[2].exps == (8, 8, 0, 0)
+    assert len(calls) == 2
+    assert res.verified and res.shared_key == derive_shared(params, sk_a, pk_b)
 
 
 def test_corrupted_directory_raises_inconsistent():

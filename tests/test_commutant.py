@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commkex.errors import (
@@ -13,6 +13,7 @@ from commkex.commutant import (
     BlockGrid,
     GeneratorBlock,
     MonoTerm,
+    Orbit,
     PowerTable,
     RingMatrix,
     ShiftPoly,
@@ -33,6 +34,7 @@ from oracles import (
     generator_rows,
     key_poly_mod,
     mat_mul_mod,
+    mat_pow_mod,
     mat_vec_mod,
     poly_of_matrix_mod,
     recipe_mod,
@@ -396,14 +398,93 @@ def test_eval_key_poly_ring_matches_oracle():
             oracle = key_poly_mod([c.coeffs for c in coeffs], base.to_rows(), d, q)
             assert key.to_matrix() == Matrix.from_rows(oracle)
             assert eval_key_poly(field, coeffs, base, d) == Matrix.from_rows(oracle)
-            # the same key applied to a vector, from z's images of it
+            # the same key applied to a vector, from its packed orbit
             vec = [q - 1] * (k * d) if top else [field.sample(rng) for _ in range(k * d)]
-            images = [vec]
-            for _ in coeffs[1:]:
-                images.append(table.apply(images[-1]))
-            assert apply_key_poly(field, coeffs, images) == mat_vec_mod(oracle, vec, q)
+            images = Orbit(table, vec).upto(degree)
+            assert apply_key_poly(table, coeffs, images) == mat_vec_mod(oracle, vec, q)
         with pytest.raises(DimensionMismatch):
             eval_key_poly(field, [coeffs[0]] * (table.count + 1), table, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 101, 2147483647, 2305843009213693951]),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32),
+)
+@example(q=7, k=1, d=2, count=4, above=3, top=False, seed=1)
+@example(q=2305843009213693951, k=1, d=2, count=1, above=2, top=True, seed=0)
+def test_packed_orbit_and_key_application_match_dense(q, k, d, count, above, top, seed):
+    # z acting on packed vectors, past the table's count too (an attack's
+    # bound above D), and key polynomials of up to count coefficients
+    # applied from the packed orbit, against dense powers of z
+    field, rng = Field(q), Rng(seed)
+    if top:
+        z, vec = top_ring_matrix(q, k, d), [q - 1] * (k * d)
+        coeffs = [ShiftPoly((q - 1,) * k)] * count
+    else:
+        z = RingMatrix(k, d, [[field.sample(rng) for _ in range(k)] for _ in range(d * d)])
+        vec = [field.sample(rng) for _ in range(k * d)]
+        coeffs = [random_shift_poly(field, k, rng) for _ in range(count)]
+    rows = z.to_matrix().to_rows()
+    table = PowerTable(field, z, count)
+    orbit = Orbit(table, vec)
+    powers = orbit.upto(count - 1 + above)
+    assert len(powers) == count + above
+    for i, packed in enumerate(powers):
+        assert table.unpack(packed) == mat_vec_mod(mat_pow_mod(rows, i, q), vec, q)
+    assert orbit.upto(0) == powers[:1]
+    assert table.apply(vec) == mat_vec_mod(rows, vec, q)
+    oracle = key_poly_mod([c.coeffs for c in coeffs], rows, d, q)
+    assert apply_key_poly(table, coeffs, powers[:count]) == mat_vec_mod(oracle, vec, q)
+    # one coefficient more than the table's count does not fit its slot
+    with pytest.raises(DimensionMismatch):
+        apply_key_poly(table, coeffs + coeffs[:1], orbit.upto(count))
+    with pytest.raises(DimensionMismatch):
+        apply_key_poly(table, coeffs, powers[: count - 1])
+
+
+def test_eval_recipe_starts_from_the_first_grid_power():
+    # terms whose exponents are all 0 (the identity), that open with an
+    # exponent 0, or that repeat a grid, each and summed, against dense
+    # powers of the grids
+    rng = Rng(8191)
+    exponents = [(0,), (0, 0), (0, 2), (3, 0, 1), (1,), (2, 2, 0), (0, 0, 3)]
+    for q, k, d in RING_CASES:
+        field = Field(q)
+        grids = [random_block_grid(field, k, d, rng) for _ in range(3)]
+        grids[2] = grids[0]
+        terms = [
+            MonoTerm(field.sample(rng), tuple(zip(grids, exps))) for exps in exponents
+        ]
+
+        def dense(term):
+            return (
+                term.coeff,
+                [
+                    (
+                        block_matrix(
+                            [
+                                [generator_rows(b.kind, b.value, k, q) for b in row]
+                                for row in grid.blocks
+                            ],
+                            q,
+                        ),
+                        exp,
+                    )
+                    for grid, exp in term.factors
+                ],
+            )
+
+        for term in terms:
+            oracle = Matrix.from_rows(recipe_mod([dense(term)], k * d, q))
+            assert eval_recipe(field, k, d, [term]).to_matrix() == oracle
+        oracle = Matrix.from_rows(recipe_mod([dense(t) for t in terms], k * d, q))
+        assert eval_recipe(field, k, d, terms).to_matrix() == oracle
 
 
 def test_eval_recipe_ring_matches_oracle():

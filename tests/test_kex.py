@@ -6,6 +6,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from commkex.errors import (
     DegenerateKey,
@@ -17,7 +19,7 @@ from commkex.errors import (
 )
 from commkex import kex
 from commkex.gf import OpCounter, Rng
-from commkex.commutant import RingMatrix, RingSample, ShiftPoly
+from commkex.commutant import RingMatrix, RingSample, ShiftPoly, random_shift_poly
 from commkex.kex import (
     Params,
     PublicKey,
@@ -88,15 +90,38 @@ def test_keygen_deterministic():
 
 
 def test_keygen_public_key_matches_dense():
-    # keygen applies the key to the public vector in R; public_key
-    # applies the dense matrix
+    # keygen and public_key apply the key polynomial to the public
+    # vector's packed orbit; the oracle applies the dense matrix
     rng = Rng(6174)
     for q in GRID_PRIMES:
         for k, d in GRID_SHAPES:
             params = gen_params(q, k, d, 3, rng)
             for _ in range(3):
                 sk, pk = keygen(params, rng)
-                assert pk.vec == public_key(params, sk).vec
+                dense = mat_vec_mod(sk.matrix.to_rows(), params.base_vector, q)
+                assert pk.vec == public_key(params, sk).vec == dense
+
+
+def test_public_key_of_a_short_key_matches_dense():
+    # a key loaded with fewer than D+1 coefficients reads only the start
+    # of the public vector's orbit, on fresh params before any keygen;
+    # keygen then extends the same orbit
+    rng = Rng(1729)
+    for q in GRID_PRIMES:
+        for k, d in GRID_SHAPES:
+            text = params_to_json(gen_params(q, k, d, 3, rng))
+            for n in range(1, 4):
+                params = params_from_json(text)
+                coeffs = [random_shift_poly(params.field(), k, rng) for _ in range(n)]
+                key_json = private_key_to_json(private_key_from_coeffs(params, coeffs))
+                params = params_from_json(text)
+                sk = private_key_from_json(key_json, params)
+                dense = mat_vec_mod(sk.matrix.to_rows(), params.base_vector, q)
+                assert public_key(params, sk).vec == dense
+                sk_full, pk = keygen(params, rng)
+                assert public_key(params, sk_full).vec == pk.vec
+                assert pk.vec == mat_vec_mod(sk_full.matrix.to_rows(), params.base_vector, q)
+                assert public_key(params, sk).vec == dense
 
 
 def test_keygen_rejects_weak_keys():
@@ -471,3 +496,54 @@ def test_keygen_rejections_match_dense_rules():
             assert sk.matrix == Matrix.from_rows(dense) and pk.vec == pub
             seen["accepted"] += 1
     assert all(seen.values()), seen
+
+
+# Entries that int() reads but a canonical decimal would not be written
+# as, entries of every other JSON type, out-of-range values and a
+# decimal string past int()'s digit limit.
+RESIDUE_ENTRIES = st.one_of(
+    st.integers(min_value=-3, max_value=2**62).map(str),
+    st.sampled_from(
+        [" 1", "1 ", "1_0", "+1", "-0", "0x1", "", "1.0", "\u0661\u0662", "\uff13"]
+        + ["9" * 5000, "1" + "0" * 4000]
+    ),
+    st.text(max_size=3),
+    st.integers(min_value=-3, max_value=2**62),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RESIDUE_ENTRIES, max_size=6), st.sampled_from([2, 101, 2**61 - 1]))
+@example([" 1", "1_0", "+1", "\u0661\u0662", "\uff13", "-0"], 101)
+@example(["1", "-1"], 101)
+@example(["0", "101"], 101)
+@example(["1", "9" * 5000], 101)
+@example(["1", 1], 101)
+@example(["1", None, "x"], 101)
+@example([True, 1.0], 2)
+@example([], 2)
+def test_bulk_residue_parser_matches_per_entry(values, q):
+    # vectors, matrices and key coefficients parse in bulk; the per-entry
+    # parser is the reference for every accepted value and error text
+    def outcome(parse):
+        try:
+            return parse()
+        except ParseError as exc:
+            return str(exc)
+
+    def reference(path):
+        return outcome(
+            lambda: [kex._parse_residue(v, q, f"{path}[{i}]") for i, v in enumerate(values)]
+        )
+
+    got = outcome(lambda: kex.vector_from_obj({"entries": values}, q, "v"))
+    assert got == reference("v.entries")
+    if values:
+        mat = {"rows": 1, "cols": len(values), "entries": values}
+        got = outcome(lambda: kex.matrix_from_obj(mat, q, "m").entries)
+        assert got == reference("m.entries")
+        got = outcome(lambda: list(kex.shift_poly_from_obj({"coeffs": values}, q, "c").coeffs))
+        assert got == reference("c.coeffs")
