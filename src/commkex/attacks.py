@@ -34,11 +34,15 @@ input vector in degree+1 unknowns over R, and is solved there
 (``linalg.eliminate_ring``): the GF(q) pivots of power i are exactly its
 first e_i shifts, so the reduced-echelon solution is the one with
 deg c_i < e_i and the rank is sum(e_i).  The full-matrix and directory
-attacks solve over GF(q) (``linalg.eliminate``).  Known private keys are
-applied to vectors in R (``RingMatrix.apply``).  The structured systems
-read each input vector's orbit v, z v, ..., packed (``commutant.Orbit``)
-and unpacked only for the columns the elimination reads; the public
-vector's is the one ``Params.zeta_orbit`` keeps.  A solution is applied
+attacks solve over GF(q), the same eliminator at k = 1, and eliminate
+the known public keys once: full-matrix recovery reads both the pivot
+keys and their inverse off one record.  Known private keys are applied
+to a vector as key polynomials against one packed orbit of it
+(``apply_key_poly``), which every key shares; the directory attack
+combines the keys' coefficients first and applies one polynomial.  The
+structured systems read each input vector's orbit v, z v, ..., packed
+(``commutant.Orbit``) and unpacked only for the columns the elimination
+reads; the public vector's is the one ``Params.zeta_orbit`` keeps.  A solution is applied
 to a vector as a key polynomial against the vector's packed orbit
 (``apply_key_poly``), and a dense matrix is built only for a recovered
 key that a report carries.
@@ -63,14 +67,9 @@ from .linalg import (
     Matrix,
     RingElimination,
     eliminate_ring,
-    invert,
     mat_apply,
     mat_mul,
-    pivot_columns,
     rank,
-    solve_linear,
-    vec_add,
-    vec_scale,
 )
 
 MODE_FULL = "full-matrix"
@@ -191,6 +190,18 @@ def _key_chunks(params: Params, coeffs: Sequence[int]) -> list[ShiftPoly]:
     return [ShiftPoly(tuple(coeffs[i : i + k])) for i in range(0, len(coeffs), k)]
 
 
+def _known_images(
+    params: Params, pairs: Sequence[tuple[PrivateKey, PublicKey]], pub: PublicKey
+) -> list[list[int]]:
+    """Each known private key applied to ``pub``: the key polynomial
+    against one packed orbit of ``pub``, which all keys share."""
+    table = params.z_powers
+    orbit = Orbit(table, pub.vec)
+    return [
+        apply_key_poly(table, sk.coeffs, orbit.upto(len(sk.coeffs) - 1)) for sk, _ in pairs
+    ]
+
+
 def _structured_key(params: Params, coeffs: Sequence[int]) -> Matrix:
     """sum_{i,j} c_{i*k+j} N**j z**i as a dense matrix.  A polynomial
     longer than the params' table (a report on a raised degree bound)
@@ -217,27 +228,28 @@ def recover_private_key(
     field = params.field()
     m = params.m
     pairs = directory.known_pairs()
-    rhos = [sk.key.apply(field, target_pub.vec) for sk, _ in pairs]
 
     if mode == MODE_FULL:
         if not pairs:
             raise InsufficientRank("directory has no entries with known private keys")
-        xi_all = Matrix.from_columns([pk.vec for _, pk in pairs])
-        pivots = pivot_columns(field, xi_all)
-        if len(pivots) < m:
+        # one record of every known public key gives both the pivots and,
+        # by solving the unit vectors, the inverse of the pivot keys' matrix
+        elim = eliminate_ring(field, 1, [pk.vec for _, pk in pairs])
+        chosen = [i for i, e in enumerate(elim.exps) if e]
+        if len(chosen) < m:
             raise InsufficientRank(
-                f"public keys span rank {len(pivots)} < {m}; need m independent keys"
+                f"public keys span rank {len(chosen)} < {m}; need m independent keys"
             )
-        chosen = pivots[:m]
-        xi = Matrix.from_columns([pairs[i][1].vec for i in chosen])
-        rho = Matrix.from_columns([rhos[i] for i in chosen])
-        t_hat = mat_mul(field, rho, invert(field, xi))
+        units = [elim.solve([int(i == j) for i in range(m)]) for j in range(m)]
+        xi_inv = Matrix.from_columns([[x[i] for i in chosen] for x in units])
+        rhos = _known_images(params, [pairs[i] for i in chosen], target_pub)
+        t_hat = mat_mul(field, Matrix.from_columns(rhos), xi_inv)
         if mat_apply(field, t_hat, params.base_vector) != target_pub.vec:
             raise InconsistentSystem(
                 "recovered key does not map the public vector to the target public key"
             )
         verified = all(
-            mat_apply(field, t_hat, pairs[i][1].vec) == rhos[i] for i in chosen
+            mat_apply(field, t_hat, pairs[i][1].vec) == rho for i, rho in zip(chosen, rhos)
         )
         return RecoveredKey(t_hat, MODE_FULL, 0, m, m, verified)
 
@@ -246,6 +258,7 @@ def recover_private_key(
 
     table, degree = params.z_powers, params.degree
     orbits = [params.zeta_orbit] + [Orbit(table, pk.vec) for _, pk in pairs]
+    rhos = _known_images(params, pairs, target_pub)
     outputs: list[int] = list(target_pub.vec)
     for r in rhos:
         outputs.extend(r)
@@ -282,22 +295,25 @@ def recover_shared_from_directory(
     pairs = directory.known_pairs()
     if not pairs:
         raise OutOfSpan("directory has no entries with known private keys")
-    xi = Matrix.from_columns([pk.vec for _, pk in pairs])
-    result = solve_linear(field, xi, list(victim_pub.vec))
-    if not result.consistent:
+    columns = [pk.vec for _, pk in pairs]
+    elim = eliminate_ring(field, 1, columns)
+    coeffs = elim.solve(victim_pub.vec)
+    if coeffs is None:
         raise OutOfSpan("victim public key is outside the directory span")
-    assert isinstance(result.particular, list)
-    coeffs = result.particular
-    shared = [0] * params.m
-    for c, (sk, _) in zip(coeffs, pairs):
-        if not c:
-            continue
-        image = sk.key.apply(field, counterpart_pub.vec)
-        shared = vec_add(field, shared, vec_scale(field, c, image))
-    reconstructed = mat_apply(field, xi, coeffs)
+    # sum_j c_j T_j is itself a key polynomial, with the same combination
+    # of the keys' coefficients, so one application to the counterpart
+    # public key gives the combined images
+    q, table = field.q, params.z_powers
+    used = [(c, sk.coeffs) for c, (sk, _) in zip(coeffs, pairs) if c]
+    combined = [[0] * params.k for _ in range(max((len(p) for _, p in used), default=1))]
+    for c, polys in used:
+        for acc, poly in zip(combined, polys):
+            acc[:] = [(a + c * x) % q for a, x in zip(acc, poly.coeffs)]
+    orbit = Orbit(table, counterpart_pub.vec).upto(len(combined) - 1)
+    shared = apply_key_poly(table, [ShiftPoly(tuple(acc)) for acc in combined], orbit)
+    reconstructed = mat_apply(field, Matrix.from_columns(columns), coeffs)
     verified = reconstructed == list(victim_pub.vec)
-    rank = len(pairs) - len(result.nullspace)
-    return DirectorySharedResult(SharedKey(shared), coeffs, len(pairs), rank, verified)
+    return DirectorySharedResult(SharedKey(shared), coeffs, len(pairs), elim.rank, verified)
 
 
 def passive_commutant_attack(

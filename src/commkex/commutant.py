@@ -27,7 +27,7 @@ private keys commute -- the property the key exchange rides on.
 Every matrix above is a d x d matrix over the commutative ring
 R = GF(q)[N]/(N**k): each k x k block is upper-triangular Toeplitz,
 i.e. a ShiftPoly.  The algebra is computed in that form (RingMatrix),
-including such a matrix applied to a vector (RingMatrix.apply,
+including such a matrix applied to a vector (PowerTable.apply,
 apply_key_poly); dense m x m matrices are only built where a caller
 needs one.  A public base's packed powers, which key evaluation reads,
 live in one PowerTable kept by the parameters (``kex.Params.z_powers``),
@@ -92,7 +92,7 @@ class ShiftPoly:
     Realizes as the upper-triangular Toeplitz matrix with entry
     (i, j) = c_{j-i} for j >= i.  Closed under sum and product; the
     product is coefficient convolution truncated to length k because
-    N**k = 0, which ``RingMatrix`` computes.
+    N**k = 0, which the packed products (``_block_products``) compute.
     """
 
     coeffs: tuple[int, ...]
@@ -104,14 +104,6 @@ class ShiftPoly:
     @property
     def k(self) -> int:
         return len(self.coeffs)
-
-    @classmethod
-    def unit(cls, k: int) -> "ShiftPoly":
-        return cls((1,) + (0,) * (k - 1))
-
-    @classmethod
-    def zero(cls, k: int) -> "ShiftPoly":
-        return cls((0,) * k)
 
     def realize(self, field: Field) -> Matrix:
         k = self.k
@@ -134,14 +126,15 @@ class RingMatrix:
 
     ``blocks`` holds the d*d entries row-major, each as the k canonical
     residues (c_0, ..., c_{k-1}) of sum_j c_j N**j -- the first row of
-    the upper-triangular Toeplitz block it realizes as.  Products use
-    Kronecker substitution: each block is packed into one integer (see
+    the upper-triangular Toeplitz block it realizes as.  Products are
+    taken packed (``_block_products``): each block is one integer (see
     ``_pack``), so entry (i, j) of a product is one dot product of d
     packed integers, d**3 big-integer products in all against (d*k)**3
     multiplications for the dense m x m product.  Applied to a vector
-    (``apply``), it costs d**2 big-integer products against m**2
-    multiplications.  A ring matrix is a plain value: it caches nothing,
-    and the packed powers of a public base live in a ``PowerTable``.
+    through a ``PowerTable``, it costs d**2 big-integer products against
+    m**2 multiplications.  A ring matrix is a plain value: it caches
+    nothing, and the packed powers of a public base live in a
+    ``PowerTable``.
     Ring operations are not charged to an OpCounter.
     """
 
@@ -207,25 +200,6 @@ class RingMatrix:
                     entries.extend(blk[: k - r])
         return Matrix(d * k, d * k, entries)
 
-    def _check_shape(self, other: "RingMatrix") -> None:
-        if self.k != other.k or self.d != other.d:
-            raise DimensionMismatch(
-                f"ring matrices of shape (k={self.k}, d={self.d}) and "
-                f"(k={other.k}, d={other.d})"
-            )
-
-    def mul(self, field: Field, other: "RingMatrix") -> "RingMatrix":
-        """self @ other.  Block (i, j) is sum_l a_il * b_lj in R: the low
-        k slots of one dot product of row i's packed blocks with column
-        j's, with slots wide enough for d*k terms (``_block_products``)."""
-        self._check_shape(other)
-        k, d, q = self.k, self.d, field.q
-        slot = _slot_bytes(q, d * k)
-        a = [_pack(e, slot) for e in self.blocks]
-        b = [_pack(e, slot) for e in other.blocks]
-        product = _block_products(a, b, d, k, slot, q)
-        return RingMatrix(k, d, [_unpack(x, k, slot, q) for x in product])
-
     def is_embedding(self) -> bool:
         """True iff this is diag(P, ..., P) for one P in R."""
         d, first = self.d, self.blocks[0]
@@ -237,11 +211,6 @@ class RingMatrix:
     def is_scalar(self) -> bool:
         """True iff the dense matrix is a multiple of the identity."""
         return self.is_embedding() and not any(self.blocks[0][1:])
-
-    def apply(self, field: Field, vec: Sequence[int]) -> list[int]:
-        """self @ vec for a vector of m canonical residues, through a
-        table of this call's own (see ``PowerTable.apply``)."""
-        return PowerTable(field, self, 1).apply(vec)
 
 
 class PowerTable:
@@ -505,7 +474,7 @@ def sample_ring_element(
         if ring.is_embedding():
             continue
         if base_vector is not None and _is_parallel(
-            field, ring.apply(field, base_vector), base_vector
+            field, PowerTable(field, ring, 1).apply(base_vector), base_vector
         ):
             continue
         return RingSample(ring, tuple(terms))

@@ -8,28 +8,23 @@ matching addition count); elimination, rank and inversion are not
 instrumented.
 
 Elimination pivots on the first nonzero entry in column order -- there
-is no magnitude over GF(q) -- and always fully reduces, so echelon
-forms, particular solutions and nullspace bases are identical across
-runs.  There are two eliminators, one per coefficient ring.  Over
-GF(q) it is ``eliminate``: it takes a coefficient matrix by columns,
-packs each column into a single integer (Kronecker substitution), so a
-row operation costs one big-integer multiply-add per column rather than
-a Python loop over its entries, and records its row operations.  A
-right-hand side is reduced by replaying that record
-(``Elimination.reduce``), so systems that share a coefficient matrix are
-eliminated once and solved many times; ``solve_linear``, ``rank``,
-``pivot_columns`` and ``invert`` are all built on it, and so are the
-full-matrix and directory attacks.  It performs the textbook loop's row
-operations and swaps, so its results are the textbook's, and like the
-rest of elimination it is not charged to an OpCounter.
-
-Over the chain ring R = GF(q)[x]/(x**k), ``eliminate_ring`` eliminates
-and records a system whose elements are vectors' k-chunks (the
-structured attack systems, d rows per input vector in degree+1 unknowns
-over R).  Its elements are packed the same way, 2k - 1 slots apiece, so
-one integer product per pivot updates a whole column.  Its solution,
-read over GF(q), is the reduced-echelon one of the m x (degree+1)*k
-system, with the same rank (see RingElimination).
+is no magnitude over GF(q) -- and always fully reduces, so particular
+solutions and nullspace bases are identical across runs.  There is one
+eliminator, ``eliminate_ring``, over the chain ring R = GF(q)[x]/(x**k);
+GF(q) is R at k = 1.  It takes a system by columns whose elements are
+vectors' k-chunks (the structured attack systems: d rows per input
+vector in degree+1 unknowns over R) and packs each column into a single
+integer (Kronecker substitution, 2k - 1 slots per element), so a pivot
+step costs a few big-integer operations per column rather than a Python
+loop over its entries.  It records its pivot steps, and a right-hand
+side is solved by replaying that record (``RingElimination.solve``), so
+systems that share a coefficient matrix are eliminated once and solved
+many times.  Its solution, read over GF(q), is the reduced-echelon one
+of the GF(q) system, with the same rank (see RingElimination).
+``solve_linear``, ``rank``, ``pivot_columns`` and ``invert`` run it at
+k = 1, where every pivot is a unit: the pivots are the columns with
+e_i = 1.  Like the rest of elimination it is not charged to an
+OpCounter.
 
 JSON forms: matrix {"rows": r, "cols": c, "entries": [decimal, ...]}
 row-major; vector {"entries": [decimal, ...]}.
@@ -39,7 +34,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, InvalidDimension, Singular
 from .gf import Field
@@ -96,9 +91,6 @@ class Matrix:
                 raise DimensionMismatch("ragged columns")
         flat = [cols[j][i] for i in range(height) for j in range(len(cols))]
         return cls(height, len(cols), flat)
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> list[int]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
@@ -234,184 +226,49 @@ def _reduce(values: Sequence[int], k: int, slot: int, q: int) -> list[int]:
     return [read(reduced[i : i + width], "little") for i in range(0, len(reduced), width)]
 
 
-def _replay(packed: int, steps: Sequence[tuple[int, int, int]], slot: int, q: int) -> int:
-    """Apply recorded pivot steps (p, inv, G) to one packed column: per
-    step, the pivot row's slot p is replaced by its entry x scaled to
-    y = x * inv mod q, and y * G is added, which subtracts y times the
-    pivot column from every other row."""
+def _reduce_element(x: int, k: int, slot: int, q: int) -> int:
+    """``_reduce([x], k, slot, q)[0]``, slot by slot: for a single value,
+    shifts cost less than a pass through bytes."""
     bits = 8 * slot
     mask = (1 << bits) - 1
-    for p, inv, g in steps:
-        shift = bits * p
-        x = (packed >> shift) & mask
-        if x:
-            y = x * inv % q
-            packed += ((y - x) << shift) + y * g
-    return packed
-
-
-@dataclass(frozen=True, slots=True)
-class Elimination:
-    """The recorded Gauss-Jordan elimination of a coefficient matrix A.
-
-    Rows live in the slots of packed columns.  ``pivots`` are A's pivot
-    columns in order, and ``order[i]`` is the slot of the row at
-    position i of the reduced form.  ``steps`` holds, per pivot, the
-    pivot row's slot p, the inverse of its entry, and the packed
-    multiplier G (q - f in every other row's slot, for that row's entry f
-    in the pivot column; 0 in slot p).  Pivots are chosen from A's
-    columns only, so the record depends on A alone: replaying it on a
-    right-hand side b (``reduce``) yields the column that eliminating
-    [A | b] leaves.  ``free`` keeps each free column of A, packed, for
-    ``nullspace`` to replay.  An Elimination is never changed once
-    built, so threads may share one.
-    """
-
-    q: int
-    rows: int
-    cols: int
-    slot: int
-    order: tuple[int, ...]
-    pivots: tuple[int, ...]
-    steps: tuple[tuple[int, int, int], ...]
-    free: tuple[tuple[int, int], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def _reduced(self, packed: int) -> list[int]:
-        slot, q = self.slot, self.q
-        entries = _unpack(_replay(packed, self.steps, slot, q), self.rows, slot, q)
-        return [entries[s] for s in self.order]
-
-    def reduce(self, column: Sequence[int]) -> list[int]:
-        """The column of canonical residues as the elimination leaves it,
-        by row position: the pivot rows' entries, then the rest."""
-        if len(column) != self.rows:
-            raise DimensionMismatch(
-                f"system has {self.rows} equations but rhs has {len(column)} rows"
-            )
-        return self._reduced(_pack(column, self.slot))
-
-    def solve(self, column: Sequence[int]) -> list[int] | None:
-        """The solution of A x = column with free variables zero, read
-        off the reduced form; None when the system is inconsistent."""
-        reduced = self.reduce(column)
-        if any(reduced[self.rank :]):
-            return None
-        x = [0] * self.cols
-        for c, value in zip(self.pivots, reduced):
-            x[c] = value
-        return x
-
-    def nullspace(self) -> list[list[int]]:
-        """A basis of A's kernel, one vector per free column f: 1 at f,
-        minus f's reduced entries at the pivots."""
-        q = self.q
-        out = []
-        for f, packed in self.free:
-            vec = [0] * self.cols
-            vec[f] = 1
-            for c, x in zip(self.pivots, self._reduced(packed)):
-                vec[c] = -x % q
-            out.append(vec)
-        return out
-
-
-def eliminate(field: Field, rows: int, columns: Sequence[Sequence[int]]) -> Elimination:
-    """Gauss-Jordan elimination of the matrix with these columns (each
-    ``rows`` canonical residues), recorded for replay.
-
-    Kronecker-packed: column j is one integer whose slot s holds row s's
-    entry, so a row operation is one integer operation per column.  Each
-    column in turn is reduced by replaying the pivot steps recorded so
-    far and unpacked mod q; the first row position from r on with a
-    nonzero entry then holds the next pivot (a swap permutes ``order``),
-    and its step is recorded.  A column meets the same row operations,
-    in the same order, as in the textbook loop, so the reduced form is
-    the textbook's.  A free column is kept as it came in: the steps
-    recorded after it find a zero (mod q) in its pivot rows, so
-    replaying every step on it when it is read leaves the textbook's
-    column too.  Slots are reduced mod q only when read, so a slot grows
-    by less than q**2 per pivot; its width holds that for
-    min(rows, columns) pivots.
-    """
-    q = field.q
-    if any(len(col) != rows for col in columns):
-        raise DimensionMismatch(f"columns of a {rows}-row system differ in length")
-    # a slot holds a residue plus one product per pivot
-    slot = _slot_bytes(q, min(rows, len(columns)) + 2)
-    order = list(range(rows))
-    pivots: list[int] = []
-    steps: list[tuple[int, int, int]] = []
-    free: list[tuple[int, int]] = []
-    for c, col in enumerate(columns):
-        packed = _pack(col, slot)
-        r = len(pivots)
-        pivot_row = None
-        if r < rows:
-            f = _unpack(_replay(packed, steps, slot, q), rows, slot, q)
-            pivot_row = next((i for i in range(r, rows) if f[order[i]]), None)
-        if pivot_row is None:
-            free.append((c, packed))
-            continue
-        order[r], order[pivot_row] = order[pivot_row], order[r]
-        p = order[r]
-        inv = field.inv(f[p])
-        f[p] = 0
-        steps.append((p, inv, _pack([-x % q for x in f], slot)))
-        pivots.append(c)
-    return Elimination(
-        q, rows, len(columns), slot, tuple(order), tuple(pivots), tuple(steps), tuple(free)
-    )
-
-
-def _pack_elements(elements: Iterable[Sequence[int]], k: int, slot: int) -> int:
-    """Elements of R = GF(q)[x]/(x**k), each given by its k canonical
-    residues, lowest power first, packed in the low k of 2k - 1 slots
-    apiece; the high k - 1 slots take the overflow of a product with
-    another element, which the caller masks off (x**k = 0)."""
-    pad = bytes(slot * (k - 1))
-    return int.from_bytes(
-        b"".join([b"".join([c.to_bytes(slot, "little") for c in e]) + pad for e in elements]),
-        "little",
-    )
+    out = 0
+    for shift in range(0, k * bits, bits):
+        out |= ((x >> shift) & mask) % q << shift
+    return out
 
 
 def _pack_vector(vec: Sequence[int], k: int, slot: int) -> int:
-    """A vector's k-chunks packed as elements of R (``_pack_elements``),
-    each chunk reversed, so that the shift N (entry r picks up entry
-    r + 1) acts as x.  The entries are written big-endian and the whole
-    string reversed, which reverses every chunk and the chunk order."""
-    width = k * slot
-    raw = b"".join([c.to_bytes(slot, "big") for c in vec])[::-1]
-    return int.from_bytes(
-        bytes(slot * (k - 1)).join([raw[s - width : s] for s in range(len(raw), 0, -width)]),
-        "little",
-    )
-
-
-def _read_rows(packed: int, rows: int, k: int, slot: int, q: int) -> list[list[int]]:
-    """The first ``rows`` elements of a packed column, each reduced mod q.
-    The read ends at the last element's k-th slot, so a high slot left
-    set there overflows it."""
-    step = (2 * k - 1) * slot
-    raw = packed.to_bytes((rows - 1) * step + k * slot, "little")
-    return [
-        [int.from_bytes(raw[o : o + slot], "little") % q for o in range(s, s + k * slot, slot)]
-        for s in range(0, rows * step, step)
-    ]
+    """A vector's k-chunks packed as elements of R = GF(q)[x]/(x**k).
+    An element's k residues, lowest power first, fill the low k of 2k - 1
+    slots; the high k - 1 slots take the overflow of a product with
+    another element, which the caller masks off (x**k = 0).  Each chunk
+    is reversed, so that the shift N (entry r picks up entry r + 1) acts
+    as x: slot t of element r holds entry r*k + k - 1 - t."""
+    stride = 2 * k - 1
+    cells = [c.to_bytes(slot, "little") for c in vec]
+    layout = [bytes(slot)] * (len(vec) // k * stride)
+    for t in range(k):
+        layout[t::stride] = cells[k - 1 - t :: k]
+    return int.from_bytes(b"".join(layout), "little")
 
 
 def _ring_replay(
-    packed: int, steps: Sequence[tuple[int, int]], k: int, slot: int, q: int, mask: int
+    packed: int, steps: Sequence[tuple[int, int, int]], k: int, slot: int, q: int, mask: int
 ) -> int:
-    """Apply recorded pivot steps (shift, G) to one packed column: per
-    step, the pivot row's element s is read mod q, and G*s, masked to the
-    low k slots of every element (x**k = 0), is added."""
-    for shift, g in steps:
-        packed += (g * _reduce([packed >> shift], k, slot, q)[0]) & mask
+    """Apply recorded pivot steps (shift, w, G) to one packed column: per
+    step, the pivot row's element s is read mod q and replaced by
+    y = w*s, and G*y, masked to the low k slots of every element
+    (x**k = 0), is added.  A zero element is skipped: y and G*y are 0.
+    At k = 1 an element is one slot, and y is s * w mod q."""
+    low = (1 << (8 * k * slot)) - 1
+    for shift, w, g in steps:
+        s = (packed >> shift) & low
+        if s:
+            if k == 1:
+                y = s % q * w % q
+            else:
+                y = _reduce_element(_reduce_element(s, k, slot, q) * w, k, slot, q)
+            packed += ((y - s) << shift) + ((g * y) & mask)
     return packed
 
 
@@ -449,15 +306,20 @@ class RingElimination:
     exactly j < e_i, so that solution is the reduced-echelon one with free
     variables zero, and the rank is sum(e_i).
 
-    Elements are packed by ``_pack_elements``.  Per pivot, ``steps``
-    holds the bit shift of the pivot row and the packed G: w - 1 in the
-    pivot row (which scales it by w), minus the row's quotient by the
-    pivot in every other row, and x**(k-v) * w in the annihilator row.
-    ``reads`` holds the byte offsets of the slots to read after a replay:
-    the free rows', then each pivot row's; ``back`` holds, per pivot, its
-    column, v, (column, packed -r) for its residues r in later pivot
-    columns (none when all pivots are units), and whether a residue
-    refers to it.  ``size`` is the width in bytes of a replayed column.
+    At k = 1, GF(q) itself, every pivot is a unit, nothing is left to
+    back-substitute, and the record is that of Gauss-Jordan elimination:
+    the pivots are the columns with e_i = 1.
+
+    Elements are packed as in ``_pack_vector``.  Per pivot, ``steps``
+    holds the bit shift of the pivot row, the packed inverse w of the
+    pivot's unit part (the pivot row is scaled by w) and the packed G:
+    minus the row's element divided by x**v in every other row, x**(k-v)
+    in the annihilator row, and 0 in the pivot row.  ``reads`` holds the
+    byte offsets of the slots to read after a replay: the free rows',
+    then each pivot row's; ``back`` holds, per pivot, its column, v,
+    (column, packed -r) for its residues r in later pivot columns (none
+    when all pivots are units), and whether a residue refers to it.
+    ``size`` is the width in bytes of a replayed column.
     Never changed once built, so threads may share one.
     """
 
@@ -469,7 +331,7 @@ class RingElimination:
     size: int
     mask: int
     exps: tuple[int, ...]
-    steps: tuple[tuple[int, int], ...]
+    steps: tuple[tuple[int, int, int], ...]
     reads: tuple[int, ...]
     back: tuple[tuple[int, int, tuple[tuple[int, int], ...], bool], ...]
 
@@ -514,14 +376,13 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
     """Eliminate over R = GF(q)[x]/(x**k), recorded for replay, the
     system whose columns are these vectors of canonical residues; each
     k-chunk of a column is one row's element of R, read as in
-    ``RingMatrix.apply`` (reversed, so that the shift N acts as x).
+    ``PowerTable.pack`` (reversed, so that the shift N acts as x).
 
-    Kronecker-packed like ``eliminate``: column i is one integer, reduced
-    by replaying the steps recorded so far and read mod q, and then its
-    pivot step is recorded (see RingElimination).  A slot gains less than
-    k*q**2 per step, and back-substitution adds as much per later pivot;
-    there are at most min(cols, rows*k) pivots, and the slot width holds
-    that.
+    Kronecker-packed: column i is one integer, reduced by replaying the
+    steps recorded so far and read mod q, and then its pivot step is
+    recorded (see RingElimination).  A slot gains less than k*q**2 per
+    step, and back-substitution adds as much per later pivot; there are
+    at most min(cols, rows*k) pivots, and the slot width holds that.
 
     Once every row holds a pivot, no later column can have one, so
     ``columns[i]`` is read only while free rows remain: a lazy sequence
@@ -537,13 +398,16 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
     rows = n // k
     slot = _slot_bytes(q, 2 * min(cols, n) * k)
     step = (2 * k - 1) * slot
+    width = k * slot
     # the low k slots of every element, room for one annihilator per column
-    element = b"\xff" * (k * slot) + bytes(step - k * slot)
-    mask = int.from_bytes(element * (rows + cols), "little")
+    mask = int.from_bytes((b"\xff" * width + bytes(step - width)) * (rows + cols), "little")
+    offsets = [o for r in range(rows + cols) for o in range(r * step, r * step + width, slot)]
+    read = int.from_bytes
+    zero, one = bytes(slot), (1).to_bytes(slot, "little")
     free = list(range(rows))
     total = rows
     exps: list[int] = []
-    steps: list[tuple[int, int]] = []
+    steps: list[tuple[int, int, int]] = []
     pivots: list[tuple[int, int, int, list[tuple[int, int]]]] = []
     for i in range(cols):
         if not free:
@@ -553,51 +417,56 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
         if len(col) != n:
             raise DimensionMismatch(ragged)
         packed = _ring_replay(_pack_vector(col, k, slot), steps, k, slot, q, mask)
-        entries = _read_rows(packed, total, k, slot, q)
-        vals = [next((t for t, x in enumerate(entries[r]) if x), k) for r in free]
-        v = min(vals)
-        if v == k:
+        # element r of the column is entries[r*k : r*k + k]; the read ends at
+        # the last element's k-th slot, so a high slot left set overflows it
+        raw = packed.to_bytes((total - 1) * step + width, "little")
+        entries = [read(raw[o : o + slot], "little") % q for o in offsets[: total * k]]
+        # the first free row of least valuation v
+        for v in range(k):
+            p = next((r for r in free if entries[r * k + v]), None)
+            if p is not None:
+                break
+        else:
             exps.append(0)
             continue
-        p = free.pop(vals.index(v))
-        w = _series_inverse(field, entries[p][v:])
-        g = [[0] * k for _ in range(total + (v > 0))]
-        g[p][: k - v] = w
-        g[p][0] = (w[0] - 1) % q
-        packed_w = _pack(w, slot)
-        for r in free + [r for _, r, _, _ in pivots]:
-            if any(entries[r][v:]):
-                quotient = _unpack(_pack(entries[r][v:], slot) * packed_w, k - v, slot, q)
-                g[r][: k - v] = [-x % q for x in quotient]
-        for _, r, _, later in pivots:
-            if any(entries[r][:v]):
-                later.append((i, _pack([-x % q for x in entries[r][:v]], slot)))
+        free.remove(p)
+        w = _series_inverse(field, entries[p * k + v : p * k + k])
+        # G, slot by slot: slot t - v of element r is slot t of -entries[r]
+        neg = [(-x % q).to_bytes(slot, "little") for x in entries]
+        neg[p * k : p * k + k] = [zero] * k
+        g = [zero] * (total * (2 * k - 1))
+        for t in range(v, k):
+            g[t - v :: 2 * k - 1] = neg[t::k]
         if v:
-            g[total][k - v :] = (w + [0] * v)[:v]
+            for _, r, _, later in pivots:
+                if any(entries[r * k : r * k + v]):
+                    later.append((i, read(b"".join(neg[r * k : r * k + v]), "little")))
+            g += [zero] * (k - v) + [one]  # x**(k-v), the annihilator row
             free.append(total)
             total += 1
-        steps.append((8 * step * p, _pack_elements(g, k, slot)))
+        steps.append((8 * step * p, _pack(w, slot), read(b"".join(g), "little")))
         pivots.append((i, p, v, []))
         exps.append(k - v)
     referred = {j for _, _, _, later in pivots for j, _ in later}
-    read = free + [p for _, p, _, _ in pivots]
+    read_rows = free + [p for _, p, _, _ in pivots]
     return RingElimination(
         q,
         k,
         rows,
         cols,
         slot,
-        (total - 1) * step + k * slot,
+        (total - 1) * step + width,
         mask,
         tuple(exps),
         tuple(steps),
-        tuple(o for r in read for o in range(r * step, r * step + k * slot, slot)),
+        tuple(o for r in read_rows for o in range(r * step, r * step + width, slot)),
         tuple((i, v, tuple(later), i in referred) for i, _, v, later in pivots),
     )
 
 
-def _eliminate_matrix(field: Field, a: Matrix) -> Elimination:
-    return eliminate(field, a.rows, [a.col(j) for j in range(a.cols)])
+def _eliminate_matrix(field: Field, a: Matrix) -> RingElimination:
+    """The record of a over GF(q), the chain ring at k = 1."""
+    return eliminate_ring(field, 1, [a.col(j) for j in range(a.cols)])
 
 
 def solve_linear(field: Field, a: Matrix, rhs: Matrix | Sequence[int]) -> SolveResult:
@@ -606,8 +475,10 @@ def solve_linear(field: Field, a: Matrix, rhs: Matrix | Sequence[int]) -> SolveR
     Accepts a single right-hand-side vector or a Matrix of stacked
     right-hand sides.  The coefficient matrix is eliminated once and
     each right-hand side replays that elimination.  The particular
-    solution sets free variables to zero; the nullspace basis comes
-    straight off the reduced form.
+    solution sets free variables to zero.  The nullspace has one vector
+    per free column f, e_f minus the solution for column f: a free
+    column's reduced entries are zero at later pivots, so this is the
+    reduced-echelon basis.
     """
     vector_rhs = not isinstance(rhs, Matrix)
     rhs_cols = [list(rhs)] if vector_rhs else [rhs.col(j) for j in range(rhs.cols)]
@@ -616,7 +487,13 @@ def solve_linear(field: Field, a: Matrix, rhs: Matrix | Sequence[int]) -> SolveR
             f"system has {a.rows} equations but rhs has {len(rhs_cols[0])} rows"
         )
     elim = _eliminate_matrix(field, a)
-    nullspace = elim.nullspace()
+    q = field.q
+    nullspace = []
+    for f, e in enumerate(elim.exps):
+        if not e:
+            vec = [-x % q for x in elim.solve(a.col(f))]
+            vec[f] = 1
+            nullspace.append(vec)
     sols = [elim.solve(col) for col in rhs_cols]
     if any(x is None for x in sols):
         return SolveResult(None, nullspace)
@@ -631,7 +508,7 @@ def rank(field: Field, a: Matrix) -> int:
 def pivot_columns(field: Field, a: Matrix) -> list[int]:
     """Column indices of the first maximal independent column set (the
     reduced echelon form's pivots, in column order)."""
-    return list(_eliminate_matrix(field, a).pivots)
+    return [j for j, e in enumerate(_eliminate_matrix(field, a).exps) if e]
 
 
 def invert(field: Field, a: Matrix) -> Matrix:

@@ -153,9 +153,10 @@ def recipe_mod(terms, m, q):
 
 def rref_rows(field, rows, pivot_cols):
     """The textbook Gauss-Jordan loop, one list comprehension per row
-    operation: the reference for ``linalg.eliminate``.  In-place reduced row
-    echelon form; pivots are searched only in the first ``pivot_cols``
-    columns.  Returns the pivot column indices in order."""
+    operation: the reference for ``linalg.eliminate_ring`` at k = 1
+    (GF(q)) and the solvers built on it.  In-place reduced row echelon
+    form; pivots are searched only in the first ``pivot_cols`` columns.
+    Returns the pivot column indices in order."""
     q = field.q
     nrows = len(rows)
     pivots: list[int] = []

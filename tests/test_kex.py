@@ -130,10 +130,11 @@ def test_keygen_rejects_weak_keys():
     for _ in range(50):
         sk, pk = keygen(params, rng)
         assert any(pk.vec)
+        entries, m = sk.matrix.entries, params.m
         ident_scaled = all(
-            sk.matrix.at(i, j) == (sk.matrix.at(0, 0) if i == j else 0)
-            for i in range(params.m)
-            for j in range(params.m)
+            entries[i * m + j] == (entries[0] if i == j else 0)
+            for i in range(m)
+            for j in range(m)
         )
         assert not ident_scaled
 

@@ -6,7 +6,6 @@ from commkex.errors import DimensionMismatch, InvalidDimension, Singular
 from commkex.gf import Field, OpCounter, Rng
 from commkex.linalg import (
     Matrix,
-    eliminate,
     eliminate_ring,
     invert,
     mat_add,
@@ -21,7 +20,6 @@ from oracles import (
     mat_mul_mod,
     mat_vec_mod,
     rank_by_minors,
-    rref_rows,
     shifted_columns,
     solve_by_search,
     textbook_solve,
@@ -210,9 +208,9 @@ def test_from_columns_transposes(entries):
     assert again == m
 
 
-# The recorded eliminator against the textbook loop in oracles.py: the
-# reduced rows reassembled from the record (the order of non-pivot rows
-# included), the pivots, and every right-hand side replayed.
+# The eliminator at k = 1 (GF(q) itself) against the textbook loop in
+# oracles.py: the pivots, every right-hand side's solution and the
+# nullspace read off the record.
 RREF_PRIMES = [2, 101, 2147483647, 2305843009213693951]
 
 
@@ -247,30 +245,28 @@ def rref_cases(q, rng):
     return cases
 
 
-def rref_from_record(field, rows, pivot_cols):
-    """(reduced rows, pivots) of ``rows`` from the recorded elimination of
-    its first ``pivot_cols`` columns: unit pivot columns, free columns
-    read back from the nullspace, and the remaining columns replayed."""
+def assert_record_matches_textbook(field, rows, pivot_cols):
+    """The k = 1 record of the first ``pivot_cols`` columns of ``rows``
+    against ``textbook_solve`` with the remaining columns as right-hand
+    sides: pivots (e_i = 1), solutions, and the nullspace vector of each
+    free column f, e_f minus the solution for column f."""
     q = field.q
-    nrows, width = len(rows), len(rows[0]) if rows else 0
-    elim = eliminate(field, nrows, [[row[j] for row in rows] for j in range(pivot_cols)])
-    out = [[0] * pivot_cols for _ in range(nrows)]
-    for r, c in enumerate(elim.pivots):
-        out[r][c] = 1
-    free = [c for c in range(pivot_cols) if c not in elim.pivots]
-    for f, vec in zip(free, elim.nullspace(), strict=True):
-        for r, c in enumerate(elim.pivots):
-            out[r][f] = -vec[c] % q
-    for j in range(pivot_cols, width):
-        for row, x in zip(out, elim.reduce([row[j] for row in rows]), strict=True):
-            row.append(x)
-    return out, list(elim.pivots)
-
-
-def assert_rref_matches_textbook(field, rows, pivot_cols):
-    textbook = [list(r) for r in rows]
-    pivots = rref_rows(field, textbook, pivot_cols)
-    assert rref_from_record(field, rows, pivot_cols) == (textbook, pivots)
+    columns = [[row[j] for row in rows] for j in range(len(rows[0]))]
+    pivots, sols, nullspace = textbook_solve(
+        field, [row[:pivot_cols] for row in rows], columns[pivot_cols:]
+    )
+    elim = eliminate_ring(field, 1, columns[:pivot_cols])
+    assert [j for j, e in enumerate(elim.exps) if e] == pivots
+    assert elim.rank == len(pivots)
+    assert [elim.solve(b) for b in columns[pivot_cols:]] == sols
+    free = []
+    for f, e in enumerate(elim.exps):
+        if not e:
+            vec = [-x % q for x in elim.solve(columns[f])]
+            vec[f] = 1
+            free.append(vec)
+    assert free == nullspace
+    return elim
 
 
 def test_rref_matches_textbook():
@@ -278,12 +274,14 @@ def test_rref_matches_textbook():
     for q in RREF_PRIMES:
         field = Field(q)
         for rows, pivot_cols in rref_cases(q, rng):
-            assert_rref_matches_textbook(field, rows, pivot_cols)
-    assert eliminate(F7, 0, []).pivots == ()
+            if pivot_cols:
+                assert_record_matches_textbook(field, rows, pivot_cols)
     with pytest.raises(DimensionMismatch):
-        eliminate(F7, 2, [[1, 2], [3]])
+        eliminate_ring(F7, 1, [])
     with pytest.raises(DimensionMismatch):
-        eliminate(F7, 2, [[1, 2]]).reduce([1, 2, 3])
+        eliminate_ring(F7, 1, [[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        eliminate_ring(F7, 1, [[1, 2]]).solve([1, 2, 3])
 
 
 def test_rref_slot_holds_many_pivots():
@@ -297,11 +295,10 @@ def test_rref_slot_holds_many_pivots():
     unit_rows = [[int(j == i) for j in range(n)] + [q - 1, q - 2] for i in range(1, n)]
     ones = [1] * n + [q - 1, q - 1]
     for rows in ([ones] + unit_rows, unit_rows + [ones]):
-        assert_rref_matches_textbook(field, rows, n)
+        assert_record_matches_textbook(field, rows, n)
     rng = Rng(1618)
     dense = [[field.sample(rng) for _ in range(n + 1)] for _ in range(n)]
-    assert_rref_matches_textbook(field, dense, n)
-    assert eliminate(field, n, [[row[j] for row in dense] for j in range(n)]).rank >= 64
+    assert assert_record_matches_textbook(field, dense, n).rank >= 64
 
 
 def test_solvers_match_textbook_eliminator():
