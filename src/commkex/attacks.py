@@ -45,7 +45,11 @@ structured systems read each input vector's orbit v, z v, ..., packed
 reads; the public vector's is the one ``Params.zeta_orbit`` keeps.  A solution is applied
 to a vector as a key polynomial against the vector's packed orbit
 (``apply_key_poly``), and a dense matrix is built only for a recovered
-key that a report carries.
+key that a report carries.  The passive attack replays its record on
+both public keys and applies the product of the two solutions, itself a
+key polynomial, to the public vector's kept orbit
+(``apply_key_product``), so it builds no orbit of pub_b unless pub_b is
+off the span.
 """
 
 from __future__ import annotations
@@ -53,7 +57,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .commutant import Orbit, PowerTable, ShiftPoly, apply_key_poly, eval_key_poly
+from .commutant import (
+    Orbit,
+    PowerTable,
+    ShiftPoly,
+    apply_key_poly,
+    apply_key_product,
+    eval_key_poly,
+)
 from .errors import (
     InconsistentSystem,
     InsufficientRank,
@@ -170,16 +181,17 @@ class _Columns:
 
 def _passive_system(field: Field, params: Params, bound: int) -> tuple[int, Orbit, RingElimination]:
     """(bound, the public vector's packed orbit, the elimination of the
-    passive system) at ``bound``.  The orbit is ``params.zeta_orbit``
-    when the bound is at most D, and by a table of bound+1 powers of its
-    own above D.  The system depends on the params alone, so the entry is
+    passive system) at ``bound``.  The attack applies a product of two
+    key polynomials of up to bound+1 coefficients to the orbit, so its
+    table must hold 2*bound+1: the orbit is ``params.zeta_orbit`` when
+    the params' table does, and by a table of 2*bound+1 powers of its own
+    otherwise.  The system depends on the params alone, so the entry is
     kept on them; one for another bound replaces it."""
     entry = params.passive_system
     if entry is None or entry[0] != bound:
-        if bound <= params.degree:
-            orbit = params.zeta_orbit
-        else:
-            orbit = Orbit(PowerTable(field, params.z_ring, bound + 1), params.base_vector)
+        orbit = params.zeta_orbit
+        if orbit.table.capacity < 2 * bound + 1:
+            orbit = Orbit(PowerTable(field, params.z_ring, 2 * bound + 1), params.base_vector)
         entry = (bound, orbit, eliminate_ring(field, params.k, _Columns([orbit], bound + 1)))
         params.passive_system = entry
     return entry
@@ -324,9 +336,14 @@ def passive_commutant_attack(
 ) -> PassiveResult:
     """Break a session from public data only.
 
-    Solves for any structured-basis matrix mapping the public vector to
-    pub_a; because every matrix in that span commutes with the honest
+    Solves for any structured-basis matrix T' mapping the public vector
+    to pub_a; because every matrix in that span commutes with the honest
     counterpart key, applying it to pub_b yields the exact shared key.
+    The same recorded elimination also solves T'' zeta = pub_b, so
+    T' pub_b = (T' T'') zeta, the product of the two key polynomials
+    applied to the public vector's kept orbit (``apply_key_product``);
+    only a pub_b off the span at the bound reached (a forged key) is
+    applied to through an orbit of its own.
     The system is always consistent when the degree bound is at least
     the honest keys' degree (the honest key is itself a solution); if a
     caller picks a smaller bound the attack retries with doubled bounds
@@ -353,11 +370,16 @@ def passive_commutant_attack(
         bound = min(cap, bound * 2 if bound else 1)
     # powers without a pivot (e_i = 0) have zero coefficients
     top = max((i for i, e in enumerate(elim.exps) if e), default=0)
-    used = _key_chunks(params, coeffs[: (top + 1) * params.k])
+    n = (top + 1) * params.k
+    used = _key_chunks(params, coeffs[:n])
     table = orbit.table
-    shared = SharedKey(apply_key_poly(table, used, Orbit(table, pub_b.vec).upto(top)))
+    peer = elim.solve(pub_b.vec)
+    if peer is None:  # no T'' maps zeta to pub_b at this bound
+        shared = apply_key_poly(table, used, Orbit(table, pub_b.vec).upto(top))
+    else:
+        shared = apply_key_product(table, coeffs[:n], peer[:n], orbit.upto(2 * top))
     verified = apply_key_poly(table, used, orbit.upto(top)) == list(pub_a.vec)
-    return PassiveResult(shared, bound, m, elim.rank, verified, params, coeffs)
+    return PassiveResult(SharedKey(shared), bound, m, elim.rank, verified, params, coeffs)
 
 
 def directory_to_obj(directory: KeyDirectory) -> dict:

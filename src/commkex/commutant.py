@@ -28,11 +28,11 @@ Every matrix above is a d x d matrix over the commutative ring
 R = GF(q)[N]/(N**k): each k x k block is upper-triangular Toeplitz,
 i.e. a ShiftPoly.  The algebra is computed in that form (RingMatrix),
 including such a matrix applied to a vector (PowerTable.apply,
-apply_key_poly); dense m x m matrices are only built where a caller
-needs one.  A public base's packed powers, which key evaluation reads,
-live in one PowerTable kept by the parameters (``kex.Params.z_powers``),
-and so does the public vector's packed orbit (``kex.Params.zeta_orbit``),
-which key application reads.
+apply_key_poly, apply_key_product); dense m x m matrices are only built
+where a caller needs one.  A public base's packed powers, which key
+evaluation reads, live in one PowerTable kept by the parameters
+(``kex.Params.z_powers``), and so does the public vector's packed orbit
+(``kex.Params.zeta_orbit``), which key application reads.
 """
 
 from __future__ import annotations
@@ -224,7 +224,10 @@ class PowerTable:
     on first read and published by one assignment, so threads sharing a
     table at worst build them twice.  Slots are wide enough for a sum of
     count*k terms (a key-polynomial block) and of d*k terms (a block row
-    applied to a vector).
+    applied to a vector).  ``capacity`` is how many coefficients a key
+    polynomial applied to a packed orbit may have for its sums to fit a
+    slot, n*k*(q-1)**2 < 2**(8*slot): at least count, and with the
+    slot's byte rounding often far more.
 
     A vector of m residues is packed (``pack``) as d chunks of k, each
     reversed, since a block then acts on a chunk as a truncated
@@ -233,13 +236,14 @@ class PowerTable:
     and unpacked only where a caller reads a vector.
     """
 
-    __slots__ = ("field", "z", "count", "slot", "base", "_rows", "_columns")
+    __slots__ = ("field", "z", "count", "slot", "capacity", "base", "_rows", "_columns")
 
     def __init__(self, field: Field, z: RingMatrix, count: int):
         self.field = field
         self.z = z
         self.count = count
         self.slot = _slot_bytes(field.q, max(count, z.d) * z.k)
+        self.capacity = ((1 << (8 * self.slot)) - 1) // (z.k * (field.q - 1) ** 2)
         self.base = [_pack(e, self.slot) for e in z.blocks]
         self._rows = [self.base[i : i + z.d] for i in range(0, z.d * z.d, z.d)]
         self._columns: Optional[list[tuple[int, ...]]] = None
@@ -522,17 +526,59 @@ def apply_key_poly(
     orbit images[i] = z**i vec (``Orbit.upto``): the key polynomial
     applied to vec without building the key, d * len(coeffs) packed
     products.  Output chunk b is one dot product of the packed a_i with
-    chunk b of the images.  It needs len(coeffs) <= table.count, so that
-    the table's slot holds the sum, as ``eval_key_poly`` does.
+    chunk b of the images.  It needs len(coeffs) <= table.capacity, so
+    that the table's slot holds the sum.
     """
     z, q, slot = table.z, table.field.q, table.slot
-    if not coeffs or len(images) != len(coeffs) or len(coeffs) > table.count:
+    if not coeffs or len(images) != len(coeffs) or len(coeffs) > table.capacity:
         raise DimensionMismatch(
-            f"{len(coeffs)} coefficients for {len(images)} images and {table.count} powers"
+            f"{len(coeffs)} coefficients for {len(images)} images "
+            f"and a slot that holds {table.capacity}"
         )
     if any(c.k != z.k for c in coeffs) or any(len(v) != z.d for v in images):
         raise DimensionMismatch("coefficient and image sizes disagree")
     packed = [_pack([x % q for x in c.coeffs], slot) for c in coeffs]
+    mul = operator.mul
+    return table.unpack([sum(map(mul, packed, chunks)) for chunks in zip(*images)])
+
+
+def apply_key_product(
+    table: PowerTable, a: Sequence[int], b: Sequence[int], images: Sequence[Sequence[int]]
+) -> list[int]:
+    """(sum_i a_i z**i) @ (sum_j b_j z**j) @ vec for the table's z and
+    two key polynomials of n coefficients each, given flat (a_i is
+    a[i*k : i*k + k], as ``RingElimination.solve`` returns it), against
+    vec's packed orbit images[t] = z**t vec, t <= 2n - 2.  Each diag(a_i)
+    is central, so the product is the key polynomial sum_t e_t z**t with
+    e_t = sum_{i+j=t} a_i b_j in R: n**2 packed products, one reduction,
+    and then one packed dot per chunk, as in ``apply_key_poly``.  It
+    needs 2n - 1 <= table.capacity.
+    """
+    z, q, slot = table.z, table.field.q, table.slot
+    k = z.k
+    n = len(a) // k
+    terms = 2 * n - 1
+    if (
+        not a
+        or len(a) != n * k
+        or len(b) != len(a)
+        or len(images) != terms
+        or terms > table.capacity
+        or any(len(v) != z.d for v in images)
+    ):
+        raise DimensionMismatch(
+            f"key polynomials of {len(a)} and {len(b)} residues (k={k}) for "
+            f"{len(images)} images and a slot that holds {table.capacity}"
+        )
+    # each coefficient packed like ``_pack``, all of a and b in one pass
+    width = k * slot
+    raw = b"".join([(x % q).to_bytes(slot, "little") for x in (*a, *b)])
+    elements = [int.from_bytes(raw[s : s + width], "little") for s in range(0, len(raw), width)]
+    sums = [0] * terms
+    for i, x in enumerate(elements[:n]):
+        for j, y in enumerate(elements[n:]):
+            sums[i + j] += x * y
+    packed = _reduce(sums, k, slot, q)
     mul = operator.mul
     return table.unpack([sum(map(mul, packed, chunks)) for chunks in zip(*images)])
 

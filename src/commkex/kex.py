@@ -80,17 +80,19 @@ class Params:
     ``z_powers`` is the base's one ``PowerTable``, at count D+1, and
     ``zeta_orbit`` the public vector's packed ``Orbit`` zeta, z zeta, ...
     by that table, which keygen and ``public_key`` read up to z**D zeta
-    and the passive attack as far as its elimination reads.  Each is
-    built on first use (threads racing on that may each build one) and
-    kept; a longer polynomial gets a table of its own.
+    and the passive attack as far as its elimination reads, then up to
+    z**(2*top) zeta for the product of its two solutions (top, the last
+    power with a pivot, is at most the bound).  Each is built on first
+    use (threads racing on that may each build one) and kept; a longer
+    polynomial gets a table of its own.
 
     ``passive_system`` is the passive attack's cache, built by its first
     attack on these params: (degree bound, the public vector's orbit by a
-    table of at least bound+1 powers -- ``zeta_orbit`` when the bound is
-    at most D -- and the attack's system eliminated over R, a
-    ``linalg.RingElimination`` of d rows in bound+1 unknowns).  Later
-    attacks replay it on their public key.  It holds one entry; an attack
-    at another bound replaces it.  An entry is published by one
+    table whose slot holds 2*bound+1 coefficients -- ``zeta_orbit`` when
+    the params' table does (``PowerTable.capacity``) -- and the attack's
+    system eliminated over R, a ``linalg.RingElimination`` of d rows in
+    bound+1 unknowns).  Later attacks replay it on both public keys.  It
+    holds one entry; an attack at another bound replaces it.  An entry is published by one
     assignment of a fully built tuple and never changed after, so threads
     sharing the params read a whole entry and at worst build one twice."""
 

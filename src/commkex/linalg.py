@@ -21,10 +21,9 @@ side is solved by replaying that record (``RingElimination.solve``), so
 systems that share a coefficient matrix are eliminated once and solved
 many times.  Its solution, read over GF(q), is the reduced-echelon one
 of the GF(q) system, with the same rank (see RingElimination).
-``solve_linear``, ``rank``, ``pivot_columns`` and ``invert`` run it at
-k = 1, where every pivot is a unit: the pivots are the columns with
-e_i = 1.  Like the rest of elimination it is not charged to an
-OpCounter.
+``solve_linear``, ``rank`` and ``invert`` run it at k = 1, where every
+pivot is a unit: the pivots are the columns with e_i = 1.  Like the
+rest of elimination it is not charged to an OpCounter.
 
 JSON forms: matrix {"rows": r, "cols": c, "entries": [decimal, ...]}
 row-major; vector {"entries": [decimal, ...]}.
@@ -503,12 +502,6 @@ def solve_linear(field: Field, a: Matrix, rhs: Matrix | Sequence[int]) -> SolveR
 def rank(field: Field, a: Matrix) -> int:
     """Row rank over GF(q)."""
     return _eliminate_matrix(field, a).rank
-
-
-def pivot_columns(field: Field, a: Matrix) -> list[int]:
-    """Column indices of the first maximal independent column set (the
-    reduced echelon form's pivots, in column order)."""
-    return [j for j, e in enumerate(_eliminate_matrix(field, a).exps) if e]
 
 
 def invert(field: Field, a: Matrix) -> Matrix:

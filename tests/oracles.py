@@ -140,6 +140,24 @@ def key_poly_mod(coeff_lists, base_rows, d, q):
     return total.tolist()
 
 
+def key_poly_apply_mod(coeff_lists, base_rows, vec, d, q):
+    """key_poly_mod(coeff_lists, base_rows, d, q) @ vec without building
+    the key: sum_i diag(T_i, ..., T_i) @ (base**i @ vec), the powers of
+    base applied to vec one at a time, for polynomials too long to
+    expand."""
+    k = len(coeff_lists[0])
+    zero = [[0] * k for _ in range(k)]
+    base = np_mat(base_rows)
+    image = np.array(vec, dtype=object) % q
+    total = np.zeros(d * k, dtype=object)
+    for coeffs in coeff_lists:
+        blk = toeplitz_rows(coeffs, q)
+        emb = block_matrix([[blk if bi == bj else zero for bj in range(d)] for bi in range(d)], q)
+        total = (total + np_mat(emb) @ image) % q
+        image = (base @ image) % q
+    return total.tolist()
+
+
 def recipe_mod(terms, m, q):
     """sum coeff * prod rows**exp over terms [(coeff, [(rows, exp), ...])]."""
     total = np.zeros((m, m), dtype=object)

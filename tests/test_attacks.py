@@ -301,21 +301,26 @@ def test_passive_attack_keeps_the_params_power_table():
 
 def test_cold_attack_applies_z_only_to_the_columns_it_reads(monkeypatch):
     # at 8x2, D = 3 (the sniff workload's shape) both rows take unit
-    # pivots in powers 0 and 1, so the elimination never reads z**2 zeta
-    # or z**3 zeta: a cold attack applies z once to zeta and once to pub_b
+    # pivots in powers 0 and 1, so the elimination reads zeta and z zeta,
+    # and the product of the two keys, of degree 2, reads z**2 zeta: a
+    # cold attack applies z twice to zeta and never to pub_b
     rng = Rng(2718)
     params = gen_params(2**31 - 1, 8, 2, 3, rng)
     sk_a, pk_a = keygen(params, rng)
     _, pk_b = keygen(params, rng)
     cold = params_from_json(params_to_json(params))
-    calls = []
-    act = PowerTable.act
+    calls, packed = [], []
+    act, pack = PowerTable.act, PowerTable.pack
     monkeypatch.setattr(
         PowerTable, "act", lambda table, chunks: calls.append(1) or act(table, chunks)
+    )
+    monkeypatch.setattr(
+        PowerTable, "pack", lambda table, vec: packed.append(list(vec)) or pack(table, vec)
     )
     res = passive_commutant_attack(cold, pk_a, pk_b)
     assert cold.passive_system[2].exps == (8, 8, 0, 0)
     assert len(calls) == 2
+    assert pk_b.vec not in packed
     assert res.verified and res.shared_key == derive_shared(params, sk_a, pk_b)
 
 
@@ -473,6 +478,55 @@ def test_passive_attack_threads_share_a_fresh_params():
             assert [out[t] for t in range(len(jobs))] == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_passive_shared_key_matches_dense_oracle():
+    # the shared key is the product of the keys solved for pub_a and pub_b
+    # applied to zeta's orbit; it must equal T' applied to pub_b densely,
+    # and the honest derivation, at every bound, on fresh and reused
+    # params, including shapes with non-unit pivots and bounds whose
+    # product outgrows the params' table
+    rng = Rng(1618)
+    shapes = ((1, 2), (2, 2), (3, 2), (2, 3), (6, 2))
+    own_table = nonunit = 0
+    for q in (2, 101, 2147483647, 2305843009213693951):
+        for k, d in shapes:
+            params = gen_params(q, k, d, 3, rng)
+            keys = [keygen(params, rng) for _ in range(3)]
+            m = params.m
+            for bound in (None, 0, 1, params.degree, min(m * m, params.degree + 2), 2 * m):
+                for a, b in ((0, 1), (2, 0), (1, 2)):
+                    (sk_a, pk_a), (_, pk_b) = keys[a], keys[b]
+                    honest = derive_shared(params, sk_a, pk_b)
+                    for target in (params, fresh(params)):
+                        res = passive_commutant_attack(target, pk_a, pk_b, bound)
+                        dense = mat_vec_mod(res.recovered.to_rows(), pk_b.vec, q)
+                        assert res.shared_key.vec == dense == honest.vec
+                        assert res.verified
+                        _, orbit, elim = target.passive_system
+                        own_table += orbit is not target.zeta_orbit
+                        nonunit += sum(0 < e < k for e in elim.exps)
+                        assert orbit.table.capacity >= 2 * res.degree_bound + 1
+    assert own_table > 0 and nonunit > 0
+
+
+def test_passive_attack_on_an_off_span_peer_key():
+    # a pub_b that no structured key reaches from zeta (a forged PUBKEY)
+    # is applied to through its own orbit, and still gets T' pub_b
+    rng, forged_rng = Rng(1414), Rng(1732)
+    fallbacks = 0
+    for q in (2, 101, 2147483647, 2305843009213693951):
+        for k, d in ((1, 2), (2, 2), (3, 2), (2, 3), (8, 2)):
+            params = gen_params(q, k, d, 3, rng)
+            _, pk_a = keygen(params, rng)
+            for bound in (None, 0, 2 * params.m):
+                forged = PublicKey([forged_rng.below(q) for _ in range(params.m)])
+                for target in (params, fresh(params)):
+                    res = passive_commutant_attack(target, pk_a, forged, bound)
+                    dense = mat_vec_mod(res.recovered.to_rows(), forged.vec, q)
+                    assert res.shared_key.vec == dense and res.verified
+                    fallbacks += target.passive_system[2].solve(forged.vec) is None
+    assert fallbacks > 0
 
 
 def test_structured_recovery_matches_textbook_solve():

@@ -18,6 +18,7 @@ from commkex.commutant import (
     RingMatrix,
     ShiftPoly,
     apply_key_poly,
+    apply_key_product,
     check_commute,
     embed_block_diag,
     eval_key_poly,
@@ -33,6 +34,7 @@ from conftest import GRID_DEGREES, GRID_PRIMES, GRID_SHAPES
 from oracles import (
     block_matrix,
     generator_rows,
+    key_poly_apply_mod,
     key_poly_mod,
     mat_mul_mod,
     mat_pow_mod,
@@ -430,6 +432,7 @@ def test_eval_key_poly_ring_matches_oracle():
 )
 @example(q=7, k=1, d=2, count=4, above=3, top=False, seed=1)
 @example(q=2305843009213693951, k=1, d=2, count=1, above=2, top=True, seed=0)
+@example(q=3, k=1, d=2, count=2, above=0, top=True, seed=0)  # a full slot at capacity
 def test_packed_orbit_and_key_application_match_dense(q, k, d, count, above, top, seed):
     # z acting on packed vectors, past the table's count too (an attack's
     # bound above D), and key polynomials of up to count coefficients
@@ -453,11 +456,57 @@ def test_packed_orbit_and_key_application_match_dense(q, k, d, count, above, top
     assert table.apply(vec) == mat_vec_mod(rows, vec, q)
     oracle = key_poly_mod([c.coeffs for c in coeffs], rows, d, q)
     assert apply_key_poly(table, coeffs, powers[:count]) == mat_vec_mod(oracle, vec, q)
-    # one coefficient more than the table's count does not fit its slot
+    # the slot holds sums of up to its capacity's coefficients, which is
+    # at least the count; one coefficient more does not fit
+    cap = table.capacity
+    assert cap >= count
+    short = key_poly_apply_mod([c.coeffs for c in coeffs], rows, vec, d, q)
+    assert short == mat_vec_mod(oracle, vec, q)
+    full = (coeffs * cap)[:cap]
+    expect = key_poly_apply_mod([c.coeffs for c in full], rows, vec, d, q)
+    assert apply_key_poly(table, full, orbit.upto(cap - 1)) == expect
     with pytest.raises(DimensionMismatch):
-        apply_key_poly(table, coeffs + coeffs[:1], orbit.upto(count))
+        apply_key_poly(table, full + coeffs[:1], orbit.upto(cap))
     with pytest.raises(DimensionMismatch):
         apply_key_poly(table, coeffs, powers[: count - 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([2, 3, 101, 2147483647, 2305843009213693951]),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32),
+)
+@example(q=2305843009213693951, k=4, d=2, n=4, top=True, seed=0)
+def test_key_product_application_matches_dense(q, k, d, n, top, seed):
+    # (sum a_i z**i)(sum b_j z**j) vec from vec's packed orbit, for n
+    # coefficients each and for the most the table's slot holds, against
+    # the two keys applied densely one after the other
+    field, rng = Field(q), Rng(seed)
+    if top:
+        z, vec = top_ring_matrix(q, k, d), [q - 1] * (k * d)
+    else:
+        z = RingMatrix(k, d, [[field.sample(rng) for _ in range(k)] for _ in range(d * d)])
+        vec = [field.sample(rng) for _ in range(k * d)]
+    rows = z.to_matrix().to_rows()
+    table = PowerTable(field, z, 2 * n - 1)
+    most = (table.capacity + 1) // 2
+    orbit = Orbit(table, vec)
+    for size in (n, most):
+        a, b = ([q - 1 if top else field.sample(rng) for _ in range(size * k)] for _ in "ab")
+        chunks = [[x[i : i + k] for i in range(0, size * k, k)] for x in (a, b)]
+        inner = key_poly_apply_mod(chunks[1], rows, vec, d, q)
+        expect = key_poly_apply_mod(chunks[0], rows, inner, d, q)
+        assert apply_key_product(table, a, b, orbit.upto(2 * size - 2)) == expect
+    with pytest.raises(DimensionMismatch):
+        apply_key_product(table, a + a[:k], b + b[:k], orbit.upto(2 * most))
+    with pytest.raises(DimensionMismatch):
+        apply_key_product(table, a, b[:-k], orbit.upto(2 * most - 2))
+    with pytest.raises(DimensionMismatch):
+        apply_key_product(table, a, b, orbit.upto(2 * most - 3))
 
 
 def test_eval_recipe_starts_from_the_first_grid_power():

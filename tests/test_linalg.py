@@ -11,7 +11,6 @@ from commkex.linalg import (
     mat_add,
     mat_apply,
     mat_mul,
-    pivot_columns,
     rank,
     solve_linear,
 )
@@ -302,8 +301,8 @@ def test_rref_slot_holds_many_pivots():
 
 
 def test_solvers_match_textbook_eliminator():
-    # solve_linear, rank, pivot_columns and invert against solutions read
-    # off the textbook loop's reduced form
+    # solve_linear, rank, the k = 1 record's pivots and invert against
+    # solutions read off the textbook loop's reduced form
     rng = Rng(1414)
     for q in RREF_PRIMES:
         field = Field(q)
@@ -320,7 +319,8 @@ def test_solvers_match_textbook_eliminator():
             rhs_cols = [rhs.col(j) for j in range(rhs.cols)] if rhs is not None else []
             pivots, sols, nullspace = textbook_solve(field, a.to_rows(), rhs_cols)
             assert rank(field, a) == len(pivots)
-            assert pivot_columns(field, a) == pivots
+            record = eliminate_ring(field, 1, [a.col(j) for j in range(a.cols)])
+            assert [j for j, e in enumerate(record.exps) if e] == pivots
             if rhs is not None:
                 res = solve_linear(field, a, rhs)
                 expect = None if None in sols else Matrix.from_columns(sols)

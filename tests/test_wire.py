@@ -1,14 +1,17 @@
+import functools
 import json
 import socket
 import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from commkex.attacks import passive_commutant_attack
 from commkex.errors import (
     ChecksumMismatch,
+    Error,
     FrameTooLarge,
     IncompleteTranscript,
     NeedMoreBytes,
@@ -24,6 +27,7 @@ from commkex.kex import (
     params_from_json,
     params_to_json,
     public_key,
+    vector_to_bytes,
 )
 from commkex.wire import (
     DIR_I2R,
@@ -43,6 +47,8 @@ from commkex.wire import (
     encode_frame,
     run_peer,
 )
+
+from oracles import mat_vec_mod
 
 
 def make_session(seed=1, q=101, k=2, d=2, degree=3):
@@ -302,6 +308,45 @@ def test_eavesdrop_is_deterministic_and_replayable():
     second = eavesdrop(replayed)
     assert first.shared_key.vec == second.shared_key.vec
     assert first.verdict == second.verdict
+
+
+Q31 = 2**31 - 1
+
+
+@functools.lru_cache(maxsize=None)
+def recorded_k8d2_session():
+    """The transcript of an honest 8x2 session over GF(Q31), as the
+    initiator recorded it, the passive attack's key T' (it depends on the
+    initiator's public key alone) and the honest shared key."""
+    params, sk_a, pk_a, sk_b, pk_b = make_session(seed=13, q=Q31, k=8, d=2)
+    results, errors = run_socketpair_session(params, sk_a, sk_b)
+    assert not errors
+    shared, transcript = results["i"]
+    recovered = passive_commutant_attack(params, pk_a, pk_b).recovered.to_rows()
+    return transcript, recovered, shared
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, Q31 - 1), min_size=16, max_size=16))
+@example(vec=[0] * 16)
+@example(vec=[Q31 - 1] * 16)
+def test_eavesdrop_on_a_forged_responder_pubkey(vec):
+    # the responder's PUBKEY replaced by any vector of in-range residues:
+    # the eavesdropper applies T' to it, and its verdict holds only when
+    # that reproduces the confirmed key; anything it raises is a
+    # documented error class
+    transcript, recovered, shared = recorded_k8d2_session()
+    frames = [
+        (d, Frame(TAG_PUBKEY, vector_to_bytes(vec)) if (d, f.tag) == (DIR_R2I, TAG_PUBKEY) else f)
+        for d, f in transcript.frames
+    ]
+    try:
+        res = eavesdrop(Transcript(frames))
+    except Error:
+        return
+    assert res.shared_key.vec == mat_vec_mod(recovered, vec, Q31)
+    assert res.verdict == (res.shared_key == shared)
+    assert res.confirms_observed == 2
 
 
 def test_transcript_json_validation():
