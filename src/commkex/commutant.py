@@ -40,6 +40,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 from .errors import (
@@ -49,7 +50,15 @@ from .errors import (
     NotBlockToeplitz,
 )
 from .gf import Field, Rng
-from .linalg import Matrix, _pack, _reduce, _slot_bytes, _unpack, mat_mul
+from .linalg import (
+    Matrix,
+    _pack_elements,
+    _reduce,
+    _slot_bytes,
+    _slot_values,
+    _slots,
+    mat_mul,
+)
 
 KIND_SCALAR = "scalar"
 KIND_JORDAN = "jordan"
@@ -244,7 +253,7 @@ class PowerTable:
         self.count = count
         self.slot = _slot_bytes(field.q, max(count, z.d) * z.k)
         self.capacity = ((1 << (8 * self.slot)) - 1) // (z.k * (field.q - 1) ** 2)
-        self.base = [_pack(e, self.slot) for e in z.blocks]
+        self.base = _pack_elements(list(chain.from_iterable(z.blocks)), z.k, self.slot)
         self._rows = [self.base[i : i + z.d] for i in range(0, z.d * z.d, z.d)]
         self._columns: Optional[list[tuple[int, ...]]] = None
 
@@ -261,12 +270,12 @@ class PowerTable:
 
     def pack(self, vec: Sequence[int]) -> list[int]:
         """A vector of m canonical residues as d packed chunks, each
-        reversed: the entries are written big-endian, and each chunk is
-        read as one big-endian integer."""
+        reversed: the entries are written big-endian by one struct call,
+        and each chunk is read as one big-endian integer."""
         k, d, slot = self.z.k, self.z.d, self.slot
         if len(vec) != k * d:
             raise DimensionMismatch(f"ring matrix of size {k * d} applied to length {len(vec)}")
-        raw = b"".join([c.to_bytes(slot, "big") for c in vec])
+        raw = _slots(k * d, slot, "big").pack(*vec)
         width = k * slot
         return [int.from_bytes(raw[s : s + width], "big") for s in range(0, d * width, width)]
 
@@ -280,11 +289,8 @@ class PowerTable:
 
     def unpack(self, chunks: Sequence[int]) -> list[int]:
         """The vector that packed chunks hold: each chunk's low k slots,
-        reduced mod q, in vector order."""
-        width, slot, q = self.z.k * self.slot, self.slot, self.field.q
-        low = (1 << (8 * width)) - 1
-        raw = b"".join([(c & low).to_bytes(width, "big") for c in chunks])
-        return [int.from_bytes(raw[o : o + slot], "big") % q for o in range(0, len(raw), slot)]
+        reduced mod q, in vector order (highest slot first)."""
+        return _slot_values(chunks, self.z.k, self.slot, self.field.q, "big")
 
     def apply(self, vec: Sequence[int]) -> list[int]:
         """z @ vec for a vector of m canonical residues."""
@@ -315,6 +321,13 @@ class Orbit:
                 grown.append(table.act(grown[-1]))
             powers = self._powers = tuple(grown)
         return powers[: top + 1]
+
+
+def _pack_polys(coeffs: Sequence[ShiftPoly], k: int, slot: int, q: int) -> list[int]:
+    """Each coefficient's k residues reduced mod q and packed, all of them
+    by one struct call."""
+    residues = map(operator.mod, chain.from_iterable(c.coeffs for c in coeffs), repeat(q))
+    return _pack_elements(list(residues), k, slot)
 
 
 def _block_products(
@@ -401,7 +414,9 @@ def eval_recipe(field: Field, k: int, d: int, terms: Sequence[MonoTerm]) -> Ring
                 raise DimensionMismatch("grid shape disagrees with (k, d)")
             if not exp:
                 continue
-            g = [_pack(blk.residues(field), slot) for row in grid.blocks for blk in row]
+            blocks = chain.from_iterable(grid.blocks)
+            residues = list(chain.from_iterable(b.residues(field) for b in blocks))
+            g = _pack_elements(residues, k, slot)
             if prod is None:
                 prod, exp = g, exp - 1
             for _ in range(exp):
@@ -410,7 +425,8 @@ def eval_recipe(field: Field, k: int, d: int, terms: Sequence[MonoTerm]) -> Ring
             prod = [int(n % (d + 1) == 0) for n in range(d * d)]
         c = term.coeff % q
         total = _reduce([t + c * p for t, p in zip(total, prod)], k, slot, q)
-    return RingMatrix(k, d, [_unpack(t, k, slot, q) for t in total])
+    flat = _slot_values(total, k, slot, q)
+    return RingMatrix(k, d, [flat[s : s + k] for s in range(0, len(flat), k)])
 
 
 def random_generator_block(field: Field, k: int, rng: Rng) -> GeneratorBlock:
@@ -512,10 +528,10 @@ def eval_key_poly(
         raise DimensionMismatch(
             f"{len(coeffs)} coefficients (k={k}, d={d}) for {table.count} powers (k={z.k}, d={z.d})"
         )
-    packed = [_pack([x % q for x in c.coeffs], slot) for c in coeffs]
+    packed = _pack_polys(coeffs, k, slot, q)
     mul = operator.mul
-    blocks = [_unpack(sum(map(mul, packed, col)), k, slot, q) for col in table.columns]
-    key = RingMatrix(k, d, blocks)
+    flat = _slot_values([sum(map(mul, packed, col)) for col in table.columns], k, slot, q)
+    key = RingMatrix(k, d, [flat[s : s + k] for s in range(0, len(flat), k)])
     return key.to_matrix() if dense else key
 
 
@@ -537,7 +553,7 @@ def apply_key_poly(
         )
     if any(c.k != z.k for c in coeffs) or any(len(v) != z.d for v in images):
         raise DimensionMismatch("coefficient and image sizes disagree")
-    packed = [_pack([x % q for x in c.coeffs], slot) for c in coeffs]
+    packed = _pack_polys(coeffs, z.k, slot, q)
     mul = operator.mul
     return table.unpack([sum(map(mul, packed, chunks)) for chunks in zip(*images)])
 
@@ -570,10 +586,7 @@ def apply_key_product(
             f"key polynomials of {len(a)} and {len(b)} residues (k={k}) for "
             f"{len(images)} images and a slot that holds {table.capacity}"
         )
-    # each coefficient packed like ``_pack``, all of a and b in one pass
-    width = k * slot
-    raw = b"".join([(x % q).to_bytes(slot, "little") for x in (*a, *b)])
-    elements = [int.from_bytes(raw[s : s + width], "little") for s in range(0, len(raw), width)]
+    elements = _pack_elements(list(map(operator.mod, chain(a, b), repeat(q))), k, slot)
     sums = [0] * terms
     for i, x in enumerate(elements[:n]):
         for j, y in enumerate(elements[n:]):

@@ -35,6 +35,7 @@ equal values serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -191,14 +192,14 @@ class SharedKey:
 
 def vector_to_bytes(vec: Sequence[int]) -> bytes:
     """The binary form of a vector (shared keys, PUBKEY payloads): 8-byte
-    big-endian per entry."""
-    return b"".join([e.to_bytes(8, "big") for e in vec])
+    big-endian per entry, written by one struct call."""
+    return struct.pack(f">{len(vec)}Q", *vec)
 
 
 def vector_from_bytes(data: bytes) -> list[int]:
     """Inverse of ``vector_to_bytes`` for data of a length divisible by 8,
     which the caller checks."""
-    return [int.from_bytes(data[i : i + 8], "big") for i in range(0, len(data), 8)]
+    return list(struct.unpack(f">{len(data) // 8}Q", data))
 
 
 def gen_params(
@@ -356,7 +357,7 @@ def _parse_residues(values: list, q: int, path: str) -> list[int]:
     at ``path[i]``): decimal strings are converted in bulk and range
     checked once; only a list that fails is read entry by entry, to name
     its first bad entry."""
-    if all(type(v) is str for v in values):
+    if set(map(type, values)) <= {str}:
         try:
             out = list(map(int, values))
         except ValueError:
@@ -588,3 +589,5 @@ def _loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}", pos=exc.pos) from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
+        raise ParseError(f"malformed JSON: {exc}") from None

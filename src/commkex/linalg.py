@@ -25,15 +25,31 @@ of the GF(q) system, with the same rank (see RingElimination).
 pivot is a unit: the pivots are the columns with e_i = 1.  Like the
 rest of elimination it is not charged to an OpCounter.
 
+Packed integers (here and in ``commutant``) leave and enter the packed
+form through one slot codec.  ``_mod_slots`` reduces every slot of a
+packed integer mod q at once, by Barrett reduction run on the whole
+integer: with W = 8*slot bits per slot and mu = floor(2**W / q), the
+quotient estimate floor(v*mu / 2**W) of a slot value v < 2**W is
+floor(v/q) or one less, because v/q - 1 < v*mu / 2**W <= v/q, so one
+conditional subtraction of q finishes the residue.  Even and odd slots
+are reduced apart, each value alone in a window of two slots, so that
+the products v*mu never carry into a neighbour; about twenty
+whole-integer operations reduce any number of slots.  Canonical residues
+are written and read by one ``struct`` call per packed value or list,
+one machine word per slot plus pad bytes (``_slots``).  The constants of
+each shape are kept in bounded caches (``_shape_cache``).
+
 JSON forms: matrix {"rows": r, "cols": c, "entries": [decimal, ...]}
 row-major; vector {"entries": [decimal, ...]}.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
+import struct
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, InvalidDimension, Singular
 from .gf import Field
@@ -195,45 +211,126 @@ def _slot_bytes(q: int, terms: int) -> int:
     return (2 * (q - 1).bit_length() + terms.bit_length() + 7) // 8
 
 
+# The codec keeps the constants of its CODEC_CACHE_SIZE most recent
+# shapes of at most CODEC_CACHE_SLOTS slots.  They grow with the slot
+# count (about 190 KB at 2048 slots of 18 bytes), so a long-lived process
+# that meets many shapes (a listener fed hostile PARAMS) holds about
+# 12 MB of them at most.  Larger shapes, where the work on the slots
+# outweighs building them, are built per call.
+CODEC_CACHE_SIZE = 64
+CODEC_CACHE_SLOTS = 2048
+
+
+def _shape_cache(build):
+    """``build(n, ...)`` with its results kept as above."""
+    kept = functools.lru_cache(maxsize=CODEC_CACHE_SIZE)(build)
+
+    @functools.wraps(build)
+    def get(n: int, *shape):
+        return kept(n, *shape) if n <= CODEC_CACHE_SLOTS else build(n, *shape)
+
+    get.cache_info = kept.cache_info
+    return get
+
+
+@_shape_cache
+def _slots(n: int, slot: int, order: str) -> struct.Struct:
+    """The struct that reads or writes n consecutive slots of ``slot``
+    bytes in byte order ``order`` ("little" or "big"), one canonical
+    residue each: the widest machine word that fits a slot, plus pad
+    bytes.  A slot holds 2*bitlen(q - 1) bits or more and q < 2**61, so
+    the word (Q from 8 bytes up) holds any canonical residue; pad bytes
+    are written as zeros and skipped when read."""
+    word = next(w for w in "QIHB" if struct.calcsize("<" + w) <= slot)
+    pad = f"{slot - struct.calcsize('<' + word)}x"
+    return struct.Struct("<" + (word + pad) * n if order == "little" else ">" + (pad + word) * n)
+
+
+@_shape_cache
+def _slot_mod(n: int, slot: int, q: int) -> Callable[[int], int]:
+    """The function that reduces each of the n slots of a packed integer
+    mod q, by Barrett reduction on the whole integer (SIMD within a
+    register); the integer must have no bits above its n slots.
+
+    With W = 8*slot and mu = floor(2**W / q), a slot value v < 2**W has
+    v/q - 1 < v*mu/2**W <= v/q, so the quotient estimate floor(v*mu/2**W)
+    is floor(v/q) or one less, and v minus q times it lies in [0, 2q).
+    The even and the odd slots are reduced apart, each value in a window
+    of two slots, so that v*mu < 2**(2W) never carries into the next
+    window.  The one conditional subtraction of q is read off bit b + 1
+    of r + 2**(b+1) - q (b = bitlen(q)), which is set iff r >= q."""
+    bits = 8 * slot
+    pairs = (n + 1) // 2
+    even = int.from_bytes((b"\xff" * slot + bytes(slot)) * pairs, "little")
+    ones = int.from_bytes((b"\x01" + bytes(2 * slot - 1)) * pairs, "little")
+    mu = (1 << bits) // q
+    top = q.bit_length() + 1
+    fix = ((1 << top) - q) * ones
+
+    def mod(x: int) -> int:
+        lo = x & even
+        hi = x >> bits & even
+        lo -= (lo * mu >> bits & even) * q
+        hi -= (hi * mu >> bits & even) * q
+        lo -= ((lo + fix) >> top & ones) * q
+        hi -= ((hi + fix) >> top & ones) * q
+        return lo | hi << bits
+
+    return mod
+
+
+def _mod_slots(x: int, n: int, slot: int, q: int) -> int:
+    """x with each of its n slots reduced mod q (see ``_slot_mod``)."""
+    return _slot_mod(n, slot, q)(x)
+
+
 def _pack(residues: Sequence[int], slot: int) -> int:
     """Kronecker substitution: sum_j c_j * 2**(8*slot*j) for canonical c_j."""
-    return int.from_bytes(b"".join([c.to_bytes(slot, "little") for c in residues]), "little")
+    return int.from_bytes(_slots(len(residues), slot, "little").pack(*residues), "little")
+
+
+def _pack_elements(residues: Sequence[int], k: int, slot: int) -> list[int]:
+    """Consecutive k-chunks of canonical residues, each packed by ``_pack``,
+    written by one struct call."""
+    raw = _slots(len(residues), slot, "little").pack(*residues)
+    width = k * slot
+    return [int.from_bytes(raw[s : s + width], "little") for s in range(0, len(raw), width)]
+
+
+def _join(values: Sequence[int], k: int, slot: int, order: str) -> int:
+    """The low k slots of each packed integer, concatenated into one
+    integer: value 0 lowest for order "little", highest for "big"."""
+    width = k * slot
+    low = (1 << (8 * width)) - 1
+    return int.from_bytes(b"".join([(x & low).to_bytes(width, order) for x in values]), order)
+
+
+def _slot_values(
+    values: Sequence[int], k: int, slot: int, q: int, order: str = "little"
+) -> list[int]:
+    """The low k slots of each packed integer, reduced mod q, in one flat
+    list: value by value, each lowest slot first for order "little" and
+    highest slot first for "big"."""
+    n = len(values) * k
+    reduced = _mod_slots(_join(values, k, slot, order), n, slot, q)
+    return list(_slots(n, slot, order).unpack(reduced.to_bytes(n * slot, order)))
 
 
 def _unpack(packed: int, k: int, slot: int, q: int) -> list[int]:
     """The low k slots of a packed integer, each reduced mod q; higher
     slots (in a product over R, the N**k = 0 part) are dropped."""
-    width = k * slot
-    raw = (packed & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
-    return [int.from_bytes(raw[i : i + slot], "little") % q for i in range(0, width, slot)]
+    return _slot_values((packed,), k, slot, q)
 
 
 def _reduce(values: Sequence[int], k: int, slot: int, q: int) -> list[int]:
     """The low k slots of each packed integer, each reduced mod q, packed
     again at the same slot: ``_pack(_unpack(x, k, slot, q), slot)`` for
-    every x, in one pass over all their slots."""
+    every x, with one reduction of all their slots."""
     width = k * slot
-    low = (1 << (8 * width)) - 1
-    read = int.from_bytes
-    raw = b"".join([(x & low).to_bytes(width, "little") for x in values])
-    reduced = b"".join(
-        [
-            (read(raw[i : i + slot], "little") % q).to_bytes(slot, "little")
-            for i in range(0, len(raw), slot)
-        ]
+    raw = _mod_slots(_join(values, k, slot, "little"), len(values) * k, slot, q).to_bytes(
+        len(values) * width, "little"
     )
-    return [read(reduced[i : i + width], "little") for i in range(0, len(reduced), width)]
-
-
-def _reduce_element(x: int, k: int, slot: int, q: int) -> int:
-    """``_reduce([x], k, slot, q)[0]``, slot by slot: for a single value,
-    shifts cost less than a pass through bytes."""
-    bits = 8 * slot
-    mask = (1 << bits) - 1
-    out = 0
-    for shift in range(0, k * bits, bits):
-        out |= ((x >> shift) & mask) % q << shift
-    return out
+    return [int.from_bytes(raw[s : s + width], "little") for s in range(0, len(raw), width)]
 
 
 def _pack_vector(vec: Sequence[int], k: int, slot: int) -> int:
@@ -242,13 +339,13 @@ def _pack_vector(vec: Sequence[int], k: int, slot: int) -> int:
     slots; the high k - 1 slots take the overflow of a product with
     another element, which the caller masks off (x**k = 0).  Each chunk
     is reversed, so that the shift N (entry r picks up entry r + 1) acts
-    as x: slot t of element r holds entry r*k + k - 1 - t."""
+    as x: slot t of element r holds entry r*k + k - 1 - t.  The slots are
+    laid out by k slice assignments and written by one struct call."""
     stride = 2 * k - 1
-    cells = [c.to_bytes(slot, "little") for c in vec]
-    layout = [bytes(slot)] * (len(vec) // k * stride)
+    layout = [0] * (len(vec) // k * stride)
     for t in range(k):
-        layout[t::stride] = cells[k - 1 - t :: k]
-    return int.from_bytes(b"".join(layout), "little")
+        layout[t::stride] = vec[k - 1 - t :: k]
+    return int.from_bytes(_slots(len(layout), slot, "little").pack(*layout), "little")
 
 
 def _ring_replay(
@@ -260,13 +357,14 @@ def _ring_replay(
     (x**k = 0), is added.  A zero element is skipped: y and G*y are 0.
     At k = 1 an element is one slot, and y is s * w mod q."""
     low = (1 << (8 * k * slot)) - 1
+    mod = _slot_mod(k, slot, q)
     for shift, w, g in steps:
         s = (packed >> shift) & low
         if s:
             if k == 1:
                 y = s % q * w % q
             else:
-                y = _reduce_element(_reduce_element(s, k, slot, q) * w, k, slot, q)
+                y = mod(mod(s) * w & low)
             packed += ((y - s) << shift) + ((g * y) & mask)
     return packed
 
@@ -313,12 +411,13 @@ class RingElimination:
     holds the bit shift of the pivot row, the packed inverse w of the
     pivot's unit part (the pivot row is scaled by w) and the packed G:
     minus the row's element divided by x**v in every other row, x**(k-v)
-    in the annihilator row, and 0 in the pivot row.  ``reads`` holds the
-    byte offsets of the slots to read after a replay: the free rows',
-    then each pivot row's; ``back`` holds, per pivot, its column, v,
+    in the annihilator row, and 0 in the pivot row.  A replayed column
+    has ``slots`` slots, all reduced mod q by one ``_mod_slots``; ``free``
+    masks the slots of the rows left free, which a consistent right-hand
+    side leaves zero, and one struct call reads all of them.  ``back``
+    holds, per pivot, its column, the index of its row's first slot, v,
     (column, packed -r) for its residues r in later pivot columns (none
     when all pivots are units), and whether a residue refers to it.
-    ``size`` is the width in bytes of a replayed column.
     Never changed once built, so threads may share one.
     """
 
@@ -327,12 +426,12 @@ class RingElimination:
     rows: int
     cols: int
     slot: int
-    size: int
+    slots: int
     mask: int
+    free: int
     exps: tuple[int, ...]
     steps: tuple[tuple[int, int, int], ...]
-    reads: tuple[int, ...]
-    back: tuple[tuple[int, int, tuple[tuple[int, int], ...], bool], ...]
+    back: tuple[tuple[int, int, int, tuple[tuple[int, int], ...], bool], ...]
 
     @property
     def rank(self) -> int:
@@ -348,22 +447,17 @@ class RingElimination:
                 f"system has {self.rows * k} equations but rhs has {len(vec)} rows"
             )
         packed = _ring_replay(_pack_vector(vec, k, slot), self.steps, k, slot, q, self.mask)
-        raw = packed.to_bytes(self.size, "little")
-        read = int.from_bytes
-        values = [read(raw[o : o + slot], "little") % q for o in self.reads]
-        start = len(values) - k * len(self.back)
-        if any(values[:start]):
+        reduced = _mod_slots(packed, self.slots, slot, q)
+        if reduced & self.free:
             return None
+        raw = reduced.to_bytes(self.slots * slot, "little")
+        entries = _slots(self.slots, slot, "little").unpack(raw)
         coeffs = [0] * (self.cols * k)
         solved: dict[int, int] = {}
-        for t in range(len(self.back) - 1, -1, -1):
-            i, v, later, referred = self.back[t]
-            c = values[start + t * k : start + (t + 1) * k]
+        for i, at, v, later, referred in reversed(self.back):
+            c = entries[at : at + k]
             if later:
-                s = _pack(c, slot)
-                for j, a in later:
-                    s += a * solved[j]
-                c = _unpack(s, k, slot, q)
+                c = _unpack(_pack(c, slot) + sum(a * solved[j] for j, a in later), k, slot, q)
             c = c[v:]
             coeffs[i * k : i * k + k - v] = c
             if referred:
@@ -378,10 +472,12 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
     ``PowerTable.pack`` (reversed, so that the shift N acts as x).
 
     Kronecker-packed: column i is one integer, reduced by replaying the
-    steps recorded so far and read mod q, and then its pivot step is
-    recorded (see RingElimination).  A slot gains less than k*q**2 per
-    step, and back-substitution adds as much per later pivot; there are
-    at most min(cols, rows*k) pivots, and the slot width holds that.
+    steps recorded so far, then every slot mod q (``_mod_slots``) and
+    read by one struct call, and then its pivot step is recorded (see
+    RingElimination); G comes from the column's slot-wise negation mod
+    q, shifted down by v slots.  A slot gains less than k*q**2 per step,
+    and back-substitution adds as much per later pivot; there are at
+    most min(cols, rows*k) pivots, and the slot width holds that.
 
     Once every row holds a pivot, no later column can have one, so
     ``columns[i]`` is read only while free rows remain: a lazy sequence
@@ -396,13 +492,15 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
         raise DimensionMismatch(ragged)
     rows = n // k
     slot = _slot_bytes(q, 2 * min(cols, n) * k)
-    step = (2 * k - 1) * slot
-    width = k * slot
-    # the low k slots of every element, room for one annihilator per column
-    mask = int.from_bytes((b"\xff" * width + bytes(step - width)) * (rows + cols), "little")
-    offsets = [o for r in range(rows + cols) for o in range(r * step, r * step + width, slot)]
-    read = int.from_bytes
-    zero, one = bytes(slot), (1).to_bytes(slot, "little")
+    bits = 8 * slot
+    stride = 2 * k - 1
+    # the low k slots of every element, and q in each of them, with room
+    # for one annihilator row per column
+    mask = int.from_bytes((b"\xff" * (k * slot) + bytes((k - 1) * slot)) * (rows + cols), "little")
+    qs = q * int.from_bytes(
+        ((b"\x01" + bytes(slot - 1)) * k + bytes((k - 1) * slot)) * (rows + cols), "little"
+    )
+    low = (1 << (bits * k)) - 1
     free = list(range(rows))
     total = rows
     exps: list[int] = []
@@ -415,51 +513,51 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
         col = columns[i] if i else first
         if len(col) != n:
             raise DimensionMismatch(ragged)
-        packed = _ring_replay(_pack_vector(col, k, slot), steps, k, slot, q, mask)
-        # element r of the column is entries[r*k : r*k + k]; the read ends at
-        # the last element's k-th slot, so a high slot left set overflows it
-        raw = packed.to_bytes((total - 1) * step + width, "little")
-        entries = [read(raw[o : o + slot], "little") % q for o in offsets[: total * k]]
+        # the column has total rows, reduced and read whole: slot v of
+        # element r is entries[r*stride + v]
+        slots = total * stride
+        mod = _slot_mod(slots, slot, q)
+        reduced = mod(_ring_replay(_pack_vector(col, k, slot), steps, k, slot, q, mask))
+        entries = _slots(slots, slot, "little").unpack(reduced.to_bytes(slots * slot, "little"))
         # the first free row of least valuation v
         for v in range(k):
-            p = next((r for r in free if entries[r * k + v]), None)
+            p = next((r for r in free if entries[r * stride + v]), None)
             if p is not None:
                 break
         else:
             exps.append(0)
             continue
         free.remove(p)
-        w = _series_inverse(field, entries[p * k + v : p * k + k])
-        # G, slot by slot: slot t - v of element r is slot t of -entries[r]
-        neg = [(-x % q).to_bytes(slot, "little") for x in entries]
-        neg[p * k : p * k + k] = [zero] * k
-        g = [zero] * (total * (2 * k - 1))
-        for t in range(v, k):
-            g[t - v :: 2 * k - 1] = neg[t::k]
+        w = _series_inverse(field, entries[p * stride + v : p * stride + k])
+        shift = bits * stride * p
+        neg = mod((qs & ((1 << (bits * slots)) - 1)) - reduced)
+        # G: slot t - v of element r is slot t of -entries[r], 0 in row p
+        g = neg >> (bits * v) & mask
+        g -= g & (low << shift)
         if v:
+            below = (1 << (bits * v)) - 1
             for _, r, _, later in pivots:
-                if any(entries[r * k : r * k + v]):
-                    later.append((i, read(b"".join(neg[r * k : r * k + v]), "little")))
-            g += [zero] * (k - v) + [one]  # x**(k-v), the annihilator row
+                if any(entries[r * stride : r * stride + v]):
+                    later.append((i, neg >> (bits * stride * r) & below))
+            g |= 1 << (bits * (total * stride + k - v))  # x**(k-v), the annihilator row
             free.append(total)
             total += 1
-        steps.append((8 * step * p, _pack(w, slot), read(b"".join(g), "little")))
+        steps.append((shift, _pack(w, slot), g))
         pivots.append((i, p, v, []))
         exps.append(k - v)
     referred = {j for _, _, _, later in pivots for j, _ in later}
-    read_rows = free + [p for _, p, _, _ in pivots]
     return RingElimination(
         q,
         k,
         rows,
         cols,
         slot,
-        (total - 1) * step + width,
+        total * stride,
         mask,
+        sum(low << (bits * stride * r) for r in free),
         tuple(exps),
         tuple(steps),
-        tuple(o for r in read_rows for o in range(r * step, r * step + width, slot)),
-        tuple((i, v, tuple(later), i in referred) for i, _, v, later in pivots),
+        tuple((i, stride * p, v, tuple(later), i in referred) for i, p, v, later in pivots),
     )
 
 

@@ -145,6 +145,8 @@ class Transcript:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed transcript JSON: {exc.msg}", pos=exc.pos) from None
+        except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
+            raise ParseError(f"malformed transcript JSON: {exc}") from None
         if not isinstance(obj, dict) or not isinstance(obj.get("frames"), list):
             raise ParseError("transcript: expected {\"frames\": [...]}")
         frames = []

@@ -248,8 +248,11 @@ def test_passive_attack_degree_retry():
 
 def test_passive_recovered_above_degree_matches_oracle():
     # the params keep D+1 powers of z; a bound of 6 needs 7, and with
-    # d > D+1 rows the solution uses powers past D, which the attack
-    # applies through a table and orbit of its own
+    # d > D+1 rows the solution uses powers past D.  The attack still
+    # applies them through zeta's kept orbit, since the params' table
+    # holds sums of 2*6+1 = 13 coefficients at all three shapes
+    # (PowerTable.capacity); only the report's dense key
+    # (_structured_key) builds a table of its own
     rng = Rng(9753)
     for q, k, d, degree in ((101, 2, 3, 3), (2147483647, 3, 2, 3), (2305843009213693951, 2, 4, 1)):
         params = gen_params(q, k, d, degree, rng)

@@ -263,6 +263,16 @@ def test_shared_key_bytes():
         SharedKey.from_bytes(data[:-1])
 
 
+@settings(max_examples=200)
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=40))
+@example([0, 2**64 - 1, 2**61 - 2])
+def test_vector_bytes_match_per_entry_encoding(vec):
+    # PUBKEY payloads, shared keys and the CONFIRM checksum input
+    data = kex.vector_to_bytes(vec)
+    assert data == b"".join(e.to_bytes(8, "big") for e in vec)
+    assert kex.vector_from_bytes(data) == vec
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         params_from_json("{ truncated")

@@ -2,10 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commkex.commutant import PowerTable, RingMatrix
 from commkex.errors import DimensionMismatch, InvalidDimension, Singular
 from commkex.gf import Field, OpCounter, Rng
 from commkex.linalg import (
+    CODEC_CACHE_SIZE,
+    CODEC_CACHE_SLOTS,
     Matrix,
+    _mod_slots,
+    _pack,
+    _reduce,
+    _slot_bytes,
+    _slot_mod,
+    _slot_values,
+    _slots,
+    _unpack,
     eliminate_ring,
     invert,
     mat_add,
@@ -414,3 +425,95 @@ def test_ring_elimination_slot_holds_many_pivots():
     pivots, sols, _ = textbook_solve(field, a_rows, rhs)
     assert elim.rank == len(pivots) == units * k
     assert [elim.solve(b) for b in rhs] == sols
+
+
+# The slot codec against a per-slot oracle: every slot read through
+# bytes and reduced by %.  Slot contents include 0, q - 1, q and a full
+# slot, 2**(8*slot) - 1, the largest value a Barrett step must reduce.
+CODEC_PRIMES = [2, 3, 101, 65537, 2**31 - 1, 2**61 - 1]
+
+
+def oracle_slots(x, k, slot, order="little"):
+    """The low k slots of x, slot by slot, in ``order`` byte order."""
+    raw = (x & ((1 << (8 * k * slot)) - 1)).to_bytes(k * slot, order)
+    return [int.from_bytes(raw[o : o + slot], order) for o in range(0, k * slot, slot)]
+
+
+def oracle_pack(cells, slot, order="little"):
+    return int.from_bytes(b"".join(c.to_bytes(slot, order) for c in cells), order)
+
+
+@st.composite
+def packed_values(draw):
+    """(q, k, slot, values): a few integers of k slots each, at a slot
+    width that _slot_bytes gives for 1..2**10 terms, and some spill
+    above the k slots that every reader drops."""
+    q = draw(st.sampled_from(CODEC_PRIMES))
+    slot = _slot_bytes(q, draw(st.integers(min_value=1, max_value=2**10)))
+    k = draw(st.integers(min_value=1, max_value=16))
+    full = (1 << (8 * slot)) - 1
+    cell = st.one_of(st.sampled_from([0, q - 1, q, full]), st.integers(min_value=0, max_value=full))
+    values = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        cells = draw(st.lists(cell, min_size=k, max_size=k))
+        spill = draw(st.integers(min_value=0, max_value=full))
+        values.append(oracle_pack(cells, slot) + (spill << (8 * k * slot)))
+    return q, k, slot, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_values())
+def test_slot_codec_matches_per_slot_oracle(case):
+    q, k, slot, values = case
+    expect = [[c % q for c in oracle_slots(x, k, slot)] for x in values]
+    assert [_unpack(x, k, slot, q) for x in values] == expect
+    assert _reduce(values, k, slot, q) == [oracle_pack(e, slot) for e in expect]
+    assert [_pack(e, slot) for e in expect] == [oracle_pack(e, slot) for e in expect]
+    # all slots of all values at once: the low k of each, side by side
+    low = [oracle_slots(x, k, slot) for x in values]
+    joined = oracle_pack([c for cells in low for c in cells], slot)
+    n = len(values) * k
+    assert _mod_slots(joined, n, slot, q) == oracle_pack([c for e in expect for c in e], slot)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(CODEC_PRIMES),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=2**10),
+    st.data(),
+)
+def test_power_table_codec_matches_per_slot_oracle(q, k, d, count, data):
+    # big-endian vectors: each chunk of k entries is one integer whose
+    # highest slot holds the chunk's first entry
+    table = PowerTable(Field(q), RingMatrix(k, d, [[0] * k for _ in range(d * d)]), count)
+    slot = table.slot
+    full = (1 << (8 * slot)) - 1
+    residue = st.one_of(st.sampled_from([0, q - 1]), st.integers(min_value=0, max_value=q - 1))
+    vec = data.draw(st.lists(residue, min_size=k * d, max_size=k * d))
+    chunks = [oracle_pack(vec[i : i + k], slot, "big") for i in range(0, k * d, k)]
+    assert table.pack(vec) == chunks
+    assert table.unpack(chunks) == vec
+    cell = st.one_of(st.sampled_from([0, q - 1, q, full]), st.integers(min_value=0, max_value=full))
+    chunk = st.lists(cell, min_size=k + 1, max_size=k + 1)
+    raw = data.draw(st.lists(chunk, min_size=d, max_size=d))
+    # the first cell of each chunk is spill above its k slots
+    chunks = [oracle_pack(cells, slot, "big") for cells in raw]
+    assert table.unpack(chunks) == [c % q for cells in raw for c in cells[1:]]
+
+
+def test_codec_caches_stay_bounded():
+    # a process that meets many shapes (a listener fed hostile PARAMS)
+    # keeps the constants of at most CODEC_CACHE_SIZE of them, and none
+    # of a shape above CODEC_CACHE_SLOTS slots
+    for n in range(1, 2 * CODEC_CACHE_SIZE):
+        assert _mod_slots(n, n, 2, 101) == n % 101
+        assert _pack([1] * n, 2) == oracle_pack([1] * n, 2)
+    for cache in (_slot_mod, _slots):
+        assert cache.cache_info().currsize == CODEC_CACHE_SIZE
+    misses = _slot_mod.cache_info().misses, _slots.cache_info().misses
+    big = CODEC_CACHE_SLOTS + 1
+    x = oracle_pack([101] * big, 2)
+    assert _slot_values([x], big, 2, 101) == [0] * big
+    assert (_slot_mod.cache_info().misses, _slots.cache_info().misses) == misses

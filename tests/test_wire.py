@@ -178,6 +178,31 @@ def test_frame_round_trip_at_size_cap():
     assert decoded == frame
 
 
+FRAME_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        lambda length, tag, rest: length.to_bytes(4, "big") + bytes([tag]) + rest,
+        st.integers(min_value=0, max_value=40) | st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=255),
+        st.binary(max_size=64),
+    ),
+)
+
+
+@settings(max_examples=500)
+@given(FRAME_BYTES)
+def test_decode_frame_on_arbitrary_bytes(data):
+    # whatever a peer sends, decoding returns one frame from the head of
+    # the buffer or raises one of the three frame errors
+    try:
+        frame, used = decode_frame(data)
+    except (NeedMoreBytes, FrameTooLarge, UnknownTag):
+        return
+    assert used <= len(data)
+    assert data[:4] == (used - 5).to_bytes(4, "big")
+    assert frame == Frame(data[4], data[5:used])
+
+
 # --- sessions -------------------------------------------------------------
 
 
@@ -361,6 +386,43 @@ def test_transcript_json_validation():
     # true == 1, but a JSON boolean is not a tag
     with pytest.raises(ParseError):
         Transcript.from_json('{"frames": [{"dir": "i2r", "tag": true, "payload_hex": "00"}]}')
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(st.text(max_size=8), children, max_size=4)
+    ),
+    max_leaves=12,
+)
+FRAME_OBJECTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "dir": st.one_of(st.sampled_from([DIR_I2R, DIR_R2I]), JSON_VALUES),
+        "tag": st.one_of(st.integers(min_value=-1, max_value=4), JSON_VALUES),
+        "payload_hex": st.one_of(st.binary(max_size=8).map(bytes.hex), JSON_VALUES),
+    },
+)
+TRANSCRIPT_TEXT = st.one_of(
+    st.text(max_size=32),
+    JSON_VALUES.map(json.dumps),
+    st.lists(st.one_of(FRAME_OBJECTS, JSON_VALUES), max_size=4).map(
+        lambda frames: json.dumps({"frames": frames})
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(TRANSCRIPT_TEXT)
+@example("1" * 5000)  # more digits than int() converts
+@example("[" * 100_000)  # deeper than the JSON decoder recurses
+@example('{"frames": [' * 50_000)
+def test_transcript_from_arbitrary_json_raises_only_parse_error(text):
+    try:
+        transcript = Transcript.from_json(text)
+    except ParseError:
+        return
+    assert Transcript.from_json(transcript.to_json()) == transcript
 
 
 # --- listener -------------------------------------------------------------
