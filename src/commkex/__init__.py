@@ -10,7 +10,7 @@ that statement executable.
 
 from .errors import Error
 from .gf import Field, OpCounter, Rng, is_prime
-from .linalg import Matrix, SolveResult, invert, mat_apply, mat_mul, rank, solve_linear
+from .linalg import Matrix, mat_apply, mat_mul, rank
 from .commutant import (
     BlockGrid,
     GeneratorBlock,
@@ -56,12 +56,9 @@ __all__ = [
     "Rng",
     "is_prime",
     "Matrix",
-    "SolveResult",
-    "invert",
     "mat_apply",
     "mat_mul",
     "rank",
-    "solve_linear",
     "BlockGrid",
     "GeneratorBlock",
     "MonoTerm",

@@ -71,16 +71,27 @@ from .errors import (
     InvalidParams,
     NoSolution,
     OutOfSpan,
+    ParseError,
 )
 from .gf import Field
-from .kex import Params, PrivateKey, PublicKey, SharedKey, matrix_to_obj, vector_to_obj
+from .kex import (
+    Params,
+    PrivateKey,
+    PublicKey,
+    SharedKey,
+    matrix_to_obj,
+    private_key_from_obj,
+    private_key_to_obj,
+    public_key_from_obj,
+    public_key_to_obj,
+    vector_to_obj,
+)
 from .linalg import (
     Matrix,
     RingElimination,
     eliminate_ring,
     mat_apply,
     mat_mul,
-    rank,
 )
 
 MODE_FULL = "full-matrix"
@@ -107,7 +118,7 @@ class KeyDirectory:
         cols = [e.public.vec for e in self.entries]
         if not cols:
             return 0
-        return rank(self.params.field(), Matrix.from_columns(cols))
+        return eliminate_ring(self.params.field(), 1, cols).rank
 
 
 @dataclass
@@ -385,8 +396,6 @@ def passive_commutant_attack(
 def directory_to_obj(directory: KeyDirectory) -> dict:
     """dir.json body: entries carry a pub.json object and, when the
     private key is known, a key.json object."""
-    from .kex import private_key_to_obj, public_key_to_obj
-
     entries = []
     for e in directory.entries:
         item: dict = {"pub": public_key_to_obj(e.public)}
@@ -397,9 +406,6 @@ def directory_to_obj(directory: KeyDirectory) -> dict:
 
 
 def directory_from_obj(obj, params: Params) -> KeyDirectory:
-    from .errors import ParseError
-    from .kex import private_key_from_obj, public_key_from_obj
-
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise ParseError("dir: expected {\"entries\": [...]}")
     entries = []

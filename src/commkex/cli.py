@@ -14,7 +14,6 @@ error (including checksum and protocol failures).
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
 import time
@@ -70,6 +69,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -246,7 +247,7 @@ def _cmd_derive(args) -> int:
 
 def _cmd_attack_recover(args) -> int:
     params = _load_params(args.params)
-    directory = attacks.directory_from_obj(json.loads(_read_text(args.directory)), params)
+    directory = attacks.directory_from_obj(kex._loads(_read_text(args.directory)), params)
     target = _load_public(args.target_pub, params.q)
     mode = attacks.MODE_FULL if args.mode == "full" else attacks.MODE_STRUCTURED
     result = attacks.recover_private_key(directory, target, mode)
@@ -259,7 +260,7 @@ def _cmd_attack_recover(args) -> int:
 
 def _cmd_attack_shared(args) -> int:
     params = _load_params(args.params)
-    directory = attacks.directory_from_obj(json.loads(_read_text(args.directory)), params)
+    directory = attacks.directory_from_obj(kex._loads(_read_text(args.directory)), params)
     victim = _load_public(args.victim_pub, params.q)
     counterpart = _load_public(args.counterpart_pub, params.q)
     result = attacks.recover_shared_from_directory(directory, victim, counterpart)
@@ -421,9 +422,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.handler(args)
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except _ATTACK_ERRORS as exc:
         print(f"attack failed: {exc}", file=sys.stderr)

@@ -56,7 +56,6 @@ from .linalg import (
     _reduce,
     _slot_bytes,
     _slot_values,
-    _slots,
     mat_mul,
 )
 
@@ -90,18 +89,16 @@ class GeneratorBlock:
             out[1] = 1
         return out
 
-    def realize(self, field: Field) -> Matrix:
-        return ShiftPoly(tuple(self.residues(field))).realize(field)
-
 
 @dataclass(frozen=True)
 class ShiftPoly:
     """Coefficients (c0, ..., c_{k-1}) of sum_j c_j N**j.
 
-    Realizes as the upper-triangular Toeplitz matrix with entry
-    (i, j) = c_{j-i} for j >= i.  Closed under sum and product; the
-    product is coefficient convolution truncated to length k because
-    N**k = 0, which the packed products (``_block_products``) compute.
+    Its dense form (``embed_block_diag(field, poly, 1)``) is the
+    upper-triangular Toeplitz matrix with entry (i, j) = c_{j-i} for
+    j >= i.  Closed under sum and product; the product is coefficient
+    convolution truncated to length k because N**k = 0, which the packed
+    products (``_block_products``) compute.
     """
 
     coeffs: tuple[int, ...]
@@ -113,15 +110,6 @@ class ShiftPoly:
     @property
     def k(self) -> int:
         return len(self.coeffs)
-
-    def realize(self, field: Field) -> Matrix:
-        k = self.k
-        q = field.q
-        m = Matrix.zero(k, k)
-        for i in range(k):
-            for j in range(i, k):
-                m.entries[i * k + j] = self.coeffs[j - i] % q
-        return m
 
     def add(self, other: "ShiftPoly", field: Field) -> "ShiftPoly":
         if self.k != other.k:
@@ -270,14 +258,12 @@ class PowerTable:
 
     def pack(self, vec: Sequence[int]) -> list[int]:
         """A vector of m canonical residues as d packed chunks, each
-        reversed: the entries are written big-endian by one struct call,
-        and each chunk is read as one big-endian integer."""
+        reversed: written big-endian (``_pack_elements``), a chunk's first
+        entry lands in its highest slot."""
         k, d, slot = self.z.k, self.z.d, self.slot
         if len(vec) != k * d:
             raise DimensionMismatch(f"ring matrix of size {k * d} applied to length {len(vec)}")
-        raw = _slots(k * d, slot, "big").pack(*vec)
-        width = k * slot
-        return [int.from_bytes(raw[s : s + width], "big") for s in range(0, d * width, width)]
+        return _pack_elements(vec, k, slot, "big")
 
     def act(self, chunks: Sequence[int]) -> list[int]:
         """z @ v for v packed by ``pack``, packed the same way: output

@@ -22,10 +22,6 @@ class NotBlockToeplitz(Error):
     Toeplitz, so it is not a matrix over R = GF(q)[N]/(N**k)."""
 
 
-class Singular(Error):
-    """Matrix inversion was attempted on a rank-deficient matrix."""
-
-
 class InvalidParams(Error):
     """Parameter validation failed (composite modulus, bad shape, ...)."""
 

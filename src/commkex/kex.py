@@ -84,8 +84,8 @@ class Params:
     and the passive attack as far as its elimination reads, then up to
     z**(2*top) zeta for the product of its two solutions (top, the last
     power with a pivot, is at most the bound).  Each is built on first
-    use (threads racing on that may each build one) and kept; a longer
-    polynomial gets a table of its own.
+    use and kept (``functools.cached_property``); a longer polynomial
+    gets a table of its own.
 
     ``passive_system`` is the passive attack's cache, built by its first
     attack on these params: (degree bound, the public vector's orbit by a
@@ -107,8 +107,6 @@ class Params:
     passive_system: Optional[tuple[int, Orbit, RingElimination]] = dc_field(
         default=None, init=False, repr=False, compare=False
     )
-    _z_powers: Optional[PowerTable] = dc_field(default=None, init=False, repr=False, compare=False)
-    _zeta_orbit: Optional[Orbit] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -137,17 +135,13 @@ class Params:
     def z_ring(self) -> RingMatrix:
         return self.ring_base.ring
 
-    @property
+    @cached_property
     def z_powers(self) -> PowerTable:
-        if self._z_powers is None:
-            self._z_powers = PowerTable(self.field(), self.z_ring, self.degree + 1)
-        return self._z_powers
+        return PowerTable(self.field(), self.z_ring, self.degree + 1)
 
-    @property
+    @cached_property
     def zeta_orbit(self) -> Orbit:
-        if self._zeta_orbit is None:
-            self._zeta_orbit = Orbit(self.z_powers, self.base_vector)
-        return self._zeta_orbit
+        return Orbit(self.z_powers, self.base_vector)
 
     @property
     def m(self) -> int:

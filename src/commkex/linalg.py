@@ -4,8 +4,7 @@ Matrices are row-major flat lists of canonical residues; vectors are
 plain lists of ints.  Every operation takes the field context
 explicitly.  Multiplication and vector application charge the field's
 counter with schoolbook counts (rows*inner*cols multiplies and the
-matching addition count); elimination, rank and inversion are not
-instrumented.
+matching addition count); elimination and rank are not instrumented.
 
 Elimination pivots on the first nonzero entry in column order -- there
 is no magnitude over GF(q) -- and always fully reduces, so particular
@@ -21,12 +20,12 @@ side is solved by replaying that record (``RingElimination.solve``), so
 systems that share a coefficient matrix are eliminated once and solved
 many times.  Its solution, read over GF(q), is the reduced-echelon one
 of the GF(q) system, with the same rank (see RingElimination).
-``solve_linear``, ``rank`` and ``invert`` run it at k = 1, where every
-pivot is a unit: the pivots are the columns with e_i = 1.  Like the
-rest of elimination it is not charged to an OpCounter.
+``rank`` runs it at k = 1, where every pivot is a unit: the pivots are
+the columns with e_i = 1.  The attacks, which solve systems, call it
+directly.
 
 Packed integers (here and in ``commutant``) leave and enter the packed
-form through one slot codec.  ``_mod_slots`` reduces every slot of a
+form through one slot codec.  ``_slot_mod`` reduces every slot of a
 packed integer mod q at once, by Barrett reduction run on the whole
 integer: with W = 8*slot bits per slot and mu = floor(2**W / q), the
 quotient estimate floor(v*mu / 2**W) of a slot value v < 2**W is
@@ -48,10 +47,10 @@ from __future__ import annotations
 import functools
 import operator
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import DimensionMismatch, InvalidDimension, Singular
+from .errors import DimensionMismatch, InvalidDimension
 from .gf import Field
 
 Vector = list  # list[int]; alias for documentation purposes
@@ -126,25 +125,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols}, {self.to_rows()})"
-
-
-@dataclass
-class SolveResult:
-    """Outcome of solve_linear.
-
-    ``particular`` is one exact solution (free variables set to zero,
-    read off the reduced echelon form) or None when the system is
-    inconsistent; it matches the right-hand side's kind (vector in,
-    vector out).  ``nullspace`` is a basis of the homogeneous solutions
-    of the coefficient matrix, independent of consistency.
-    """
-
-    particular: list[int] | Matrix | None
-    nullspace: list[list[int]] = dc_field(default_factory=list)
-
-    @property
-    def consistent(self) -> bool:
-        return self.particular is not None
 
 
 def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
@@ -279,22 +259,21 @@ def _slot_mod(n: int, slot: int, q: int) -> Callable[[int], int]:
     return mod
 
 
-def _mod_slots(x: int, n: int, slot: int, q: int) -> int:
-    """x with each of its n slots reduced mod q (see ``_slot_mod``)."""
-    return _slot_mod(n, slot, q)(x)
-
-
 def _pack(residues: Sequence[int], slot: int) -> int:
     """Kronecker substitution: sum_j c_j * 2**(8*slot*j) for canonical c_j."""
     return int.from_bytes(_slots(len(residues), slot, "little").pack(*residues), "little")
 
 
-def _pack_elements(residues: Sequence[int], k: int, slot: int) -> list[int]:
-    """Consecutive k-chunks of canonical residues, each packed by ``_pack``,
-    written by one struct call."""
-    raw = _slots(len(residues), slot, "little").pack(*residues)
+def _pack_elements(
+    residues: Sequence[int], k: int, slot: int, order: str = "little"
+) -> list[int]:
+    """Consecutive k-chunks of canonical residues, each packed into one
+    integer, written by one struct call: each chunk's first residue in
+    its lowest slot for order "little" (``_pack``), in its highest for
+    "big"."""
+    raw = _slots(len(residues), slot, order).pack(*residues)
     width = k * slot
-    return [int.from_bytes(raw[s : s + width], "little") for s in range(0, len(raw), width)]
+    return [int.from_bytes(raw[s : s + width], order) for s in range(0, len(raw), width)]
 
 
 def _join(values: Sequence[int], k: int, slot: int, order: str) -> int:
@@ -312,24 +291,17 @@ def _slot_values(
     list: value by value, each lowest slot first for order "little" and
     highest slot first for "big"."""
     n = len(values) * k
-    reduced = _mod_slots(_join(values, k, slot, order), n, slot, q)
+    reduced = _slot_mod(n, slot, q)(_join(values, k, slot, order))
     return list(_slots(n, slot, order).unpack(reduced.to_bytes(n * slot, order)))
-
-
-def _unpack(packed: int, k: int, slot: int, q: int) -> list[int]:
-    """The low k slots of a packed integer, each reduced mod q; higher
-    slots (in a product over R, the N**k = 0 part) are dropped."""
-    return _slot_values((packed,), k, slot, q)
 
 
 def _reduce(values: Sequence[int], k: int, slot: int, q: int) -> list[int]:
     """The low k slots of each packed integer, each reduced mod q, packed
-    again at the same slot: ``_pack(_unpack(x, k, slot, q), slot)`` for
-    every x, with one reduction of all their slots."""
+    again at the same slot: ``_pack(_slot_values((x,), k, slot, q), slot)``
+    for every x, with one reduction of all their slots."""
     width = k * slot
-    raw = _mod_slots(_join(values, k, slot, "little"), len(values) * k, slot, q).to_bytes(
-        len(values) * width, "little"
-    )
+    n = len(values) * k
+    raw = _slot_mod(n, slot, q)(_join(values, k, slot, "little")).to_bytes(n * slot, "little")
     return [int.from_bytes(raw[s : s + width], "little") for s in range(0, len(raw), width)]
 
 
@@ -412,7 +384,7 @@ class RingElimination:
     pivot's unit part (the pivot row is scaled by w) and the packed G:
     minus the row's element divided by x**v in every other row, x**(k-v)
     in the annihilator row, and 0 in the pivot row.  A replayed column
-    has ``slots`` slots, all reduced mod q by one ``_mod_slots``; ``free``
+    has ``slots`` slots, all reduced mod q by one ``_slot_mod``; ``free``
     masks the slots of the rows left free, which a consistent right-hand
     side leaves zero, and one struct call reads all of them.  ``back``
     holds, per pivot, its column, the index of its row's first slot, v,
@@ -447,7 +419,7 @@ class RingElimination:
                 f"system has {self.rows * k} equations but rhs has {len(vec)} rows"
             )
         packed = _ring_replay(_pack_vector(vec, k, slot), self.steps, k, slot, q, self.mask)
-        reduced = _mod_slots(packed, self.slots, slot, q)
+        reduced = _slot_mod(self.slots, slot, q)(packed)
         if reduced & self.free:
             return None
         raw = reduced.to_bytes(self.slots * slot, "little")
@@ -457,7 +429,8 @@ class RingElimination:
         for i, at, v, later, referred in reversed(self.back):
             c = entries[at : at + k]
             if later:
-                c = _unpack(_pack(c, slot) + sum(a * solved[j] for j, a in later), k, slot, q)
+                c = _pack(c, slot) + sum(a * solved[j] for j, a in later)
+                c = _slot_values((c,), k, slot, q)
             c = c[v:]
             coeffs[i * k : i * k + k - v] = c
             if referred:
@@ -472,7 +445,7 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
     ``PowerTable.pack`` (reversed, so that the shift N acts as x).
 
     Kronecker-packed: column i is one integer, reduced by replaying the
-    steps recorded so far, then every slot mod q (``_mod_slots``) and
+    steps recorded so far, then every slot mod q (``_slot_mod``) and
     read by one struct call, and then its pivot step is recorded (see
     RingElimination); G comes from the column's slot-wise negation mod
     q, shifted down by v slots.  A slot gains less than k*q**2 per step,
@@ -561,53 +534,6 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
     )
 
 
-def _eliminate_matrix(field: Field, a: Matrix) -> RingElimination:
-    """The record of a over GF(q), the chain ring at k = 1."""
-    return eliminate_ring(field, 1, [a.col(j) for j in range(a.cols)])
-
-
-def solve_linear(field: Field, a: Matrix, rhs: Matrix | Sequence[int]) -> SolveResult:
-    """Exact solve of a x = rhs over GF(q).
-
-    Accepts a single right-hand-side vector or a Matrix of stacked
-    right-hand sides.  The coefficient matrix is eliminated once and
-    each right-hand side replays that elimination.  The particular
-    solution sets free variables to zero.  The nullspace has one vector
-    per free column f, e_f minus the solution for column f: a free
-    column's reduced entries are zero at later pivots, so this is the
-    reduced-echelon basis.
-    """
-    vector_rhs = not isinstance(rhs, Matrix)
-    rhs_cols = [list(rhs)] if vector_rhs else [rhs.col(j) for j in range(rhs.cols)]
-    if len(rhs_cols[0]) != a.rows:
-        raise DimensionMismatch(
-            f"system has {a.rows} equations but rhs has {len(rhs_cols[0])} rows"
-        )
-    elim = _eliminate_matrix(field, a)
-    q = field.q
-    nullspace = []
-    for f, e in enumerate(elim.exps):
-        if not e:
-            vec = [-x % q for x in elim.solve(a.col(f))]
-            vec[f] = 1
-            nullspace.append(vec)
-    sols = [elim.solve(col) for col in rhs_cols]
-    if any(x is None for x in sols):
-        return SolveResult(None, nullspace)
-    return SolveResult(sols[0] if vector_rhs else Matrix.from_columns(sols), nullspace)
-
-
 def rank(field: Field, a: Matrix) -> int:
     """Row rank over GF(q)."""
-    return _eliminate_matrix(field, a).rank
-
-
-def invert(field: Field, a: Matrix) -> Matrix:
-    """Two-sided inverse; raises Singular when rank < n."""
-    if a.rows != a.cols:
-        raise DimensionMismatch("only square matrices are invertible")
-    n = a.rows
-    elim = _eliminate_matrix(field, a)
-    if elim.rank < n:
-        raise Singular(f"matrix of rank {elim.rank} < {n} has no inverse")
-    return Matrix.from_columns([elim.solve([int(i == j) for i in range(n)]) for j in range(n)])
+    return eliminate_ring(field, 1, [a.col(j) for j in range(a.cols)]).rank

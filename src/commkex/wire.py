@@ -24,9 +24,9 @@ from public data alone via the passive attack.
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
+import time
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -46,6 +46,7 @@ from .kex import (
     PrivateKey,
     PublicKey,
     SharedKey,
+    _loads,
     canonical_json,
     derive_shared,
     keygen,
@@ -141,12 +142,7 @@ class Transcript:
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed transcript JSON: {exc.msg}", pos=exc.pos) from None
-        except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
-            raise ParseError(f"malformed transcript JSON: {exc}") from None
+        obj = _loads(text)
         if not isinstance(obj, dict) or not isinstance(obj.get("frames"), list):
             raise ParseError("transcript: expected {\"frames\": [...]}")
         frames = []
@@ -388,8 +384,6 @@ class Listener:
 
     def wait(self, sessions: int, timeout: float = 30.0) -> None:
         """Block until at least ``sessions`` results are in."""
-        import time
-
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             with self._lock:

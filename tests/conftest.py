@@ -1,9 +1,11 @@
 import copy
 
 import pytest
+from hypothesis import strategies as st
 
 from commkex.commutant import RingMatrix, RingSample, ShiftPoly
-from commkex.kex import Params, private_key_from_coeffs, public_key
+from commkex.gf import Rng
+from commkex.kex import Params, gen_params, keygen, private_key_from_coeffs, public_key
 from commkex.linalg import Matrix
 
 # Shapes the whole suite samples over: primes crossed with (k, d).
@@ -68,3 +70,59 @@ def malformed_recipes():
         return [(label, _edited(obj, path, value)) for label, path, value in cases]
 
     return variants
+
+
+# What the reader fuzz tests mutate: params of a small shape with a
+# recipe (q = 101, k = d = 2, D = 3), and two key pairs on them.
+FUZZ_PARAMS = gen_params(101, 2, 2, 3, Rng(5), seed=5)
+FUZZ_KEYS = [keygen(FUZZ_PARAMS, Rng(seed)) for seed in (6, 7)]
+
+# Small JSON values a mutation writes: decimal strings that parse as
+# small residues or shapes, other scalars, and flat containers of them.
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=300)
+    | st.integers(min_value=-2, max_value=300).map(str)
+    | st.sampled_from(["", "x", "scalar", "jordan", "9" * 30])
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+SMALL_JSON = (
+    JSON_SCALARS
+    | st.lists(JSON_SCALARS, max_size=3)
+    | st.dictionaries(st.text(max_size=4), JSON_SCALARS, max_size=3)
+)
+
+
+def _containers(node):
+    """Every dict and list inside node, itself first."""
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _containers(child)
+
+
+@st.composite
+def json_mutations(draw, obj, max_edits=3):
+    """A copy of the JSON value obj with 1..max_edits edits.  Each edit
+    picks a dict or list anywhere in the value and deletes one of its
+    members, replaces one with a small JSON value, or inserts one (a new
+    key, or a list item at a random index); or it replaces the whole
+    value (target None)."""
+    new = copy.deepcopy(obj)
+    for _ in range(draw(st.integers(min_value=1, max_value=max_edits))):
+        target = draw(st.sampled_from([*_containers(new), None]))
+        if target is None:
+            new = draw(SMALL_JSON)
+            continue
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        op = draw(st.sampled_from(["delete", "replace", "insert"] if keys else ["insert"]))
+        if op == "insert" and isinstance(target, dict):
+            target[draw(st.text(max_size=4))] = draw(SMALL_JSON)
+        elif op == "insert":
+            target.insert(draw(st.integers(min_value=0, max_value=len(target))), draw(SMALL_JSON))
+        elif op == "delete":
+            del target[draw(st.sampled_from(keys))]
+        else:
+            target[draw(st.sampled_from(keys))] = draw(SMALL_JSON)
+    return new

@@ -2,10 +2,9 @@
 
 Everything here deliberately avoids the library's code paths: matrix
 work goes through numpy object arrays, scalar work through plain
-integer loops, and small solves through exhaustive search.
+integer loops, and solves through a textbook Gauss-Jordan loop
+(``rref_rows``).
 """
-
-from itertools import product
 
 import numpy as np
 
@@ -56,16 +55,6 @@ def inv_by_search(a, q):
         if a * b % q == 1:
             return b
     raise AssertionError(f"{a} has no inverse mod {q}")
-
-
-def solve_by_search(a_rows, b, q):
-    """All solutions of a_rows @ x = b over GF(q), by exhaustion."""
-    n = len(a_rows[0])
-    hits = []
-    for x in product(range(q), repeat=n):
-        if mat_vec_mod(a_rows, list(x), q) == list(b):
-            hits.append(list(x))
-    return hits
 
 
 def rank_by_minors(a_rows, q):

@@ -3,8 +3,10 @@ import threading
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from commkex.errors import (
+    Error,
     InconsistentSystem,
     InsufficientRank,
     InvalidParams,
@@ -37,6 +39,7 @@ from commkex.attacks import (
 )
 from commkex.linalg import Matrix, mat_apply, vec_add
 
+from conftest import FUZZ_KEYS, FUZZ_PARAMS, json_mutations
 from oracles import key_poly_mod, mat_vec_mod, structured_columns_mod, textbook_solve
 
 
@@ -340,6 +343,23 @@ def test_corrupted_directory_raises_inconsistent():
         recover_private_key(directory, pk_t, MODE_STRUCTURED)
     with pytest.raises(InconsistentSystem):
         recover_private_key(directory, pk_t, MODE_FULL)
+
+
+# one known pair and one public key only
+FUZZ_DIRECTORY = KeyDirectory(
+    FUZZ_PARAMS,
+    [DirectoryEntry(FUZZ_KEYS[0][1], FUZZ_KEYS[0][0]), DirectoryEntry(FUZZ_KEYS[1][1])],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_mutations(directory_to_obj(FUZZ_DIRECTORY)))
+def test_directory_reader_on_mutated_objects(obj):
+    # whatever is deleted, replaced or inserted, only a commkex error escapes
+    try:
+        directory_from_obj(obj, FUZZ_PARAMS)
+    except Error:
+        pass
 
 
 def test_directory_serialization_round_trip(micro_params, micro_keys):

@@ -425,6 +425,29 @@ def keygen_cli(params_path, tmp_path):
     )
 
 
+def test_non_utf8_files_exit_3(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert keygen_cli(bad, tmp_path) == 3
+    assert run(["demo", "sniff", "--transcript", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("not UTF-8") == 2 and "Traceback" not in err
+
+
+def test_hostile_directory_exits_3(tmp_path, capsys):
+    # a number of more digits than int() converts, and nesting deeper
+    # than the JSON decoder recurses, from both directory attacks
+    paths = gen_pipeline(tmp_path)
+    bad = tmp_path / "dir.json"
+    common = ["--params", str(paths["params"]), "--dir", str(bad)]
+    alice, bob = str(paths["alice_pub"]), str(paths["bob_pub"])
+    for text in ('{"entries": [' + "1" * 5000 + "]}", "[" * 100_000):
+        bad.write_text(text)
+        assert run(["attack", "recover-key", *common, "--target-pub", alice]) == 3
+        assert run(["attack", "shared", *common, "--victim-pub", alice, "--counterpart-pub", bob]) == 3
+        assert capsys.readouterr().err.count("malformed JSON") == 2
+
+
 def test_malformed_recipe_exits_3(tmp_path, capsys, malformed_recipes):
     paths = gen_pipeline(tmp_path, k=2, d=2)
     obj = json.loads(paths["params"].read_text())

@@ -28,7 +28,7 @@ from commkex.commutant import (
     _block_products,
     sample_ring_element,
 )
-from commkex.linalg import Matrix, _pack, _slot_bytes, _unpack, mat_add, mat_apply, mat_mul
+from commkex.linalg import Matrix, _pack, _slot_bytes, _slot_values, mat_add, mat_apply, mat_mul
 
 from conftest import GRID_DEGREES, GRID_PRIMES, GRID_SHAPES
 from oracles import (
@@ -54,21 +54,26 @@ def block_product(field, a, b):
     a_packed = [_pack(e, slot) for e in a.blocks]
     b_packed = [_pack(e, slot) for e in b.blocks]
     product = _block_products(a_packed, b_packed, d, k, slot, q)
-    return RingMatrix(k, d, [_unpack(x, k, slot, q) for x in product])
+    return RingMatrix(k, d, [_slot_values((x,), k, slot, q) for x in product])
+
+
+def block_matrix_of(field, blk):
+    """A generator block's dense k x k matrix."""
+    return embed_block_diag(field, ShiftPoly(tuple(blk.residues(field))), 1)
 
 
 def test_generator_block_examples():
-    assert GeneratorBlock("scalar", 3, 2).realize(F7) == Matrix.from_rows(
+    assert block_matrix_of(F7, GeneratorBlock("scalar", 3, 2)) == Matrix.from_rows(
         [[3, 0], [0, 3]]
     )
-    assert GeneratorBlock("jordan", 2, 2).realize(F7) == Matrix.from_rows(
+    assert block_matrix_of(F7, GeneratorBlock("jordan", 2, 2)) == Matrix.from_rows(
         [[2, 1], [0, 2]]
     )
-    assert GeneratorBlock("jordan", 0, 3).realize(F7) == Matrix.from_rows(
+    assert block_matrix_of(F7, GeneratorBlock("jordan", 0, 3)) == Matrix.from_rows(
         [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
     )
     # k = 1 collapses the jordan kind to a bare scalar
-    assert GeneratorBlock("jordan", 5, 1).realize(F7) == Matrix.from_rows([[5]])
+    assert block_matrix_of(F7, GeneratorBlock("jordan", 5, 1)) == Matrix.from_rows([[5]])
     with pytest.raises(InvalidDimension):
         GeneratorBlock("scalar", 1, 0)
     with pytest.raises(InvalidDimension):
@@ -81,7 +86,7 @@ def test_generator_blocks_commute_pairwise():
         field = Field(q)
         for k in (1, 2, 3, 4):
             blocks = [
-                random_generator(field, k, rng).realize(field) for _ in range(8)
+                block_matrix_of(field, random_generator(field, k, rng)) for _ in range(8)
             ]
             for a in blocks:
                 for b in blocks:
@@ -109,7 +114,7 @@ def test_embed_block_diag_examples():
 
 def test_shift_poly_realization_is_toeplitz():
     p = ShiftPoly((4, 5, 6))
-    assert p.realize(F7) == Matrix.from_rows([[4, 5, 6], [0, 4, 5], [0, 0, 4]])
+    assert embed_block_diag(F7, p, 1) == Matrix.from_rows([[4, 5, 6], [0, 4, 5], [0, 0, 4]])
 
 
 def test_shift_poly_closure_matches_matrix_product():
@@ -122,10 +127,10 @@ def test_shift_poly_closure_matches_matrix_product():
                 b = random_shift_poly(field, k, rng)
                 ra, rb = RingMatrix.embed(field, a, 1), RingMatrix.embed(field, b, 1)
                 via_poly = block_product(field, ra, rb).to_matrix()
-                via_matrix = mat_mul(field, a.realize(field), b.realize(field))
-                assert via_poly == via_matrix
-                assert a.add(b, field).realize(field) == mat_add(
-                    field, a.realize(field), b.realize(field)
+                da, db = ra.to_matrix(), rb.to_matrix()
+                assert via_poly == mat_mul(field, da, db)
+                assert RingMatrix.embed(field, a.add(b, field), 1).to_matrix() == mat_add(
+                    field, da, db
                 )
 
 
@@ -151,7 +156,7 @@ def test_block_grid_mixed_matches_blockwise_oracle():
     )
     grid = BlockGrid(blocks)
     oracle = block_matrix(
-        [[blk.realize(F7).to_rows() for blk in row] for row in blocks], 7
+        [[block_matrix_of(F7, blk).to_rows() for blk in row] for row in blocks], 7
     )
     assert grid.realize(F7) == Matrix.from_rows(oracle)
 

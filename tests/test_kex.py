@@ -13,6 +13,7 @@ from commkex.errors import (
     DegenerateKey,
     DegenerateRingElement,
     DimensionMismatch,
+    Error,
     InvalidParams,
     NotBlockToeplitz,
     ParseError,
@@ -29,7 +30,9 @@ from commkex.kex import (
     gen_params,
     keygen,
     params_from_json,
+    params_from_obj,
     params_to_json,
+    params_to_obj,
     private_key_from_coeffs,
     private_key_from_json,
     private_key_from_obj,
@@ -41,7 +44,7 @@ from commkex.kex import (
 )
 from commkex.linalg import Matrix, mat_mul, vec_add
 
-from conftest import GRID_PRIMES, GRID_SHAPES
+from conftest import FUZZ_KEYS, FUZZ_PARAMS, GRID_PRIMES, GRID_SHAPES, json_mutations
 from oracles import key_poly_mod, mat_vec_mod
 
 
@@ -558,3 +561,23 @@ def test_bulk_residue_parser_matches_per_entry(values, q):
         assert got == reference("m.entries")
         got = outcome(lambda: list(kex.shift_poly_from_obj({"coeffs": values}, q, "c").coeffs))
         assert got == reference("c.coeffs")
+
+
+# Readers of mutated files: whatever is deleted, replaced or inserted,
+# only a commkex error escapes.
+@settings(max_examples=200, deadline=None)
+@given(json_mutations(params_to_obj(FUZZ_PARAMS)))
+def test_params_reader_on_mutated_objects(obj):
+    try:
+        params_from_obj(obj)
+    except Error:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_mutations(private_key_to_obj(FUZZ_KEYS[0][0])))
+def test_private_key_reader_on_mutated_objects(obj):
+    try:
+        private_key_from_obj(obj, FUZZ_PARAMS)
+    except Error:
+        pass

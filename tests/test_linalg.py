@@ -3,27 +3,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commkex.commutant import PowerTable, RingMatrix
-from commkex.errors import DimensionMismatch, InvalidDimension, Singular
+from commkex.errors import DimensionMismatch, InvalidDimension
 from commkex.gf import Field, OpCounter, Rng
 from commkex.linalg import (
     CODEC_CACHE_SIZE,
     CODEC_CACHE_SLOTS,
     Matrix,
-    _mod_slots,
     _pack,
     _reduce,
     _slot_bytes,
     _slot_mod,
     _slot_values,
     _slots,
-    _unpack,
     eliminate_ring,
-    invert,
     mat_add,
     mat_apply,
     mat_mul,
     rank,
-    solve_linear,
 )
 
 from oracles import (
@@ -31,7 +27,6 @@ from oracles import (
     mat_vec_mod,
     rank_by_minors,
     shifted_columns,
-    solve_by_search,
     textbook_solve,
 )
 
@@ -79,41 +74,11 @@ def test_mat_apply_examples():
         mat_apply(F7, t, [1, 2, 3])
 
 
-def test_solve_examples():
-    a = Matrix.from_rows([[1, 3], [2, 2]])
-    res = solve_linear(F7, a, [4, 3])
-    hits = solve_by_search(a.to_rows(), [4, 3], 7)
-    assert res.particular in hits
-    assert hits == [[2, 3]]
-    assert res.nullspace == []
-
-    res = solve_linear(F7, Matrix.identity(3), [5, 6, 0])
-    assert res.particular == [5, 6, 0]
-
-    res = solve_linear(F7, Matrix.zero(1, 1), [1])
-    assert not res.consistent and res.particular is None
-
-    with pytest.raises(DimensionMismatch):
-        solve_linear(F7, a, [1, 2, 3])
-
-
 def test_rank_examples():
     assert rank(F7, Matrix.identity(4)) == 4
     assert rank(F7, Matrix.zero(3, 3)) == 0
     a = Matrix.from_rows([[1, 1], [2, 2]])
     assert rank(F7, a) == rank_by_minors(a.to_rows(), 7) == 1
-
-
-def test_invert_examples():
-    assert invert(F7, Matrix.identity(3)) == Matrix.identity(3)
-    a = Matrix.from_rows([[1, 1], [0, 1]])
-    inv = invert(F7, a)
-    assert mat_mul(F7, a, inv) == Matrix.identity(2)
-    assert inv == Matrix.from_rows([[1, 6], [0, 1]])
-    with pytest.raises(Singular):
-        invert(F7, Matrix.from_rows([[1, 1], [2, 2]]))
-    with pytest.raises(DimensionMismatch):
-        invert(F7, Matrix.zero(2, 3))
 
 
 def test_mat_mul_associativity_random():
@@ -127,58 +92,6 @@ def test_mat_mul_associativity_random():
             assert mat_mul(field, mat_mul(field, a, b), c) == mat_mul(
                 field, a, mat_mul(field, b, c)
             )
-
-
-def test_invert_round_trip_random():
-    rng = Rng(77)
-    for q in (2, 7, 1009):
-        field = Field(q)
-        done = 0
-        while done < 25:
-            a = rand_matrix(field, 4, 4, rng)
-            try:
-                b = invert(field, a)
-            except Singular:
-                continue
-            assert mat_mul(field, a, b) == Matrix.identity(4)
-            assert mat_mul(field, b, a) == Matrix.identity(4)
-            done += 1
-
-
-def test_solve_properties_random():
-    rng = Rng(1234)
-    for q in (2, 7, 101):
-        field = Field(q)
-        for _ in range(60):
-            rows = 2 + rng.below(4)
-            cols = 2 + rng.below(4)
-            a = rand_matrix(field, rows, cols, rng)
-            rhs = [field.sample(rng) for _ in range(rows)]
-            res = solve_linear(field, a, rhs)
-            r = rank(field, a)
-            assert len(res.nullspace) == cols - r
-            for v in res.nullspace:
-                assert mat_apply(field, a, v) == [0] * rows
-            # basis vectors are independent: stack them and check rank
-            if res.nullspace:
-                assert rank(field, Matrix.from_rows(res.nullspace)) == len(res.nullspace)
-            if res.consistent:
-                assert mat_apply(field, a, res.particular) == rhs
-
-
-def test_solve_matrix_rhs_batches_systems():
-    rng = Rng(42)
-    field = Field(101)
-    a = rand_matrix(field, 4, 4, rng)
-    rhs_cols = [[field.sample(rng) for _ in range(4)] for _ in range(3)]
-    res = solve_linear(field, a, Matrix.from_columns(rhs_cols))
-    if res.consistent:
-        assert isinstance(res.particular, Matrix)
-        for j, col in enumerate(rhs_cols):
-            x = res.particular.col(j)
-            assert mat_apply(field, a, x) == col
-            single = solve_linear(field, a, col)
-            assert single.particular == x
 
 
 def test_mat_apply_matches_mat_mul_column():
@@ -312,40 +225,24 @@ def test_rref_slot_holds_many_pivots():
 
 
 def test_solvers_match_textbook_eliminator():
-    # solve_linear, rank, the k = 1 record's pivots and invert against
-    # solutions read off the textbook loop's reduced form
+    # rank and the k = 1 record's pivots against the textbook loop's
+    # reduced form; its solutions are checked by test_rref_matches_textbook
     rng = Rng(1414)
     for q in RREF_PRIMES:
         field = Field(q)
-        runs = []
-        for rows, pivot_cols in rref_cases(q, rng)[:60]:
-            rhs_cols = len(rows[0]) - pivot_cols
-            if pivot_cols and rhs_cols:
-                a = Matrix.from_rows([row[:pivot_cols] for row in rows])
-                runs.append((a, Matrix.from_rows([row[pivot_cols:] for row in rows])))
+        runs = [
+            Matrix.from_rows([row[:pivot_cols] for row in rows])
+            for rows, pivot_cols in rref_cases(q, rng)[:60]
+            if 0 < pivot_cols < len(rows[0])
+        ]
         n = 6
-        runs.append((Matrix(n, n, [field.sample(rng) for _ in range(n * n)]), None))
-        runs.append((Matrix.identity(n), None))
-        for a, rhs in runs:
-            rhs_cols = [rhs.col(j) for j in range(rhs.cols)] if rhs is not None else []
-            pivots, sols, nullspace = textbook_solve(field, a.to_rows(), rhs_cols)
+        runs.append(Matrix(n, n, [field.sample(rng) for _ in range(n * n)]))
+        runs.append(Matrix.identity(n))
+        for a in runs:
+            pivots, _, _ = textbook_solve(field, a.to_rows(), [])
             assert rank(field, a) == len(pivots)
             record = eliminate_ring(field, 1, [a.col(j) for j in range(a.cols)])
             assert [j for j, e in enumerate(record.exps) if e] == pivots
-            if rhs is not None:
-                res = solve_linear(field, a, rhs)
-                expect = None if None in sols else Matrix.from_columns(sols)
-                assert (res.particular, res.nullspace) == (expect, nullspace)
-                single = solve_linear(field, a, rhs.col(0))
-                assert (single.particular, single.nullspace) == (sols[0], nullspace)
-            if a.rows == a.cols:
-                unit = [[int(i == j) for i in range(a.rows)] for j in range(a.rows)]
-                _, inverse, _ = textbook_solve(field, a.to_rows(), unit)
-                if len(pivots) < a.rows:
-                    with pytest.raises(Singular):
-                        invert(field, a)
-                else:
-                    assert invert(field, a) == Matrix.from_columns(inverse)
 
 
 def ring_cases(q, rng):
@@ -466,14 +363,14 @@ def packed_values(draw):
 def test_slot_codec_matches_per_slot_oracle(case):
     q, k, slot, values = case
     expect = [[c % q for c in oracle_slots(x, k, slot)] for x in values]
-    assert [_unpack(x, k, slot, q) for x in values] == expect
+    assert [_slot_values((x,), k, slot, q) for x in values] == expect
     assert _reduce(values, k, slot, q) == [oracle_pack(e, slot) for e in expect]
     assert [_pack(e, slot) for e in expect] == [oracle_pack(e, slot) for e in expect]
     # all slots of all values at once: the low k of each, side by side
     low = [oracle_slots(x, k, slot) for x in values]
     joined = oracle_pack([c for cells in low for c in cells], slot)
     n = len(values) * k
-    assert _mod_slots(joined, n, slot, q) == oracle_pack([c for e in expect for c in e], slot)
+    assert _slot_mod(n, slot, q)(joined) == oracle_pack([c for e in expect for c in e], slot)
 
 
 @settings(max_examples=200, deadline=None)
@@ -508,7 +405,7 @@ def test_codec_caches_stay_bounded():
     # keeps the constants of at most CODEC_CACHE_SIZE of them, and none
     # of a shape above CODEC_CACHE_SLOTS slots
     for n in range(1, 2 * CODEC_CACHE_SIZE):
-        assert _mod_slots(n, n, 2, 101) == n % 101
+        assert _slot_mod(n, 2, 101)(n) == n % 101
         assert _pack([1] * n, 2) == oracle_pack([1] * n, 2)
     for cache in (_slot_mod, _slots):
         assert cache.cache_info().currsize == CODEC_CACHE_SIZE
