@@ -42,14 +42,15 @@ to a vector as key polynomials against one packed orbit of it
 combines the keys' coefficients first and applies one polynomial.  The
 structured systems read each input vector's orbit v, z v, ..., packed
 (``commutant.Orbit``) and unpacked only for the columns the elimination
-reads; the public vector's is the one ``Params.zeta_orbit`` keeps.  A solution is applied
-to a vector as a key polynomial against the vector's packed orbit
-(``apply_key_poly``), and a dense matrix is built only for a recovered
-key that a report carries.  The passive attack replays its record on
-both public keys and applies the product of the two solutions, itself a
-key polynomial, to the public vector's kept orbit
-(``apply_key_product``), so it builds no orbit of pub_b unless pub_b is
-off the span.
+reads.  The public vector's orbit is the one ``Params.zeta_orbit``
+keeps.  A solution is applied to a vector as a key polynomial against
+the vector's packed orbit (``apply_key_poly``), and a dense matrix is
+built only for a recovered key that a report carries.  The passive
+attack replays its record on both public keys and applies the product
+of the two solutions, itself a key polynomial, to the public vector's
+kept orbit (``apply_key_product``); the same dot products apply the
+first solution alone, which checks it against pub_a.  So it builds no
+orbit of pub_b unless pub_b is off the span.
 """
 
 from __future__ import annotations
@@ -352,9 +353,12 @@ def passive_commutant_attack(
     counterpart key, applying it to pub_b yields the exact shared key.
     The same recorded elimination also solves T'' zeta = pub_b, so
     T' pub_b = (T' T'') zeta, the product of the two key polynomials
-    applied to the public vector's kept orbit (``apply_key_product``);
-    only a pub_b off the span at the bound reached (a forged key) is
-    applied to through an orbit of its own.
+    applied to the public vector's kept orbit (``apply_key_product``,
+    fed the solutions' canonical residues as they are).  Its dot
+    products also return T' zeta, which ``verified`` compares with
+    pub_a.  Only a pub_b off the span at the bound reached (a forged
+    key) is applied to through an orbit of its own, and T' then to the
+    public vector's orbit for ``verified``.
     The system is always consistent when the degree bound is at least
     the honest keys' degree (the honest key is itself a solution); if a
     caller picks a smaller bound the attack retries with doubled bounds
@@ -382,14 +386,15 @@ def passive_commutant_attack(
     # powers without a pivot (e_i = 0) have zero coefficients
     top = max((i for i, e in enumerate(elim.exps) if e), default=0)
     n = (top + 1) * params.k
-    used = _key_chunks(params, coeffs[:n])
     table = orbit.table
     peer = elim.solve(pub_b.vec)
     if peer is None:  # no T'' maps zeta to pub_b at this bound
+        used = _key_chunks(params, coeffs[:n])
         shared = apply_key_poly(table, used, Orbit(table, pub_b.vec).upto(top))
+        image = apply_key_poly(table, used, orbit.upto(top))
     else:
-        shared = apply_key_product(table, coeffs[:n], peer[:n], orbit.upto(2 * top))
-    verified = apply_key_poly(table, used, orbit.upto(top)) == list(pub_a.vec)
+        shared, image = apply_key_product(table, coeffs[:n], peer[:n], orbit.upto(2 * top))
+    verified = image == list(pub_a.vec)
     return PassiveResult(SharedKey(shared), bound, m, elim.rank, verified, params, coeffs)
 
 

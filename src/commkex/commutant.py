@@ -546,15 +546,18 @@ def apply_key_poly(
 
 def apply_key_product(
     table: PowerTable, a: Sequence[int], b: Sequence[int], images: Sequence[Sequence[int]]
-) -> list[int]:
-    """(sum_i a_i z**i) @ (sum_j b_j z**j) @ vec for the table's z and
-    two key polynomials of n coefficients each, given flat (a_i is
-    a[i*k : i*k + k], as ``RingElimination.solve`` returns it), against
-    vec's packed orbit images[t] = z**t vec, t <= 2n - 2.  Each diag(a_i)
-    is central, so the product is the key polynomial sum_t e_t z**t with
-    e_t = sum_{i+j=t} a_i b_j in R: n**2 packed products, one reduction,
-    and then one packed dot per chunk, as in ``apply_key_poly``.  It
-    needs 2n - 1 <= table.capacity.
+) -> tuple[list[int], list[int]]:
+    """(T' T'' vec, T' vec) for the table's z and the key polynomials
+    T' = sum_i a_i z**i and T'' = sum_j b_j z**j of n coefficients each,
+    given flat as canonical residues (a_i is a[i*k : i*k + k], as
+    ``RingElimination.solve`` returns it), against vec's packed orbit
+    images[t] = z**t vec, t <= 2n - 2.  Each diag(a_i) is central, so
+    T' T'' is the key polynomial sum_t e_t z**t with e_t = sum_{i+j=t}
+    a_i b_j in R: n**2 packed products and one reduction.  Each e_t then
+    carries a_t in a second lane 2k - 1 slots up, above the 2k - 1 slots
+    of a product with an image chunk, so that one packed dot per chunk,
+    as in ``apply_key_poly``, returns both vectors.  It needs
+    2n - 1 <= table.capacity.
     """
     z, q, slot = table.z, table.field.q, table.slot
     k = z.k
@@ -572,14 +575,18 @@ def apply_key_product(
             f"key polynomials of {len(a)} and {len(b)} residues (k={k}) for "
             f"{len(images)} images and a slot that holds {table.capacity}"
         )
-    elements = _pack_elements(list(map(operator.mod, chain(a, b), repeat(q))), k, slot)
+    elements = _pack_elements(list(chain(a, b)), k, slot)
     sums = [0] * terms
     for i, x in enumerate(elements[:n]):
         for j, y in enumerate(elements[n:]):
             sums[i + j] += x * y
-    packed = _reduce(sums, k, slot, q)
+    lane = 8 * slot * (2 * k - 1)
+    fused = _reduce(sums, k, slot, q)
+    fused[:n] = [e + (x << lane) for e, x in zip(fused, elements[:n])]
     mul = operator.mul
-    return table.unpack([sum(map(mul, packed, chunks)) for chunks in zip(*images)])
+    dots = [sum(map(mul, fused, chunks)) for chunks in zip(*images)]
+    both = table.unpack(dots + [x >> lane for x in dots])
+    return both[: z.d * k], both[z.d * k :]
 
 
 def check_commute(field: Field, a: Matrix, b: Matrix) -> bool:

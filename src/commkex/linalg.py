@@ -195,8 +195,11 @@ def _slot_bytes(q: int, terms: int) -> int:
 # shapes of at most CODEC_CACHE_SLOTS slots.  They grow with the slot
 # count (about 190 KB at 2048 slots of 18 bytes), so a long-lived process
 # that meets many shapes (a listener fed hostile PARAMS) holds about
-# 12 MB of them at most.  Larger shapes, where the work on the slots
-# outweighs building them, are built per call.
+# 12 MB of them at most.  Larger shapes are built per call.  For a
+# reduction (``_slot_mod``) the work on the slots outweighs the build: at
+# 4096 slots of 9 bytes, about 140 us of build against 320 us of
+# reduction (2-core x86-64, CPython 3.11).  For a struct it does not:
+# compiling one costs about 160 us there against 90 us of packing.
 CODEC_CACHE_SIZE = 64
 CODEC_CACHE_SLOTS = 2048
 
@@ -323,21 +326,19 @@ def _pack_vector(vec: Sequence[int], k: int, slot: int) -> int:
 def _ring_replay(
     packed: int, steps: Sequence[tuple[int, int, int]], k: int, slot: int, q: int, mask: int
 ) -> int:
-    """Apply recorded pivot steps (shift, w, G) to one packed column: per
-    step, the pivot row's element s is read mod q and replaced by
-    y = w*s, and G*y, masked to the low k slots of every element
-    (x**k = 0), is added.  A zero element is skipped: y and G*y are 0.
-    At k = 1 an element is one slot, and y is s * w mod q."""
+    """Apply recorded pivot steps (shift, w, G*w) to one packed column:
+    per step, the pivot row's element s is reduced mod q once and
+    replaced by w*s, left unreduced, and (G*w)*s, masked to the low k
+    slots of every element (x**k = 0), is added; G*w is reduced when the
+    step is recorded.  A zero element is skipped: w*s and (G*w)*s are 0.
+    At k = 1 an element is one slot, reduced by %."""
     low = (1 << (8 * k * slot)) - 1
     mod = _slot_mod(k, slot, q)
-    for shift, w, g in steps:
+    for shift, w, gw in steps:
         s = (packed >> shift) & low
         if s:
-            if k == 1:
-                y = s % q * w % q
-            else:
-                y = mod(mod(s) * w & low)
-            packed += ((y - s) << shift) + ((g * y) & mask)
+            r = mod(s) if k > 1 else s % q
+            packed += (((r * w & low) - s) << shift) + (gw * r & mask)
     return packed
 
 
@@ -381,15 +382,20 @@ class RingElimination:
 
     Elements are packed as in ``_pack_vector``.  Per pivot, ``steps``
     holds the bit shift of the pivot row, the packed inverse w of the
-    pivot's unit part (the pivot row is scaled by w) and the packed G:
-    minus the row's element divided by x**v in every other row, x**(k-v)
-    in the annihilator row, and 0 in the pivot row.  A replayed column
+    pivot's unit part (the pivot row is scaled by w) and the packed G*w,
+    reduced mod q, where G holds minus the row's element divided by x**v
+    in every other row, x**(k-v) in the annihilator row, and 0 in the
+    pivot row.  A replay reduces the pivot row's element s once, adds
+    (G*w)*s and leaves w*s in the pivot row unreduced (``_ring_replay``).
+    Every slot stays below 2*P*k*(q-1)**2 for P pivots, which the slot
+    width holds (see ``eliminate_ring``).  A replayed column
     has ``slots`` slots, all reduced mod q by one ``_slot_mod``; ``free``
     masks the slots of the rows left free, which a consistent right-hand
     side leaves zero, and one struct call reads all of them.  ``back``
     holds, per pivot, its column, the index of its row's first slot, v,
-    (column, packed -r) for its residues r in later pivot columns (none
-    when all pivots are units), and whether a residue refers to it.
+    (column, packed q - r, -r once reduced) for its residues r in later
+    pivot columns (none when all pivots are units), and whether a residue
+    refers to it.
     Never changed once built, so threads may share one.
     """
 
@@ -447,10 +453,21 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
     Kronecker-packed: column i is one integer, reduced by replaying the
     steps recorded so far, then every slot mod q (``_slot_mod``) and
     read by one struct call, and then its pivot step is recorded (see
-    RingElimination); G comes from the column's slot-wise negation mod
-    q, shifted down by v slots.  A slot gains less than k*q**2 per step,
-    and back-substitution adds as much per later pivot; there are at
-    most min(cols, rows*k) pivots, and the slot width holds that.
+    RingElimination); G comes from the column's slot-wise negation
+    (q - c for each slot c), shifted down by v slots, and is multiplied
+    by w and reduced once.
+
+    The slot width holds 2*P*k products of residues for the P <=
+    min(cols, rows*k) pivots.  A replay starts from canonical residues,
+    and each step adds a product of two reduced elements masked to x**k,
+    at most k*(q-1)**2 per slot, to every row but its pivot row.  The
+    pivot row instead takes w*s, a product of the same size, and then
+    every later step's update, so no slot exceeds (q-1) + P*k*(q-1)**2
+    before the column is reduced.  G and the residues of back-substitution
+    are cut from the column's negation, q - c in each slot c, at most q:
+    G*w is below k*q*(q-1) <= 2*k*(q-1)**2 per slot when it is reduced,
+    and back-substitution, which starts from reduced slots, adds as much
+    per later pivot, below 2*P*k*(q-1)**2 in all.
 
     Once every row holds a pivot, no later column can have one, so
     ``columns[i]`` is read only while free rows remain: a lazy sequence
@@ -503,8 +520,10 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
         free.remove(p)
         w = _series_inverse(field, entries[p * stride + v : p * stride + k])
         shift = bits * stride * p
-        neg = mod((qs & ((1 << (bits * slots)) - 1)) - reduced)
-        # G: slot t - v of element r is slot t of -entries[r], 0 in row p
+        # q - c for each low slot c of an element: -c wherever it is
+        # multiplied and then reduced, as G*w and in back-substitution
+        neg = (qs & ((1 << (bits * slots)) - 1)) - reduced
+        # G: slot t - v of element r is slot t of neg[r], 0 in row p
         g = neg >> (bits * v) & mask
         g -= g & (low << shift)
         if v:
@@ -515,7 +534,8 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
             g |= 1 << (bits * (total * stride + k - v))  # x**(k-v), the annihilator row
             free.append(total)
             total += 1
-        steps.append((shift, _pack(w, slot), g))
+        w = _pack(w, slot)
+        steps.append((shift, w, _slot_mod(total * stride, slot, q)(g * w & mask)))
         pivots.append((i, p, v, []))
         exps.append(k - v)
     referred = {j for _, _, _, later in pivots for j, _ in later}

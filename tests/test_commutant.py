@@ -487,9 +487,10 @@ def test_packed_orbit_and_key_application_match_dense(q, k, d, count, above, top
 )
 @example(q=2305843009213693951, k=4, d=2, n=4, top=True, seed=0)
 def test_key_product_application_matches_dense(q, k, d, n, top, seed):
-    # (sum a_i z**i)(sum b_j z**j) vec from vec's packed orbit, for n
-    # coefficients each and for the most the table's slot holds, against
-    # the two keys applied densely one after the other
+    # (sum a_i z**i)(sum b_j z**j) vec and (sum a_i z**i) vec, both from
+    # the same dot products over vec's packed orbit, for n coefficients
+    # each and for the most the table's slot holds, against the two keys
+    # applied densely one after the other
     field, rng = Field(q), Rng(seed)
     if top:
         z, vec = top_ring_matrix(q, k, d), [q - 1] * (k * d)
@@ -505,7 +506,8 @@ def test_key_product_application_matches_dense(q, k, d, n, top, seed):
         chunks = [[x[i : i + k] for i in range(0, size * k, k)] for x in (a, b)]
         inner = key_poly_apply_mod(chunks[1], rows, vec, d, q)
         expect = key_poly_apply_mod(chunks[0], rows, inner, d, q)
-        assert apply_key_product(table, a, b, orbit.upto(2 * size - 2)) == expect
+        first = key_poly_apply_mod(chunks[0], rows, vec, d, q)
+        assert apply_key_product(table, a, b, orbit.upto(2 * size - 2)) == (expect, first)
     with pytest.raises(DimensionMismatch):
         apply_key_product(table, a + a[:k], b + b[:k], orbit.upto(2 * most))
     with pytest.raises(DimensionMismatch):

@@ -301,27 +301,41 @@ def test_ring_elimination_matches_textbook():
 
 
 def test_ring_elimination_slot_holds_many_pivots():
-    # at q = 2**61 - 1 a slot of 2*61 bits has room for 64 products of
-    # residues.  Rows 0..11 hold the unit 1 in one column each and the
-    # last row holds 1 + x + ... + x**7 everywhere, so each of the 12
-    # pivots adds (q - 1) * (q - 1 + x*(q - 1) + ...) to the last row
-    # before any read reduces it: 8 * 12 products in its top slot.
     q = RREF_PRIMES[-1]
     field = Field(q)
     k, units = 8, 12
-    one = [0] * (k - 1) + [1]  # chunk entry r is the coefficient of x**(k-1-r)
-    columns = [
-        [x for r in range(units) for x in (one if r == i else [0] * k)] + [1] * k
+    zero = [0] * k
+    one = zero[:-1] + [1]  # chunk entry r is the coefficient of x**(k-1-r)
+    n = (units + 1) * k
+    # Rows 0..11 hold the unit 1 in one column each and the last row
+    # holds 1 + x + ... + x**7 everywhere, so each of the 12 pivots adds
+    # (q - 1) * (q - 1 + x*(q - 1) + ...) to the last row before any read
+    # reduces it: 8 * 12 products in its top slot.
+    last_row = [
+        [x for r in range(units) for x in (one if r == i else zero)] + [1] * k
+        for i in range(units)
+    ]
+    # A replay leaves w*s unreduced in the pivot row, so the worst slot is
+    # an early pivot row's.  Row 0 pivots column 0 on (q - 1) + x, whose
+    # inverse w is (q - 1)(1 + x + ... + x**7), so a right-hand side of
+    # q - 1 everywhere leaves 8 products (q - 1)**2 in its top slot; every
+    # later column holds q - 1 in row 0, which w turns into 1 + x + ... +
+    # x**7, and the unit 1 in its own row, so each of the 12 later pivots
+    # adds (q - 1)(1 + ... + x**7) times itself to row 0: 8 * 13 products
+    # in its top slot before any read reduces it.
+    first_row = [[0] * (k - 2) + [1, q - 1] + zero * units] + [
+        zero[:-1] + [q - 1] + [x for r in range(units) for x in (one if r == i else zero)]
         for i in range(units)
     ]
     rng = Rng(4)
-    n = (units + 1) * k
-    rhs = [[q - 1] * n, [q - 1] * (n - k) + [0] * k, [rng.below(q) for _ in range(n)]]
-    elim = eliminate_ring(field, k, columns)
-    a_rows = [list(r) for r in zip(*shifted_columns(columns, k))]
-    pivots, sols, _ = textbook_solve(field, a_rows, rhs)
-    assert elim.rank == len(pivots) == units * k
-    assert [elim.solve(b) for b in rhs] == sols
+    cases = ((last_row, [q - 1] * (n - k) + zero), (first_row, [q - 1] * k + [0] * (n - k)))
+    for columns, partial in cases:
+        rhs = [[q - 1] * n, partial, [rng.below(q) for _ in range(n)]]
+        elim = eliminate_ring(field, k, columns)
+        a_rows = [list(r) for r in zip(*shifted_columns(columns, k))]
+        pivots, sols, _ = textbook_solve(field, a_rows, rhs)
+        assert elim.rank == len(pivots) == len(columns) * k
+        assert [elim.solve(b) for b in rhs] == sols
 
 
 # The slot codec against a per-slot oracle: every slot read through
