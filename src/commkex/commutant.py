@@ -187,14 +187,19 @@ class RingMatrix:
         return ring
 
     def to_matrix(self) -> Matrix:
+        """The dense m x m realization: row r of a block is its residues
+        shifted right by r, the slice pad[k-1-r : 2k-1-r] of the block
+        left-padded once with k - 1 zeros."""
         k, d = self.k, self.d
+        zeros = [0] * (k - 1)
+        padded = [zeros + blk for blk in self.blocks]
         entries: list[int] = []
-        for bi in range(d):
-            row_blocks = self.blocks[bi * d : (bi + 1) * d]
-            for r in range(k):
-                for blk in row_blocks:
-                    entries.extend([0] * r)
-                    entries.extend(blk[: k - r])
+        extend = entries.extend
+        for bi in range(0, d * d, d):
+            row_blocks = padded[bi : bi + d]
+            for s in reversed(range(k)):  # row k - 1 - s of the block row
+                for pad in row_blocks:
+                    extend(pad[s : s + k])
         return Matrix(d * k, d * k, entries)
 
     def is_embedding(self) -> bool:

@@ -264,7 +264,9 @@ def derive_shared(
 ) -> SharedKey:
     """Own private matrix applied to the peer's public key.
 
-    Exactly m*m counted multiplications and m*(m-1) additions.
+    Exactly m*m counted multiplications and m*(m-1) additions, the
+    paper's unit; ``mat_apply`` computes them as m packed column
+    products.
     """
     if len(peer.vec) != params.m:
         raise DimensionMismatch(

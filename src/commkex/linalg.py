@@ -2,9 +2,13 @@
 
 Matrices are row-major flat lists of canonical residues; vectors are
 plain lists of ints.  Every operation takes the field context
-explicitly.  Multiplication and vector application charge the field's
-counter with schoolbook counts (rows*inner*cols multiplies and the
-matching addition count); elimination and rank are not instrumented.
+explicitly.  Products and vector application run on packed columns
+(``_packed_columns``): each column of the left matrix is one integer of
+one slot per row, so a column of the result is one dot product of
+packed integers, reduced and read through the slot codec below.  They
+still charge the field's counter with schoolbook counts
+(rows*inner*cols multiplies and the matching addition count);
+elimination and rank are not instrumented.
 
 Elimination pivots on the first nonzero entry in column order -- there
 is no magnitude over GF(q) -- and always fully reduces, so particular
@@ -127,36 +131,52 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {self.to_rows()})"
 
 
+def _packed_columns(a: Matrix, slot: int) -> list[int]:
+    """Column j of a as one integer of a.rows slots (``_pack``), each
+    written by the cached struct of its shape."""
+    write = _slots(a.rows, slot, "little").pack
+    ae, c = a.entries, a.cols
+    return [int.from_bytes(write(*ae[j::c]), "little") for j in range(c)]
+
+
 def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
-    """Schoolbook product; charges a.rows*a.cols*b.cols multiplies."""
+    """a @ b; charges a.rows*a.cols*b.cols multiplies, the schoolbook
+    count.  Column p of the product is sum_j b[j, p] * C_j for a's packed
+    columns C_j (``_packed_columns``), which hold a.cols products per slot
+    (``_slot_bytes``); every slot of every column is reduced by one
+    ``_slot_mod`` and read by one struct call.  Relies on canonical
+    entries in both matrices (the Matrix contract)."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
     q = field.q
     n, inner, p = a.rows, a.cols, b.cols
-    ae, be = a.entries, b.entries
-    bcols = [be[j::p] for j in range(p)]
-    out: list[int] = []
-    append = out.append
-    mul = operator.mul
-    for i in range(n):
-        arow = ae[i * inner : (i + 1) * inner]
-        for bc in bcols:
-            append(sum(map(mul, arow, bc)) % q)
+    slot = _slot_bytes(q, inner)
+    cols = _packed_columns(a, slot)
+    be = b.entries
+    # the product's columns, one after another
+    flat = _slot_values([sum(map(operator.mul, be[j::p], cols)) for j in range(p)], n, slot, q)
     if field.counter is not None:
         field.counter.mul_count += n * inner * p
         field.counter.add_count += n * (inner - 1) * p
-    return Matrix(n, p, out)
+    return Matrix(n, p, [x for i in range(n) for x in flat[i::n]])
 
 
 def mat_apply(field: Field, t: Matrix, v: Sequence[int]) -> list[int]:
-    """t @ v; charges exactly t.rows*t.cols multiplies."""
+    """(t @ v) mod q for any ints v; charges exactly t.rows*t.cols
+    multiplies, the schoolbook count.  Computed as sum_j v_j * C_j for
+    t's packed columns C_j (``_packed_columns``), every slot reduced by
+    one ``_slot_mod`` and read by one struct call: t.cols products of a
+    residue by a packed integer.  A slot holds t.cols products of
+    residues, so v is reduced first when some entry lies outside [0, q);
+    t's entries are canonical by the Matrix contract, which this relies
+    on."""
     if t.cols != len(v):
         raise DimensionMismatch(f"{t.rows}x{t.cols} applied to length {len(v)}")
-    q = field.q
-    c = t.cols
-    te = t.entries
-    mul = operator.mul
-    out = [sum(map(mul, te[i * c : (i + 1) * c], v)) % q for i in range(t.rows)]
+    q, c = field.q, t.cols
+    if min(v) < 0 or max(v) >= q:
+        v = [x % q for x in v]
+    slot = _slot_bytes(q, c)
+    out = _slot_values((sum(map(operator.mul, v, _packed_columns(t, slot))),), t.rows, slot, q)
     if field.counter is not None:
         field.counter.mul_count += t.rows * c
         field.counter.add_count += t.rows * (c - 1)

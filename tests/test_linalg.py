@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commkex.commutant import PowerTable, RingMatrix
@@ -412,6 +412,49 @@ def test_power_table_codec_matches_per_slot_oracle(q, k, d, count, data):
     # the first cell of each chunk is spill above its k slots
     chunks = [oracle_pack(cells, slot, "big") for cells in raw]
     assert table.unpack(chunks) == [c % q for cells in raw for c in cells[1:]]
+
+
+@st.composite
+def dense_kernel_cases(draw):
+    """(q, a, b, v): an r x n and an n x p matrix of residues, shapes in
+    1..70, entries drawn to hit 0 and q - 1, and n ints for a vector,
+    which in some cases are negative, at least q or at least 2**64."""
+    q = draw(st.sampled_from(CODEC_PRIMES))
+    r, n, p = (draw(st.integers(min_value=1, max_value=70)) for _ in range(3))
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def residue():
+        return rnd.choice((0, q - 1, rnd.randrange(q)))
+
+    def wild():
+        big = rnd.randrange(2**70)
+        return rnd.choice((residue(), -1 - big, q + big, 2**64 + big))
+
+    a = Matrix(r, n, [residue() for _ in range(r * n)])
+    b = Matrix(n, p, [residue() for _ in range(n * p)])
+    v = [wild() if draw(st.booleans()) else residue() for _ in range(n)]
+    return q, a, b, v
+
+
+@settings(max_examples=50, deadline=None)
+@given(dense_kernel_cases())
+@example((2**61 - 1, Matrix(1, 1, [2**61 - 2]), Matrix(1, 1, [2**61 - 2]), [-1]))
+@example((2**31 - 1, Matrix(70, 1, [2**31 - 2] * 70), Matrix(1, 70, [2**31 - 2] * 70), [2**64]))
+@example((2, Matrix(1, 70, [1] * 70), Matrix(70, 3, [1] * 210), [-3] * 70))
+def test_dense_kernels_match_oracle(case):
+    # the packed-column kernels against numpy object arithmetic: any int
+    # vector gives the exact dot products mod q, at schoolbook counts
+    q, a, b, v = case
+    ctr = OpCounter()
+    field = Field(q, ctr)
+    assert mat_apply(field, a, v) == mat_vec_mod(a.to_rows(), v, q)
+    assert (ctr.mul_count, ctr.add_count) == (a.rows * a.cols, a.rows * (a.cols - 1))
+    ctr.mul_count = ctr.add_count = 0
+    assert mat_mul(field, a, b).to_rows() == mat_mul_mod(a.to_rows(), b.to_rows(), q)
+    assert (ctr.mul_count, ctr.add_count) == (
+        a.rows * a.cols * b.cols,
+        a.rows * (a.cols - 1) * b.cols,
+    )
 
 
 def test_codec_caches_stay_bounded():
