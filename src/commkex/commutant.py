@@ -54,8 +54,10 @@ from .linalg import (
     Matrix,
     _pack_elements,
     _reduce,
+    _shape_cache,
     _slot_bytes,
     _slot_values,
+    _slots,
     mat_mul,
 )
 
@@ -133,6 +135,10 @@ class RingMatrix:
     nothing, and the packed powers of a public base live in a
     ``PowerTable``.
     Ring operations are not charged to an OpCounter.
+
+    It stands in for its dense realization in ``linalg.mat_apply`` and
+    ``mat_mul`` (``rows``, ``cols``, ``packed_columns``), so a derive
+    applies a key at the paper's m**2 count without building it densely.
     """
 
     __slots__ = ("k", "d", "blocks")
@@ -141,6 +147,27 @@ class RingMatrix:
         self.k = k
         self.d = d
         self.blocks = blocks
+
+    # m, the side of the dense realization
+    rows = cols = property(lambda self: self.k * self.d)
+
+    def packed_columns(self, slot: int) -> list[int]:
+        """``Matrix.packed_columns`` of the dense realization, from the
+        blocks.  Block column b is packed once, as X_b: block row a at
+        slot a*k, each block's first residue in its highest slot (one
+        big-endian struct call).  Column c of a Toeplitz block holds
+        residues c, c-1, ..., 0 in rows 0..c and zeros below, so dense
+        column b*k + c is X_b shifted down by k-1-c slots and cut to the
+        low c+1 slots of every block (``_column_masks``)."""
+        k, d = self.k, self.d
+        bits, top = 8 * slot, d * d - d
+        write = _slots(k * d, slot, "big").pack
+        masks = _column_masks(k * d, k, slot)
+        out: list[int] = []
+        for b in range(d):  # block rows d-1 .. 0 of block column b
+            x = int.from_bytes(write(*chain.from_iterable(self.blocks[top + b :: -d])), "big")
+            out.extend([x >> (k - 1 - c) * bits & masks[c] for c in range(k)])
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingMatrix):
@@ -312,6 +339,13 @@ class Orbit:
                 grown.append(table.act(grown[-1]))
             powers = self._powers = tuple(grown)
         return powers[: top + 1]
+
+
+@_shape_cache
+def _column_masks(m: int, k: int, slot: int) -> tuple[int, ...]:
+    """M_c for c < k: the low c+1 slots of every k-slot block of m slots."""
+    blocks = [b"\xff" * ((c + 1) * slot) + bytes((k - 1 - c) * slot) for c in range(k)]
+    return tuple(int.from_bytes(block * (m // k), "little") for block in blocks)
 
 
 def _pack_polys(coeffs: Sequence[ShiftPoly], k: int, slot: int, q: int) -> list[int]:

@@ -153,8 +153,10 @@ class Params:
 
 @dataclass
 class PrivateKey:
-    """Polynomial coefficients plus the key they evaluate to in R.  The
-    dense m x m ``matrix`` is built on first read."""
+    """Polynomial coefficients plus the key they evaluate to in R, which
+    ``derive_shared`` applies.  The dense m x m ``matrix`` is built on
+    first read: only key.json writing, its load check and reports read
+    it."""
 
     coeffs: list[ShiftPoly]
     key: RingMatrix
@@ -266,14 +268,15 @@ def derive_shared(
 
     Exactly m*m counted multiplications and m*(m-1) additions, the
     paper's unit; ``mat_apply`` computes them as m packed column
-    products.
+    products, with the columns taken from the key in R
+    (``RingMatrix.packed_columns``), so the dense matrix is never built.
     """
     if len(peer.vec) != params.m:
         raise DimensionMismatch(
             f"peer public key has length {len(peer.vec)}, expected {params.m}"
         )
     field = params.field(counter)
-    return SharedKey(mat_apply(field, sk.matrix, peer.vec))
+    return SharedKey(mat_apply(field, sk.key, peer.vec))
 
 
 @dataclass

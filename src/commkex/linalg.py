@@ -3,10 +3,12 @@
 Matrices are row-major flat lists of canonical residues; vectors are
 plain lists of ints.  Every operation takes the field context
 explicitly.  Products and vector application run on packed columns
-(``_packed_columns``): each column of the left matrix is one integer of
+(``packed_columns``): each column of the left matrix is one integer of
 one slot per row, so a column of the result is one dot product of
-packed integers, reduced and read through the slot codec below.  They
-still charge the field's counter with schoolbook counts
+packed integers, reduced and read through the slot codec below.  The
+left operand may also be a ``commutant.RingMatrix``, which packs the
+columns of its dense form from its blocks.  Both kernels charge the
+field's counter with schoolbook counts
 (rows*inner*cols multiplies and the matching addition count);
 elimination and rank are not instrumented.
 
@@ -130,28 +132,27 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols}, {self.to_rows()})"
 
-
-def _packed_columns(a: Matrix, slot: int) -> list[int]:
-    """Column j of a as one integer of a.rows slots (``_pack``), each
-    written by the cached struct of its shape."""
-    write = _slots(a.rows, slot, "little").pack
-    ae, c = a.entries, a.cols
-    return [int.from_bytes(write(*ae[j::c]), "little") for j in range(c)]
+    def packed_columns(self, slot: int) -> list[int]:
+        """Column j as one integer of ``rows`` slots (``_pack``), each
+        written by the cached struct of its shape."""
+        write = _slots(self.rows, slot, "little").pack
+        e, c = self.entries, self.cols
+        return [int.from_bytes(write(*e[j::c]), "little") for j in range(c)]
 
 
 def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
     """a @ b; charges a.rows*a.cols*b.cols multiplies, the schoolbook
     count.  Column p of the product is sum_j b[j, p] * C_j for a's packed
-    columns C_j (``_packed_columns``), which hold a.cols products per slot
-    (``_slot_bytes``); every slot of every column is reduced by one
-    ``_slot_mod`` and read by one struct call.  Relies on canonical
-    entries in both matrices (the Matrix contract)."""
+    columns C_j (``a.packed_columns``; a may be a RingMatrix), which hold
+    a.cols products per slot (``_slot_bytes``); every slot of every
+    column is reduced by one ``_slot_mod`` and read by one struct call.
+    Relies on canonical entries in both operands (the Matrix contract)."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
     q = field.q
     n, inner, p = a.rows, a.cols, b.cols
     slot = _slot_bytes(q, inner)
-    cols = _packed_columns(a, slot)
+    cols = a.packed_columns(slot)
     be = b.entries
     # the product's columns, one after another
     flat = _slot_values([sum(map(operator.mul, be[j::p], cols)) for j in range(p)], n, slot, q)
@@ -164,19 +165,20 @@ def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
 def mat_apply(field: Field, t: Matrix, v: Sequence[int]) -> list[int]:
     """(t @ v) mod q for any ints v; charges exactly t.rows*t.cols
     multiplies, the schoolbook count.  Computed as sum_j v_j * C_j for
-    t's packed columns C_j (``_packed_columns``), every slot reduced by
+    t's packed columns C_j (``t.packed_columns``), every slot reduced by
     one ``_slot_mod`` and read by one struct call: t.cols products of a
-    residue by a packed integer.  A slot holds t.cols products of
-    residues, so v is reduced first when some entry lies outside [0, q);
-    t's entries are canonical by the Matrix contract, which this relies
-    on."""
+    residue by a packed integer.  t is a Matrix, or a RingMatrix (a key
+    in R), whose columns come from its blocks by shifts.  A slot holds
+    t.cols products of residues, so v is reduced first when some entry
+    lies outside [0, q); t's entries are canonical by the Matrix
+    contract, which this relies on."""
     if t.cols != len(v):
         raise DimensionMismatch(f"{t.rows}x{t.cols} applied to length {len(v)}")
     q, c = field.q, t.cols
     if min(v) < 0 or max(v) >= q:
         v = [x % q for x in v]
     slot = _slot_bytes(q, c)
-    out = _slot_values((sum(map(operator.mul, v, _packed_columns(t, slot))),), t.rows, slot, q)
+    out = _slot_values((sum(map(operator.mul, v, t.packed_columns(slot))),), t.rows, slot, q)
     if field.counter is not None:
         field.counter.mul_count += t.rows * c
         field.counter.add_count += t.rows * (c - 1)

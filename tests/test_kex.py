@@ -233,6 +233,24 @@ def test_derive_count_independent_of_modulus():
     assert counts[0] == counts[1] == (16, 12)
 
 
+def test_derive_never_builds_the_dense_key():
+    # a derive applies the key in R: the dense T (sk.matrix) stays unbuilt,
+    # and the shared key is still T @ pub at the paper's m**2 count
+    rng = Rng(2718)
+    for q in GRID_PRIMES:
+        for k, d in ((1, 2), (3, 2), (4, 3), (16, 4)):
+            params = gen_params(q, k, d, 3, rng)
+            sk, _ = keygen(params, rng)
+            _, pub = keygen(params, rng)
+            fresh = kex.PrivateKey(sk.coeffs, sk.key)
+            ctr = OpCounter()
+            shared = derive_shared(params, fresh, pub, ctr)
+            assert "matrix" not in fresh.__dict__
+            m = params.m
+            assert (ctr.mul_count, ctr.add_count) == (m * m, m * (m - 1))
+            assert shared.vec == mat_vec_mod(fresh.matrix.to_rows(), pub.vec, q)
+
+
 def test_params_json_round_trip():
     params = gen_params(101, 2, 3, 2, Rng(77), seed=77)
     text = params_to_json(params)

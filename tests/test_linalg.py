@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -414,14 +416,12 @@ def test_power_table_codec_matches_per_slot_oracle(q, k, d, count, data):
     assert table.unpack(chunks) == [c % q for cells in raw for c in cells[1:]]
 
 
-@st.composite
-def dense_kernel_cases(draw):
-    """(q, a, b, v): an r x n and an n x p matrix of residues, shapes in
-    1..70, entries drawn to hit 0 and q - 1, and n ints for a vector,
-    which in some cases are negative, at least q or at least 2**64."""
-    q = draw(st.sampled_from(CODEC_PRIMES))
-    r, n, p = (draw(st.integers(min_value=1, max_value=70)) for _ in range(3))
-    rnd = draw(st.randoms(use_true_random=False))
+def kernel_entries(draw, q):
+    """Draws of kernel entries from one drawn seed, so that thousands of
+    them cost no test-case buffer, which large shapes would overrun: a
+    residue, drawn to hit 0 and q - 1, and a wild int, a residue or
+    negative, at least q or at least 2**64."""
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
 
     def residue():
         return rnd.choice((0, q - 1, rnd.randrange(q)))
@@ -430,6 +430,16 @@ def dense_kernel_cases(draw):
         big = rnd.randrange(2**70)
         return rnd.choice((residue(), -1 - big, q + big, 2**64 + big))
 
+    return residue, wild
+
+
+@st.composite
+def dense_kernel_cases(draw):
+    """(q, a, b, v): an r x n and an n x p matrix of residues, shapes in
+    1..70, and n ints for a vector, some of them wild (``kernel_entries``)."""
+    q = draw(st.sampled_from(CODEC_PRIMES))
+    r, n, p = (draw(st.integers(min_value=1, max_value=70)) for _ in range(3))
+    residue, wild = kernel_entries(draw, q)
     a = Matrix(r, n, [residue() for _ in range(r * n)])
     b = Matrix(n, p, [residue() for _ in range(n * p)])
     v = [wild() if draw(st.booleans()) else residue() for _ in range(n)]
@@ -455,6 +465,48 @@ def test_dense_kernels_match_oracle(case):
         a.rows * a.cols * b.cols,
         a.rows * (a.cols - 1) * b.cols,
     )
+
+
+@st.composite
+def ring_kernel_cases(draw):
+    """(q, ring, b, v): a d x d matrix over R = GF(q)[x]/(x**k) of
+    canonical blocks, k in 1..16 and d in 1..8, an m x p matrix of
+    residues and m ints for a vector, some of them wild
+    (``kernel_entries``)."""
+    q = draw(st.sampled_from(CODEC_PRIMES))
+    k = draw(st.integers(min_value=1, max_value=16))
+    d = draw(st.integers(min_value=1, max_value=8))
+    p = draw(st.integers(min_value=1, max_value=3))
+    residue, wild = kernel_entries(draw, q)
+    m = k * d
+    ring = RingMatrix(k, d, [[residue() for _ in range(k)] for _ in range(d * d)])
+    b = Matrix(m, p, [residue() for _ in range(m * p)])
+    v = [wild() if draw(st.booleans()) else residue() for _ in range(m)]
+    return q, ring, b, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_kernel_cases())
+@example((2**61 - 1, RingMatrix(16, 1, [[2**61 - 2] * 16]), Matrix.zero(16, 1), [-1] * 16))
+@example((2, RingMatrix(1, 8, [[1]] * 64), Matrix.identity(8), [2**64] * 8))
+def test_ring_kernels_match_dense_and_oracle(case):
+    # a key in R is applied without its dense form: its packed columns
+    # are the dense matrix's, and mat_apply and mat_mul on it agree with
+    # the dense kernels and numpy, at the same schoolbook counts
+    q, ring, b, v = case
+    dense = ring.to_matrix()
+    assert (ring.rows, ring.cols) == (dense.rows, dense.cols)
+    slot = _slot_bytes(q, ring.cols)
+    assert ring.packed_columns(slot) == dense.packed_columns(slot)
+    counts = []
+    for t in (ring, dense):
+        ctr = OpCounter()
+        field = Field(q, ctr)
+        assert mat_apply(field, t, v) == mat_vec_mod(dense.to_rows(), v, q)
+        assert mat_mul(field, t, b).to_rows() == mat_mul_mod(dense.to_rows(), b.to_rows(), q)
+        counts.append((ctr.mul_count, ctr.add_count))
+    m = dense.rows
+    assert counts[0] == counts[1] == (m * m * (1 + b.cols), m * (m - 1) * (1 + b.cols))
 
 
 def test_codec_caches_stay_bounded():
