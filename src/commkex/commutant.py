@@ -40,8 +40,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from typing import Optional, Sequence
+from itertools import chain, islice, repeat
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DegenerateRingElement,
@@ -205,7 +205,7 @@ class RingMatrix:
         # realization of those rows.
         starts = [bi * k * m + bj * k for bi in range(d) for bj in range(d)]
         ring = cls(k, d, [e[s : s + k] for s in starts])
-        back = ring.to_matrix().entries
+        back = _realize(ring.blocks, k, d, 0)
         if back != e:
             bad = next(i for i, (x, y) in enumerate(zip(back, e)) if x != y)
             raise NotBlockToeplitz(
@@ -214,20 +214,8 @@ class RingMatrix:
         return ring
 
     def to_matrix(self) -> Matrix:
-        """The dense m x m realization: row r of a block is its residues
-        shifted right by r, the slice pad[k-1-r : 2k-1-r] of the block
-        left-padded once with k - 1 zeros."""
-        k, d = self.k, self.d
-        zeros = [0] * (k - 1)
-        padded = [zeros + blk for blk in self.blocks]
-        entries: list[int] = []
-        extend = entries.extend
-        for bi in range(0, d * d, d):
-            row_blocks = padded[bi : bi + d]
-            for s in reversed(range(k)):  # row k - 1 - s of the block row
-                for pad in row_blocks:
-                    extend(pad[s : s + k])
-        return Matrix(d * k, d * k, entries)
+        """The dense m x m realization (``_realize``)."""
+        return Matrix(self.rows, self.cols, _realize(self.blocks, self.k, self.d, 0))
 
     def is_embedding(self) -> bool:
         """True iff this is diag(P, ..., P) for one P in R."""
@@ -341,6 +329,23 @@ class Orbit:
         return powers[: top + 1]
 
 
+def _realize(blocks: Sequence[list], k: int, d: int, zero) -> list:
+    """The dense m x m realization, row-major, of d*d blocks given by
+    their first rows, residues or their decimal strings: row r of a block
+    is its first row shifted right by r, the slice pad[k-1-r : 2k-1-r] of
+    the row left-padded once with k - 1 ``zero``s."""
+    zeros = [zero] * (k - 1)
+    padded = [zeros + blk for blk in blocks]
+    entries: list = []
+    extend = entries.extend
+    for bi in range(0, d * d, d):
+        row_blocks = padded[bi : bi + d]
+        for s in reversed(range(k)):  # row k - 1 - s of the block row
+            for pad in row_blocks:
+                extend(pad[s : s + k])
+    return entries
+
+
 @_shape_cache
 def _column_masks(m: int, k: int, slot: int) -> tuple[int, ...]:
     """M_c for c < k: the low c+1 slots of every k-slot block of m slots."""
@@ -410,14 +415,50 @@ class MonoTerm:
     factors: tuple[tuple[BlockGrid, int], ...]
 
 
+class FlatRecipe(NamedTuple):
+    """A mono-term recipe as plain data: per term its coefficient and
+    factor count, per factor its exponent, and per generator block (the
+    factors' grids in order, each row-major) its kind and value."""
+
+    coeffs: tuple[int, ...]
+    counts: tuple[int, ...]
+    exps: tuple[int, ...]
+    kinds: tuple[str, ...]
+    values: tuple[int, ...]
+
+    @classmethod
+    def of(cls, terms: Sequence[MonoTerm]) -> "FlatRecipe":
+        factors = [f for term in terms for f in term.factors]
+        blocks = [b for grid, _ in factors for row in grid.blocks for b in row]
+        return cls(
+            tuple([term.coeff for term in terms]),
+            tuple([len(term.factors) for term in terms]),
+            tuple([exp for _, exp in factors]),
+            tuple([b.kind for b in blocks]),
+            tuple([b.value for b in blocks]),
+        )
+
+
 @dataclass(frozen=True)
 class RingSample:
     """A sampled element of the grid ring, held in R, plus the mono-term
-    recipe it was built from (None when loaded without one).  The dense
-    m x m ``matrix`` is built on first read."""
+    recipe it was built from (None when loaded without one), kept as a
+    ``FlatRecipe``: the sampler flattens its terms once, and params.json
+    is read into and written from that form.  The ``recipe`` objects and
+    the dense m x m ``matrix`` are built on first read."""
 
     ring: RingMatrix
-    recipe: Optional[tuple[MonoTerm, ...]] = None
+    flat: Optional[FlatRecipe] = None
+
+    @cached_property
+    def recipe(self) -> Optional[tuple[MonoTerm, ...]]:
+        flat, k, d = self.flat, self.ring.k, self.ring.d
+        if flat is None:
+            return None
+        blocks = map(GeneratorBlock, flat.kinds, flat.values, repeat(k))
+        grids = [BlockGrid(tuple(tuple(islice(blocks, d)) for _ in range(d))) for _ in flat.exps]
+        factors = iter(zip(grids, flat.exps))
+        return tuple(MonoTerm(c, tuple(islice(factors, n))) for c, n in zip(flat.coeffs, flat.counts))
 
     @cached_property
     def matrix(self) -> Matrix:
@@ -522,7 +563,7 @@ def sample_ring_element(
             field, PowerTable(field, ring, 1).apply(base_vector), base_vector
         ):
             continue
-        return RingSample(ring, tuple(terms))
+        return RingSample(ring, FlatRecipe.of(terms))
     raise DegenerateRingElement(
         f"no usable ring element after {SAMPLE_MAX_ATTEMPTS} attempts (k={k}, d={d})"
     )

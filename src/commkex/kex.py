@@ -38,10 +38,12 @@ import json
 import struct
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 from .commutant import (
     MAX_GRID_EXP,
+    FlatRecipe,
     MonoTerm,
     Orbit,
     PowerTable,
@@ -52,6 +54,7 @@ from .commutant import (
     GeneratorBlock,
     apply_key_poly,
     eval_key_poly,
+    _realize,
     random_shift_poly,
     sample_ring_element,
 )
@@ -351,11 +354,11 @@ def _parse_residue(value, q: int, path: str) -> int:
     return v
 
 
-def _parse_residues(values: list, q: int, path: str) -> list[int]:
+def _parse_residues(values: list, q: int, path: Optional[str]) -> Optional[list[int]]:
     """Every entry of a JSON list as ``_parse_residue`` reads it (entry i
     at ``path[i]``): decimal strings are converted in bulk and range
     checked once; only a list that fails is read entry by entry, to name
-    its first bad entry."""
+    its first bad entry, or is None when there is no path."""
     if set(map(type, values)) <= {str}:
         try:
             out = list(map(int, values))
@@ -364,6 +367,8 @@ def _parse_residues(values: list, q: int, path: str) -> list[int]:
         else:
             if not out or (min(out) >= 0 and max(out) < q):
                 return out
+    if path is None:
+        return None
     return [_parse_residue(v, q, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
@@ -404,10 +409,6 @@ def shift_poly_from_obj(obj, q: int, path: str) -> ShiftPoly:
     return ShiftPoly(tuple(_parse_residues(coeffs, q, f"{path}.coeffs")))
 
 
-def _generator_block_to_obj(blk: GeneratorBlock) -> dict:
-    return {"kind": blk.kind, "value": str(blk.value)}
-
-
 def _generator_block_from_obj(obj, q: int, k: int, path: str) -> GeneratorBlock:
     kind = _need(obj, "kind", path)
     value = _parse_residue(_need(obj, "value", path), q, f"{path}.value")
@@ -417,23 +418,20 @@ def _generator_block_from_obj(obj, q: int, k: int, path: str) -> GeneratorBlock:
 
 
 def ring_sample_to_obj(sample: RingSample) -> dict:
-    obj: dict = {"matrix": matrix_to_obj(sample.matrix)}
-    if sample.recipe is not None:
+    """z as params.json holds it: the matrix realized from the blocks'
+    residue strings, and the recipe, if any, written from its
+    ``FlatRecipe``; neither a Matrix nor a recipe object is built."""
+    ring, d, m = sample.ring, sample.ring.d, sample.ring.rows
+    entries = _realize([list(map(str, blk)) for blk in ring.blocks], ring.k, d, "0")
+    obj: dict = {"matrix": {"rows": m, "cols": m, "entries": entries}}
+    flat = sample.flat
+    if flat is not None:
+        blocks = iter([{"kind": kd, "value": str(v)} for kd, v in zip(flat.kinds, flat.values)])
+        grids = [[list(islice(blocks, d)) for _ in range(d)] for _ in flat.exps]
+        factors = iter([{"grid": g, "exp": e} for g, e in zip(grids, flat.exps)])
         obj["recipe"] = [
-            {
-                "coeff": str(term.coeff),
-                "factors": [
-                    {
-                        "grid": [
-                            [_generator_block_to_obj(b) for b in row]
-                            for row in grid.blocks
-                        ],
-                        "exp": exp,
-                    }
-                    for grid, exp in term.factors
-                ],
-            }
-            for term in sample.recipe
+            {"coeff": str(c), "factors": list(islice(factors, n))}
+            for c, n in zip(flat.coeffs, flat.counts)
         ]
     return obj
 
@@ -443,19 +441,84 @@ def ring_sample_from_obj(obj, q: int, k: int, d: int, path: str) -> RingSample:
     checked: a recipe's grids must be d x d and its exponents within the
     sampler's [0, MAX_GRID_EXP], and the matrix must be m x m with every
     k x k block upper-triangular Toeplitz (a matrix over R).  Every
-    malformed part is a ParseError."""
-    matrix = matrix_from_obj(_need(obj, "matrix", path), q, f"{path}.matrix")
-    recipe = _recipe_from_obj(obj, q, k, d, path) if "recipe" in obj else None
+    malformed part is a ParseError.
+
+    The matrix is read from its block rows (``_ring_in_bulk``) and the
+    recipe is checked in bulk and kept flat (``_recipe_in_bulk``).  What
+    either does not accept -- a malformed part, or a matrix that spells a
+    repeated or zero entry another way, such as "07" -- is read entry by
+    entry (``matrix_from_obj``, ``_recipe_from_obj``), which names the
+    first error: the matrix's entries, the recipe, then the matrix's
+    shape and blocks."""
+    ring = _ring_in_bulk(obj, q, k, d)
+    if ring is None:
+        matrix = matrix_from_obj(_need(obj, "matrix", path), q, f"{path}.matrix")
+    flat = _recipe_in_bulk(obj["recipe"], q, d) if "recipe" in obj else None
+    if flat is None and "recipe" in obj:
+        flat = FlatRecipe.of(_recipe_from_obj(obj, q, k, d, path))
+    if ring is None:
+        m = k * d
+        if matrix.rows != m or matrix.cols != m:
+            raise ParseError(f"params: ring base must be {m}x{m}")
+        try:
+            ring = RingMatrix.from_matrix(matrix, k, d)
+        except NotBlockToeplitz as exc:
+            raise ParseError(f"params: ring base: {exc}") from None
+    return RingSample(ring, flat)
+
+
+def _ring_in_bulk(obj, q: int, k: int, d: int) -> Optional[RingMatrix]:
+    """z's m x m matrix (m = k*d) read from its block rows, or None: its
+    entries must be the realization of the blocks' first-row strings,
+    and only those d*d*k strings are parsed."""
     m = k * d
-    if matrix.rows != m or matrix.cols != m:
-        raise ParseError(f"params: ring base must be {m}x{m}")
-    try:
-        return RingSample(RingMatrix.from_matrix(matrix, k, d), recipe)
-    except NotBlockToeplitz as exc:
-        raise ParseError(f"params: ring base: {exc}") from None
+    mat = obj.get("matrix") if isinstance(obj, dict) else None
+    if not isinstance(mat, dict) or [type(mat.get("rows")), type(mat.get("cols"))] != [int, int]:
+        return None
+    entries = mat.get("entries")
+    if mat["rows"] != m or mat["cols"] != m or not isinstance(entries, list) or len(entries) != m * m:
+        return None
+    heads = [entries[r + c : r + c + k] for r in range(0, m * m, k * m) for c in range(0, m, k)]
+    flat = _parse_residues(list(chain.from_iterable(heads)), q, None)
+    if flat is None or _realize(heads, k, d, "0") != entries:
+        return None
+    return RingMatrix(k, d, [flat[s : s + k] for s in range(0, len(flat), k)])
+
+
+def _recipe_in_bulk(raw, q: int, d: int) -> Optional[FlatRecipe]:
+    """z's recipe checked in bulk, or None: its structure level by level
+    by comprehensions, the kinds by one set test, and every coeff and
+    value by one ``_parse_residues`` pass.  No recipe object is built."""
+    if not isinstance(raw, list) or not all(
+        isinstance(t, dict) and "coeff" in t and isinstance(t.get("factors"), list) for t in raw
+    ):
+        return None
+    factors = [f for t in raw for f in t["factors"]]
+    if not all(isinstance(f, dict) and "grid" in f and "exp" in f for f in factors):
+        return None
+    # tuples are built from lists: tuple() of a generator resizes its
+    # result, and every resized tuple freed adds to CPython's free lists
+    exps, grids = tuple([f["exp"] for f in factors]), [f["grid"] for f in factors]
+    if not all(type(e) is int and 0 <= e <= MAX_GRID_EXP for e in exps) or not all(
+        isinstance(g, list) and len(g) == d and all(isinstance(r, list) and len(r) == d for r in g)
+        for g in grids
+    ):
+        return None
+    blocks = [b for g in grids for r in g for b in r]
+    if not all(isinstance(b, dict) and "kind" in b and "value" in b for b in blocks):
+        return None
+    kinds = tuple([b["kind"] for b in blocks])
+    nums = _parse_residues([t["coeff"] for t in raw] + [b["value"] for b in blocks], q, None)
+    if nums is None or not set(map(type, kinds)) <= {str} or not set(kinds) <= {"scalar", "jordan"}:
+        return None
+    counts = tuple([len(t["factors"]) for t in raw])
+    return FlatRecipe(tuple(nums[: len(raw)]), counts, exps, kinds, tuple(nums[len(raw) :]))
 
 
 def _recipe_from_obj(obj, q: int, k: int, d: int, path: str) -> tuple[MonoTerm, ...]:
+    """z's recipe read entry by entry, for ``ring_sample_from_obj`` to
+    name the first bad entry of a recipe that ``_recipe_in_bulk`` does
+    not accept."""
     raw = obj["recipe"]
     if not isinstance(raw, list):
         raise ParseError(f"{path}.recipe: expected a list")

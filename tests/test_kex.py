@@ -1,9 +1,13 @@
+import copy
 import importlib.util
 import json
+import operator
 import sys
 import threading
+from functools import reduce
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +24,7 @@ from commkex.errors import (
 )
 from commkex import kex
 from commkex.gf import OpCounter, Rng
-from commkex.commutant import RingMatrix, RingSample, ShiftPoly, random_shift_poly
+from commkex.commutant import GeneratorBlock, RingMatrix, RingSample, ShiftPoly, random_shift_poly
 from commkex.kex import (
     Params,
     PublicKey,
@@ -579,6 +583,156 @@ def test_bulk_residue_parser_matches_per_entry(values, q):
         assert got == reference("m.entries")
         got = outcome(lambda: list(kex.shift_poly_from_obj({"coeffs": values}, q, "c").coeffs))
         assert got == reference("c.coeffs")
+
+
+# The bulk z reader against the per-entry one, on a 4 x 2 params object
+# (q = 101): z's entries are block heads (row 0 of a block), their
+# repeats down each Toeplitz diagonal and zeros below it, and each may
+# be respelt as a string int() reads as the same number, one at a time
+# or a whole diagonal at once; recipe numbers are respelt the same way,
+# and exponents, kinds, grids, keys and the claimed shape are edited.
+BULK_PARAMS = params_to_obj(gen_params(101, 4, 2, 3, Rng(9), seed=9))
+SPELLINGS = {
+    "pad": lambda s: "0" + s,  # "07"
+    "space": lambda s: " " + s,
+    "plus": lambda s: "+" + s,
+    "underscore": lambda s: s[0] + "_" + s[1:] if len(s) > 1 else "0_" + s,  # "7_0"
+    "minus": lambda s: "-" + s,  # "-0" where the entry is 0
+}
+BULK_TERMS = [
+    ("z", "recipe", ti, "factors", fi)
+    for ti, term in enumerate(BULK_PARAMS["z"]["recipe"])
+    for fi in range(len(term["factors"]))
+]
+BULK_BLOCKS = [f + ("grid", r, c) for f in BULK_TERMS for r in range(2) for c in range(2)]
+BULK_NUMBERS = (
+    [("z", "matrix", "entries", i) for i in range(64)]
+    + [("z", "recipe", ti, "coeff") for ti in range(len(BULK_PARAMS["z"]["recipe"]))]
+    + [b + ("value",) for b in BULK_BLOCKS]
+)
+BULK_ODD = [True, False, "1", 10**12, -1, 4, 0, 3, None, 1.0, "x", "Jordan", "scalar"]
+BULK_ODD += [["scalar"], {"kind": "jordan"}, [], [[]], "9" * 30, str(10**6)]
+BULK_SLOTS = [("k",), ("d",), ("z", "matrix", "rows"), ("z", "matrix", "cols")]
+BULK_SLOTS += [f + (key,) for f in BULK_TERMS for key in ("exp", "grid")]
+BULK_SLOTS += [f + ("grid", 0) for f in BULK_TERMS] + [b + ("kind",) for b in BULK_BLOCKS]
+BULK_KEYS = [("z", "matrix", key) for key in ("rows", "cols", "entries")] + [("z", "recipe")]
+BULK_KEYS += [("z", "recipe", 0, key) for key in ("coeff", "factors")]
+BULK_KEYS += [f + (key,) for f in BULK_TERMS for key in ("exp", "grid")]
+BULK_KEYS += [b + (key,) for b in BULK_BLOCKS for key in ("kind", "value")]
+
+
+def _bulk_edited(edits):
+    """BULK_PARAMS with each edit applied: ("respell", path, spelling),
+    ("diagonal", block row, block col, offset, spelling), ("set", path,
+    value), ("ragged", path) (one member fewer) or ("delete", path)."""
+    obj = copy.deepcopy(BULK_PARAMS)
+    for op, *args in edits:
+        if op == "diagonal":
+            bi, bj, off, spelling = args
+            paths = [("z", "matrix", "entries", (bi * 4 + r) * 8 + bj * 4 + r + off) for r in range(4 - off)]
+            edits_here = [(path, SPELLINGS[spelling]) for path in paths]
+        elif op == "respell":
+            edits_here = [(args[0], SPELLINGS[args[1]])]
+        else:
+            edits_here = [(args[0], (lambda v: args[1]) if op == "set" else (lambda v: v[:-1]))]
+        for path, change in edits_here:
+            try:
+                target = reduce(operator.getitem, path[:-1], obj)
+                value = target[path[-1]]
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier edit removed the place
+            if not isinstance(target, (dict, list)) or op == "ragged" and not isinstance(value, list):
+                continue
+            if op == "delete":
+                del target[path[-1]]
+            else:
+                target[path[-1]] = change(value)
+    return obj
+
+
+BULK_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("respell"), st.sampled_from(BULK_NUMBERS), st.sampled_from(list(SPELLINGS))),
+        st.tuples(
+            st.just("diagonal"),
+            st.integers(0, 1),
+            st.integers(0, 1),
+            st.integers(0, 3),
+            st.sampled_from(list(SPELLINGS)),
+        ),
+        st.tuples(st.just("set"), st.sampled_from(BULK_SLOTS), st.sampled_from(BULK_ODD)),
+        st.tuples(st.just("ragged"), st.sampled_from(BULK_SLOTS[4:])),
+        st.tuples(st.just("delete"), st.sampled_from(BULK_KEYS)),
+    ),
+    min_size=1,
+    max_size=3,
+).map(_bulk_edited)
+
+
+def _read_params(obj):
+    try:
+        params = params_from_obj(obj)
+    except Error as exc:
+        return type(exc).__name__, str(exc)
+    return params, params_to_json(params), params.ring_base.recipe
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(BULK_EDITS, json_mutations(BULK_PARAMS)))
+@example(_bulk_edited([("respell", BULK_NUMBERS[9], "pad")]))  # a repeat, "07"
+@example(_bulk_edited([("respell", BULK_NUMBERS[8], "minus"), ("respell", BULK_NUMBERS[16], "pad")]))  # zeros
+@example(_bulk_edited([("diagonal", 0, 1, 1, "underscore")]))  # a whole diagonal respelt
+@example(_bulk_edited([("respell", BULK_NUMBERS[64], "space"), ("respell", BULK_NUMBERS[-1], "plus")]))
+@example(_bulk_edited([("set", BULK_TERMS[0] + ("exp",), True)]))
+@example(_bulk_edited([("set", BULK_TERMS[0] + ("exp",), "1")]))
+@example(_bulk_edited([("set", BULK_TERMS[0] + ("exp",), 10**12)]))
+@example(_bulk_edited([("set", BULK_BLOCKS[0] + ("kind",), "Jordan")]))
+@example(_bulk_edited([("set", BULK_BLOCKS[0] + ("kind",), ["scalar"])]))
+@example(_bulk_edited([("ragged", BULK_TERMS[0] + ("grid", 0))]))
+@example(_bulk_edited([("delete", BULK_BLOCKS[0] + ("value",))]))
+@example(_bulk_edited([("set", ("k",), str(10**6))]))
+@example(_bulk_edited([("set", ("d",), str(10**6))]))
+def test_bulk_params_reader_matches_per_entry(obj):
+    # the per-entry readers, alone, are the reference for every accepted
+    # value, its JSON and recipe, and every error text
+    with mock.patch.object(kex, "_ring_in_bulk", lambda *args: None), mock.patch.object(
+        kex, "_recipe_in_bulk", lambda *args: None
+    ):
+        reference = _read_params(obj)
+    assert _read_params(obj) == reference
+
+
+def test_params_reader_builds_nothing_per_entry(monkeypatch):
+    # z is read from its block rows and the recipe kept flat: no Matrix
+    # and no recipe object until something reads one
+    built = {"Matrix": 0, "GeneratorBlock": 0}
+
+    def counting(cls, name):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built[name] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    counting(Matrix, "Matrix")
+    counting(GeneratorBlock, "GeneratorBlock")
+    for k, d in ((1, 2), (8, 2), (4, 16)):
+        params = gen_params(2147483647, k, d, 3, Rng(k * d), seed=k * d)
+        text = params_to_json(params)
+        built.update(Matrix=0, GeneratorBlock=0)
+        again = params_from_json(text)
+        assert built == {"Matrix": 0, "GeneratorBlock": 0}, (k, d)
+        assert params_to_json(again) == text and again == params
+        assert built == {"Matrix": 0, "GeneratorBlock": 0}, (k, d)
+        assert again.ring_base.recipe == params.ring_base.recipe
+        assert built["GeneratorBlock"] > 0  # built on first read
+    obj = json.loads(text)
+    del obj["z"]["recipe"]
+    plain = params_from_obj(obj)
+    assert plain.ring_base.recipe is None
+    assert params_to_json(plain) == kex.canonical_json(obj)
 
 
 # Readers of mutated files: whatever is deleted, replaced or inserted,
