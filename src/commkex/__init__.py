@@ -14,7 +14,6 @@ from .linalg import Matrix, mat_apply, mat_mul, rank
 from .commutant import (
     BlockGrid,
     GeneratorBlock,
-    MonoTerm,
     RingMatrix,
     RingSample,
     ShiftPoly,
@@ -61,7 +60,6 @@ __all__ = [
     "rank",
     "BlockGrid",
     "GeneratorBlock",
-    "MonoTerm",
     "RingMatrix",
     "RingSample",
     "ShiftPoly",

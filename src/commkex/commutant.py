@@ -85,11 +85,15 @@ class GeneratorBlock:
             raise InvalidDimension(f"unknown generator kind {self.kind!r}")
 
     def residues(self, field: Field) -> list[int]:
-        """The block as an element of R: its k shift coefficients."""
-        out = [self.value % field.q] + [0] * (self.k - 1)
-        if self.kind == KIND_JORDAN and self.k > 1:
-            out[1] = 1
-        return out
+        return _block_residues(self.kind, self.value, self.k, field.q)
+
+
+def _block_residues(kind: str, value: int, k: int, q: int) -> list[int]:
+    """A generator block as an element of R: its k shift coefficients."""
+    out = [value % q] + [0] * (k - 1)
+    if kind == KIND_JORDAN and k > 1:
+        out[1] = 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -407,18 +411,11 @@ class BlockGrid:
         return RingMatrix.from_grid(field, self).to_matrix()
 
 
-@dataclass(frozen=True)
-class MonoTerm:
-    """One scaled ordered product of grid powers: coeff * prod grid**exp."""
-
-    coeff: int
-    factors: tuple[tuple[BlockGrid, int], ...]
-
-
 class FlatRecipe(NamedTuple):
-    """A mono-term recipe as plain data: per term its coefficient and
-    factor count, per factor its exponent, and per generator block (the
-    factors' grids in order, each row-major) its kind and value."""
+    """A sum of mono-terms, coeff * prod grid**exp over ordered factors,
+    as plain data: per term its coefficient and factor count, per factor
+    its exponent, and per generator block (the factors' d x d grids in
+    order, each row-major) its kind and value."""
 
     coeffs: tuple[int, ...]
     counts: tuple[int, ...]
@@ -426,88 +423,65 @@ class FlatRecipe(NamedTuple):
     kinds: tuple[str, ...]
     values: tuple[int, ...]
 
-    @classmethod
-    def of(cls, terms: Sequence[MonoTerm]) -> "FlatRecipe":
-        factors = [f for term in terms for f in term.factors]
-        blocks = [b for grid, _ in factors for row in grid.blocks for b in row]
-        return cls(
-            tuple([term.coeff for term in terms]),
-            tuple([len(term.factors) for term in terms]),
-            tuple([exp for _, exp in factors]),
-            tuple([b.kind for b in blocks]),
-            tuple([b.value for b in blocks]),
-        )
-
 
 @dataclass(frozen=True)
 class RingSample:
-    """A sampled element of the grid ring, held in R, plus the mono-term
-    recipe it was built from (None when loaded without one), kept as a
-    ``FlatRecipe``: the sampler flattens its terms once, and params.json
-    is read into and written from that form.  The ``recipe`` objects and
-    the dense m x m ``matrix`` are built on first read."""
+    """A sampled element of the grid ring, held in R, plus the recipe it
+    was built from as a ``FlatRecipe`` (None when loaded without one):
+    provenance that params.json carries and that nothing reads after
+    sampling.  The dense m x m ``matrix`` is built on first read."""
 
     ring: RingMatrix
     flat: Optional[FlatRecipe] = None
-
-    @cached_property
-    def recipe(self) -> Optional[tuple[MonoTerm, ...]]:
-        flat, k, d = self.flat, self.ring.k, self.ring.d
-        if flat is None:
-            return None
-        blocks = map(GeneratorBlock, flat.kinds, flat.values, repeat(k))
-        grids = [BlockGrid(tuple(tuple(islice(blocks, d)) for _ in range(d))) for _ in flat.exps]
-        factors = iter(zip(grids, flat.exps))
-        return tuple(MonoTerm(c, tuple(islice(factors, n))) for c, n in zip(flat.coeffs, flat.counts))
 
     @cached_property
     def matrix(self) -> Matrix:
         return self.ring.to_matrix()
 
 
-def eval_recipe(field: Field, k: int, d: int, terms: Sequence[MonoTerm]) -> RingMatrix:
-    """Evaluate a sum of mono-terms in R.  A term's product starts from
-    its first grid power (the identity only when every exponent is 0),
-    each grid is packed once per factor, and the products stay packed
-    and reduced (``_block_products``) until the sum is unpacked."""
-    q = field.q
+def eval_recipe(field: Field, k: int, d: int, recipe: FlatRecipe) -> RingMatrix:
+    """Evaluate a recipe's sum of mono-terms in R.  A term's product
+    starts from its first grid power (the identity only when every
+    exponent is 0), each grid is packed once per factor from its kinds
+    and values, and the products stay packed and reduced
+    (``_block_products``) until the sum is unpacked."""
+    q, n = field.q, d * d
+    coeffs, counts, exps, kinds, values = recipe
+    consistent = len(kinds) == len(values) == n * len(exps) == n * sum(counts)
+    if not consistent or len(coeffs) != len(counts):
+        raise DimensionMismatch(f"recipe lengths disagree with d={d} or each other")
     slot = _slot_bytes(q, d * k)
-    total = [0] * (d * d)
-    for term in terms:
+    total = [0] * n
+    factors = iter(enumerate(exps))
+    for coeff, count in zip(coeffs, counts):
         prod: Optional[list[int]] = None
-        for grid, exp in term.factors:
-            if grid.k != k or grid.d != d:
-                raise DimensionMismatch("grid shape disagrees with (k, d)")
+        for f, exp in islice(factors, count):
             if not exp:
                 continue
-            blocks = chain.from_iterable(grid.blocks)
-            residues = list(chain.from_iterable(b.residues(field) for b in blocks))
-            g = _pack_elements(residues, k, slot)
+            grid = slice(f * n, f * n + n)
+            residues = map(_block_residues, kinds[grid], values[grid], repeat(k), repeat(q))
+            g = _pack_elements(list(chain.from_iterable(residues)), k, slot)
             if prod is None:
                 prod, exp = g, exp - 1
             for _ in range(exp):
                 prod = _block_products(prod, g, d, k, slot, q)
         if prod is None:
-            prod = [int(n % (d + 1) == 0) for n in range(d * d)]
-        c = term.coeff % q
+            prod = [int(i % (d + 1) == 0) for i in range(n)]
+        c = coeff % q
         total = _reduce([t + c * p for t, p in zip(total, prod)], k, slot, q)
     flat = _slot_values(total, k, slot, q)
     return RingMatrix(k, d, [flat[s : s + k] for s in range(0, len(flat), k)])
 
 
-def random_generator_block(field: Field, k: int, rng: Rng) -> GeneratorBlock:
-    kind = KIND_SCALAR if rng.below(2) == 0 else KIND_JORDAN
-    return GeneratorBlock(kind, field.sample(rng), k)
+def _draw_block(field: Field, rng: Rng) -> tuple[str, int]:
+    """One generator block's draw: its kind, then its value."""
+    return KIND_SCALAR if rng.below(2) == 0 else KIND_JORDAN, field.sample(rng)
 
 
 def random_block_grid(field: Field, k: int, d: int, rng: Rng) -> BlockGrid:
     """Grid with blocks drawn row-major (fixed order for reproducibility)."""
-    return BlockGrid(
-        tuple(
-            tuple(random_generator_block(field, k, rng) for _ in range(d))
-            for _ in range(d)
-        )
-    )
+    rows = [[GeneratorBlock(*_draw_block(field, rng), k) for _ in range(d)] for _ in range(d)]
+    return BlockGrid(tuple(map(tuple, rows)))
 
 
 def random_shift_poly(field: Field, k: int, rng: Rng) -> ShiftPoly:
@@ -543,27 +517,29 @@ def sample_ring_element(
     Draw order (fixed so seeded runs reproduce byte-for-byte): number
     of terms, then per term the factor count, per factor the grid
     (blocks row-major: kind then value) and its exponent, then the
-    term coefficient.
+    term coefficient.  The draws go straight into a ``FlatRecipe``.
     """
     for _ in range(SAMPLE_MAX_ATTEMPTS):
-        terms: list[MonoTerm] = []
-        n_terms = 1 + rng.below(4)
-        for _ in range(n_terms):
-            n_factors = 1 + rng.below(3)
-            factors = []
-            for _ in range(n_factors):
-                grid = random_block_grid(field, k, d, rng)
-                factors.append((grid, rng.below(MAX_GRID_EXP + 1)))
-            coeff = field.sample(rng)
-            terms.append(MonoTerm(coeff, tuple(factors)))
-        ring = eval_recipe(field, k, d, terms)
+        coeffs: list[int] = []
+        counts: list[int] = []
+        exps: list[int] = []
+        blocks: list[tuple[str, int]] = []
+        for _ in range(1 + rng.below(4)):
+            counts.append(1 + rng.below(3))
+            for _ in range(counts[-1]):
+                blocks += [_draw_block(field, rng) for _ in range(d * d)]
+                exps.append(rng.below(MAX_GRID_EXP + 1))
+            coeffs.append(field.sample(rng))
+        kinds, values = zip(*blocks)
+        recipe = FlatRecipe(tuple(coeffs), tuple(counts), tuple(exps), kinds, values)
+        ring = eval_recipe(field, k, d, recipe)
         if ring.is_embedding():
             continue
         if base_vector is not None and _is_parallel(
             field, PowerTable(field, ring, 1).apply(base_vector), base_vector
         ):
             continue
-        return RingSample(ring, FlatRecipe.of(terms))
+        return RingSample(ring, recipe)
     raise DegenerateRingElement(
         f"no usable ring element after {SAMPLE_MAX_ATTEMPTS} attempts (k={k}, d={d})"
     )

@@ -44,14 +44,11 @@ from typing import Optional, Sequence
 from .commutant import (
     MAX_GRID_EXP,
     FlatRecipe,
-    MonoTerm,
     Orbit,
     PowerTable,
     RingMatrix,
     RingSample,
     ShiftPoly,
-    BlockGrid,
-    GeneratorBlock,
     apply_key_poly,
     eval_key_poly,
     _realize,
@@ -409,18 +406,10 @@ def shift_poly_from_obj(obj, q: int, path: str) -> ShiftPoly:
     return ShiftPoly(tuple(_parse_residues(coeffs, q, f"{path}.coeffs")))
 
 
-def _generator_block_from_obj(obj, q: int, k: int, path: str) -> GeneratorBlock:
-    kind = _need(obj, "kind", path)
-    value = _parse_residue(_need(obj, "value", path), q, f"{path}.value")
-    if kind not in ("scalar", "jordan"):
-        raise ParseError(f"{path}.kind: unknown kind {kind!r}")
-    return GeneratorBlock(kind, value, k)
-
-
 def ring_sample_to_obj(sample: RingSample) -> dict:
     """z as params.json holds it: the matrix realized from the blocks'
     residue strings, and the recipe, if any, written from its
-    ``FlatRecipe``; neither a Matrix nor a recipe object is built."""
+    ``FlatRecipe``; no Matrix is built."""
     ring, d, m = sample.ring, sample.ring.d, sample.ring.rows
     entries = _realize([list(map(str, blk)) for blk in ring.blocks], ring.k, d, "0")
     obj: dict = {"matrix": {"rows": m, "cols": m, "entries": entries}}
@@ -444,18 +433,19 @@ def ring_sample_from_obj(obj, q: int, k: int, d: int, path: str) -> RingSample:
     malformed part is a ParseError.
 
     The matrix is read from its block rows (``_ring_in_bulk``) and the
-    recipe is checked in bulk and kept flat (``_recipe_in_bulk``).  What
-    either does not accept -- a malformed part, or a matrix that spells a
-    repeated or zero entry another way, such as "07" -- is read entry by
-    entry (``matrix_from_obj``, ``_recipe_from_obj``), which names the
-    first error: the matrix's entries, the recipe, then the matrix's
-    shape and blocks."""
+    recipe is checked in bulk and kept flat, never evaluated
+    (``_recipe_in_bulk``).  A matrix the bulk read does not accept -- a
+    malformed one, or one that spells a repeated or zero entry another
+    way, such as "07" -- is read entry by entry (``matrix_from_obj``); a
+    recipe the bulk check refuses is malformed, and ``_check_recipe``
+    names its first error.  Errors come in this order: the matrix's
+    entries, the recipe, then the matrix's shape and blocks."""
     ring = _ring_in_bulk(obj, q, k, d)
     if ring is None:
         matrix = matrix_from_obj(_need(obj, "matrix", path), q, f"{path}.matrix")
     flat = _recipe_in_bulk(obj["recipe"], q, d) if "recipe" in obj else None
     if flat is None and "recipe" in obj:
-        flat = FlatRecipe.of(_recipe_from_obj(obj, q, k, d, path))
+        _check_recipe(obj["recipe"], q, d, path)
     if ring is None:
         m = k * d
         if matrix.rows != m or matrix.cols != m:
@@ -486,9 +476,10 @@ def _ring_in_bulk(obj, q: int, k: int, d: int) -> Optional[RingMatrix]:
 
 
 def _recipe_in_bulk(raw, q: int, d: int) -> Optional[FlatRecipe]:
-    """z's recipe checked in bulk, or None: its structure level by level
-    by comprehensions, the kinds by one set test, and every coeff and
-    value by one ``_parse_residues`` pass.  No recipe object is built."""
+    """z's recipe checked in bulk, or None exactly when ``_check_recipe``
+    raises: its structure level by level by comprehensions, the kinds by
+    one set test, and every coeff and value by one ``_parse_residues``
+    pass."""
     if not isinstance(raw, list) or not all(
         isinstance(t, dict) and "coeff" in t and isinstance(t.get("factors"), list) for t in raw
     ):
@@ -515,21 +506,18 @@ def _recipe_in_bulk(raw, q: int, d: int) -> Optional[FlatRecipe]:
     return FlatRecipe(tuple(nums[: len(raw)]), counts, exps, kinds, tuple(nums[len(raw) :]))
 
 
-def _recipe_from_obj(obj, q: int, k: int, d: int, path: str) -> tuple[MonoTerm, ...]:
-    """z's recipe read entry by entry, for ``ring_sample_from_obj`` to
-    name the first bad entry of a recipe that ``_recipe_in_bulk`` does
-    not accept."""
-    raw = obj["recipe"]
+def _check_recipe(raw, q: int, d: int, path: str) -> None:
+    """Raise the ParseError that names the first bad entry of a recipe
+    that ``_recipe_in_bulk`` refuses, reading it entry by entry.  It
+    builds nothing and returns nothing."""
     if not isinstance(raw, list):
         raise ParseError(f"{path}.recipe: expected a list")
-    terms = []
     for ti, term_obj in enumerate(raw):
         tpath = f"{path}.recipe[{ti}]"
-        coeff = _parse_residue(_need(term_obj, "coeff", tpath), q, f"{tpath}.coeff")
+        _parse_residue(_need(term_obj, "coeff", tpath), q, f"{tpath}.coeff")
         raw_factors = _need(term_obj, "factors", tpath)
         if not isinstance(raw_factors, list):
             raise ParseError(f"{tpath}.factors: expected a list")
-        factors = []
         for fi, f_obj in enumerate(raw_factors):
             fpath = f"{tpath}.factors[{fi}]"
             grid_rows = _need(f_obj, "grid", fpath)
@@ -540,16 +528,13 @@ def _recipe_from_obj(obj, q: int, k: int, d: int, path: str) -> tuple[MonoTerm, 
                 not isinstance(row, list) or len(row) != d for row in grid_rows
             ):
                 raise ParseError(f"{fpath}.grid: expected {d} rows of {d} blocks")
-            blocks = tuple(
-                tuple(
-                    _generator_block_from_obj(b, q, k, f"{fpath}.grid[{ri}][{ci}]")
-                    for ci, b in enumerate(row)
-                )
-                for ri, row in enumerate(grid_rows)
-            )
-            factors.append((BlockGrid(blocks), exp))
-        terms.append(MonoTerm(coeff, tuple(factors)))
-    return tuple(terms)
+            for ri, row in enumerate(grid_rows):
+                for ci, blk in enumerate(row):
+                    bpath = f"{fpath}.grid[{ri}][{ci}]"
+                    kind = _need(blk, "kind", bpath)
+                    _parse_residue(_need(blk, "value", bpath), q, f"{bpath}.value")
+                    if kind not in ("scalar", "jordan"):
+                        raise ParseError(f"{bpath}.kind: unknown kind {kind!r}")
 
 
 def params_to_obj(params: Params) -> dict:

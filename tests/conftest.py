@@ -63,6 +63,10 @@ def malformed_recipes():
             ("negative exponent", factor + ("exp",), -1),
             ("boolean exponent", factor + ("exp",), True),
             ("string exponent", factor + ("exp",), "1"),
+            ("unknown kind", factor + ("grid", 0, 0, "kind"), "hessenberg"),
+            ("value not a residue", factor + ("grid", 0, 0, "value"), obj["q"]),
+            ("term without coeff", ("z", "recipe", 0), {"factors": obj["z"]["recipe"][0]["factors"]}),
+            ("block without value", factor + ("grid", 0, 0), {"kind": blk["kind"]}),
             ("z matrix without rows", ("z", "matrix"), {"rows": 0, "cols": 4, "entries": []}),
             ("zero block size", ("k",), "0"),
             ("one block", ("d",), "1"),

@@ -201,6 +201,24 @@ def test_seeded_artifacts_are_pinned(tmp_path, capsys, shape):
         assert hashlib.sha256(paths[name].read_bytes()).hexdigest() == digest, name
 
 
+def test_perfbench_fingerprints_are_pinned():
+    # the benchmark's seeded params and first op of each workload, as
+    # perfbench/fingerprints.json records them: a slip in a seeded draw
+    # order fails here, not only in the benchmark's --smoke
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # write nothing under perfbench/
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--print-fingerprints"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout
+    assert json.loads(out) == json.loads((root / "perfbench" / "fingerprints.json").read_text())
+
+
 def test_attack_recover_key_cli(tmp_path, capsys):
     paths = gen_pipeline(tmp_path)
     params = params_from_json(paths["params"].read_text())

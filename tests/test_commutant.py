@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,8 +13,8 @@ from commkex.errors import (
 from commkex.gf import Field, Rng
 from commkex.commutant import (
     BlockGrid,
+    FlatRecipe,
     GeneratorBlock,
-    MonoTerm,
     Orbit,
     PowerTable,
     RingMatrix,
@@ -94,9 +96,47 @@ def test_generator_blocks_commute_pairwise():
 
 
 def random_generator(field, k, rng):
-    from commkex.commutant import random_generator_block
+    return random_block_grid(field, k, 1, rng).blocks[0][0]
 
-    return random_generator_block(field, k, rng)
+
+def flat_recipe(terms):
+    """The FlatRecipe of terms [(coeff, [(grid, exp), ...]), ...], each
+    grid a d x d list of rows of (kind, value) pairs."""
+    factors = [f for _, fs in terms for f in fs]
+    blocks = [b for grid, _ in factors for row in grid for b in row]
+    return FlatRecipe(
+        tuple(c for c, _ in terms),
+        tuple(len(fs) for _, fs in terms),
+        tuple(e for _, e in factors),
+        tuple(kind for kind, _ in blocks),
+        tuple(value for _, value in blocks),
+    )
+
+
+def recipe_terms(flat, d):
+    """Inverse of ``flat_recipe``."""
+    blocks = iter(zip(flat.kinds, flat.values))
+    factors = iter([([list(islice(blocks, d)) for _ in range(d)], e) for e in flat.exps])
+    return [(c, list(islice(factors, n))) for c, n in zip(flat.coeffs, flat.counts)]
+
+
+def grid_pairs(grid):
+    """A BlockGrid as rows of (kind, value) pairs."""
+    return [[(b.kind, b.value) for b in row] for row in grid.blocks]
+
+
+def dense_terms(terms, k, q):
+    """terms with each grid as its dense rows, for ``recipe_mod``."""
+    return [
+        (
+            c,
+            [
+                (block_matrix([[generator_rows(kd, v, k, q) for kd, v in row] for row in grid], q), e)
+                for grid, e in fs
+            ],
+        )
+        for c, fs in terms
+    ]
 
 
 def test_embed_block_diag_examples():
@@ -223,8 +263,12 @@ def test_sample_single_mono_term_is_the_grid():
     field = Field(101)
     rng = Rng(12)
     grid = random_block_grid(field, 2, 2, rng)
-    terms = [MonoTerm(1, ((grid, 1),))]
-    assert eval_recipe(field, 2, 2, terms).to_matrix() == grid.realize(field)
+    recipe = flat_recipe([(1, [(grid_pairs(grid), 1)])])
+    assert eval_recipe(field, 2, 2, recipe).to_matrix() == grid.realize(field)
+    with pytest.raises(DimensionMismatch):
+        eval_recipe(field, 2, 3, recipe)
+    with pytest.raises(DimensionMismatch):
+        eval_recipe(field, 2, 2, recipe._replace(counts=(2,)))
 
 
 def test_sampled_base_commutes_with_diag_family():
@@ -243,7 +287,7 @@ def test_sample_determinism():
     s1 = sample_ring_element(field, 2, 2, Rng(7777))
     s2 = sample_ring_element(field, 2, 2, Rng(7777))
     assert s1.matrix == s2.matrix
-    assert s1.recipe == s2.recipe
+    assert s1.flat == s2.flat
 
 
 def _is_coefficient_embedding(field, mat, k, d):
@@ -524,35 +568,14 @@ def test_eval_recipe_starts_from_the_first_grid_power():
     exponents = [(0,), (0, 0), (0, 2), (3, 0, 1), (1,), (2, 2, 0), (0, 0, 3)]
     for q, k, d in RING_CASES:
         field = Field(q)
-        grids = [random_block_grid(field, k, d, rng) for _ in range(3)]
+        grids = [grid_pairs(random_block_grid(field, k, d, rng)) for _ in range(3)]
         grids[2] = grids[0]
-        terms = [
-            MonoTerm(field.sample(rng), tuple(zip(grids, exps))) for exps in exponents
-        ]
-
-        def dense(term):
-            return (
-                term.coeff,
-                [
-                    (
-                        block_matrix(
-                            [
-                                [generator_rows(b.kind, b.value, k, q) for b in row]
-                                for row in grid.blocks
-                            ],
-                            q,
-                        ),
-                        exp,
-                    )
-                    for grid, exp in term.factors
-                ],
-            )
-
+        terms = [(field.sample(rng), list(zip(grids, exps))) for exps in exponents]
         for term in terms:
-            oracle = Matrix.from_rows(recipe_mod([dense(term)], k * d, q))
-            assert eval_recipe(field, k, d, [term]).to_matrix() == oracle
-        oracle = Matrix.from_rows(recipe_mod([dense(t) for t in terms], k * d, q))
-        assert eval_recipe(field, k, d, terms).to_matrix() == oracle
+            oracle = Matrix.from_rows(recipe_mod(dense_terms([term], k, q), k * d, q))
+            assert eval_recipe(field, k, d, flat_recipe([term])).to_matrix() == oracle
+        oracle = Matrix.from_rows(recipe_mod(dense_terms(terms, k, q), k * d, q))
+        assert eval_recipe(field, k, d, flat_recipe(terms)).to_matrix() == oracle
 
 
 def test_eval_recipe_ring_matches_oracle():
@@ -560,24 +583,10 @@ def test_eval_recipe_ring_matches_oracle():
     for q, k, d in RING_CASES:
         field = Field(q)
         sample = sample_ring_element(field, k, d, rng)
-        terms = [
-            (
-                term.coeff,
-                [
-                    (
-                        block_matrix(
-                            [[generator_rows(b.kind, b.value, k, q) for b in row] for row in grid.blocks],
-                            q,
-                        ),
-                        exp,
-                    )
-                    for grid, exp in term.factors
-                ],
-            )
-            for term in sample.recipe
-        ]
-        oracle = Matrix.from_rows(recipe_mod(terms, k * d, q))
-        assert eval_recipe(field, k, d, sample.recipe).to_matrix() == oracle == sample.matrix
+        terms = recipe_terms(sample.flat, d)
+        assert flat_recipe(terms) == sample.flat
+        oracle = Matrix.from_rows(recipe_mod(dense_terms(terms, k, q), k * d, q))
+        assert eval_recipe(field, k, d, sample.flat).to_matrix() == oracle == sample.matrix
 
 
 def test_ring_matrix_product_matches_dense():

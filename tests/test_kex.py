@@ -24,7 +24,14 @@ from commkex.errors import (
 )
 from commkex import kex
 from commkex.gf import OpCounter, Rng
-from commkex.commutant import GeneratorBlock, RingMatrix, RingSample, ShiftPoly, random_shift_poly
+from commkex.commutant import (
+    BlockGrid,
+    GeneratorBlock,
+    RingMatrix,
+    RingSample,
+    ShiftPoly,
+    random_shift_poly,
+)
 from commkex.kex import (
     Params,
     PublicKey,
@@ -262,7 +269,7 @@ def test_params_json_round_trip():
     assert params_to_json(again) == text
     assert again.q == 101 and again.k == 2 and again.d == 3 and again.degree == 2
     assert again.seed == 77
-    assert again.ring_base.recipe == params.ring_base.recipe
+    assert again.ring_base.flat == params.ring_base.flat
     assert again == params  # value equality, the base compared in R
 
 
@@ -585,6 +592,45 @@ def test_bulk_residue_parser_matches_per_entry(values, q):
         assert got == reference("c.coeffs")
 
 
+# The ParseError text of each malformed_recipes case on
+# gen_params(101, 2, 2, 2, Rng(15)), pinned from the reader that built
+# recipe objects: the checker that names recipe errors keeps every text.
+RECIPE_ERRORS = {
+    "recipe not a list": "params.z.recipe: expected a list",
+    "term not an object": "params.z.recipe[0]: expected an object",
+    "factors not a list": "params.z.recipe[0].factors: expected a list",
+    "grid not a list": "params.z.recipe[0].factors[0].grid: expected 2 rows of 2 blocks",
+    "grid row not a list": "params.z.recipe[0].factors[0].grid: expected 2 rows of 2 blocks",
+    "empty grid": "params.z.recipe[0].factors[0].grid: expected 2 rows of 2 blocks",
+    "ragged grid": "params.z.recipe[0].factors[0].grid: expected 2 rows of 2 blocks",
+    "1x1 grid": "params.z.recipe[0].factors[0].grid: expected 2 rows of 2 blocks",
+    "huge exponent": "params.z.recipe[0].factors[0].exp: expected an integer in [0, 3]",
+    "exponent above the sampler's": "params.z.recipe[0].factors[0].exp: expected an integer in [0, 3]",
+    "negative exponent": "params.z.recipe[0].factors[0].exp: expected an integer in [0, 3]",
+    "boolean exponent": "params.z.recipe[0].factors[0].exp: expected an integer in [0, 3]",
+    "string exponent": "params.z.recipe[0].factors[0].exp: expected an integer in [0, 3]",
+    "unknown kind": "params.z.recipe[0].factors[0].grid[0][0].kind: unknown kind 'hessenberg'",
+    "value not a residue": (
+        "params.z.recipe[0].factors[0].grid[0][0].value: 101 is not a canonical residue mod 101"
+    ),
+    "term without coeff": "params.z.recipe[0]: missing field 'coeff'",
+    "block without value": "params.z.recipe[0].factors[0].grid[0][0]: missing field 'value'",
+    "z matrix without rows": "params.z.matrix: rows/cols must be positive integers",
+    "zero block size": "params.k: block size must be at least 1",
+    "one block": "params.d: block count must be at least 2",
+}
+
+
+def test_malformed_recipe_error_texts(malformed_recipes):
+    params = gen_params(101, 2, 2, 2, Rng(15))
+    cases = malformed_recipes(json.loads(params_to_json(params)))
+    assert [label for label, _ in cases] == list(RECIPE_ERRORS)
+    for label, bad in cases:
+        with pytest.raises(ParseError) as info:
+            params_from_obj(bad)
+        assert str(info.value) == RECIPE_ERRORS[label], label
+
+
 # The bulk z reader against the per-entry one, on a 4 x 2 params object
 # (q = 101): z's entries are block heads (row 0 of a block), their
 # repeats down each Toeplitz diagonal and zeros below it, and each may
@@ -674,7 +720,7 @@ def _read_params(obj):
         params = params_from_obj(obj)
     except Error as exc:
         return type(exc).__name__, str(exc)
-    return params, params_to_json(params), params.ring_base.recipe
+    return params, params_to_json(params), params.ring_base.flat
 
 
 @settings(max_examples=300, deadline=None)
@@ -693,19 +739,48 @@ def _read_params(obj):
 @example(_bulk_edited([("set", ("k",), str(10**6))]))
 @example(_bulk_edited([("set", ("d",), str(10**6))]))
 def test_bulk_params_reader_matches_per_entry(obj):
-    # the per-entry readers, alone, are the reference for every accepted
+    # the per-entry z reader, alone, is the reference for every accepted
     # value, its JSON and recipe, and every error text
-    with mock.patch.object(kex, "_ring_in_bulk", lambda *args: None), mock.patch.object(
-        kex, "_recipe_in_bulk", lambda *args: None
-    ):
+    with mock.patch.object(kex, "_ring_in_bulk", lambda *args: None):
         reference = _read_params(obj)
     assert _read_params(obj) == reference
 
 
+BULK_RECIPE = BULK_PARAMS["z"]["recipe"]
+
+
+def _recipe_edited(path, value):
+    obj = copy.deepcopy(BULK_RECIPE)
+    reduce(operator.getitem, path[:-1], obj)[path[-1]] = value
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_mutations(BULK_RECIPE))
+@example(BULK_RECIPE)
+@example([])
+@example(_recipe_edited((0, "factors"), []))
+@example(_recipe_edited((0, "factors", 0, "grid", 0, 0, "value"), "07"))
+@example(_recipe_edited((0, "factors", 0, "grid", 0, 0, "value"), "101"))
+@example(_recipe_edited((0, "factors", 0, "grid", 0, 0, "kind"), ["scalar"]))
+@example(_recipe_edited((0, "factors", 0, "exp"), True))
+@example(_recipe_edited((0, "coeff"), 7))
+def test_bulk_recipe_check_refuses_exactly_what_the_checker_names(raw):
+    # a recipe is kept or its first error named, never dropped: the bulk
+    # check refuses it exactly when the entry-by-entry checker raises
+    try:
+        kex._check_recipe(raw, 101, 2, "z")
+    except ParseError:
+        assert kex._recipe_in_bulk(raw, 101, 2) is None
+    else:
+        assert kex._recipe_in_bulk(raw, 101, 2) is not None
+
+
 def test_params_reader_builds_nothing_per_entry(monkeypatch):
-    # z is read from its block rows and the recipe kept flat: no Matrix
-    # and no recipe object until something reads one
-    built = {"Matrix": 0, "GeneratorBlock": 0}
+    # z is read from its block rows and the recipe kept flat: sampling,
+    # reading and writing params build no Matrix and no recipe object
+    built = {"Matrix": 0, "GeneratorBlock": 0, "BlockGrid": 0}
+    nothing = dict.fromkeys(built, 0)
 
     def counting(cls, name):
         init = cls.__init__
@@ -716,22 +791,21 @@ def test_params_reader_builds_nothing_per_entry(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counted)
 
-    counting(Matrix, "Matrix")
-    counting(GeneratorBlock, "GeneratorBlock")
+    for cls in (Matrix, GeneratorBlock, BlockGrid):
+        counting(cls, cls.__name__)
     for k, d in ((1, 2), (8, 2), (4, 16)):
         params = gen_params(2147483647, k, d, 3, Rng(k * d), seed=k * d)
+        assert built == nothing, (k, d)
         text = params_to_json(params)
-        built.update(Matrix=0, GeneratorBlock=0)
         again = params_from_json(text)
-        assert built == {"Matrix": 0, "GeneratorBlock": 0}, (k, d)
+        assert built == nothing, (k, d)
         assert params_to_json(again) == text and again == params
-        assert built == {"Matrix": 0, "GeneratorBlock": 0}, (k, d)
-        assert again.ring_base.recipe == params.ring_base.recipe
-        assert built["GeneratorBlock"] > 0  # built on first read
+        assert built == nothing, (k, d)
+        assert again.ring_base.flat == params.ring_base.flat
     obj = json.loads(text)
     del obj["z"]["recipe"]
     plain = params_from_obj(obj)
-    assert plain.ring_base.recipe is None
+    assert plain.ring_base.flat is None
     assert params_to_json(plain) == kex.canonical_json(obj)
 
 
