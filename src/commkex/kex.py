@@ -19,7 +19,7 @@ could compute a public key in the first place.  The shared key is the
 raw derived vector with a canonical byte encoding; no KDF is layered on
 top -- this artifact studies the algebra, not deployment hygiene.
 
-File formats (all field elements as decimal strings):
+File formats (every integer as the decimal string ``str`` writes):
 
   params.json  {"q", "k", "d", "D", "zeta", "z", "seed"?}
   key.json     {"coeffs": [{"coeffs": [...]}, ...], "T": matrix}
@@ -155,8 +155,7 @@ class Params:
 class PrivateKey:
     """Polynomial coefficients plus the key they evaluate to in R, which
     ``derive_shared`` applies.  The dense m x m ``matrix`` is built on
-    first read: only key.json writing, its load check and reports read
-    it."""
+    first read; the library never reads it."""
 
     coeffs: list[ShiftPoly]
     key: RingMatrix
@@ -339,9 +338,12 @@ def _parse_int(value, path: str) -> int:
     if not isinstance(value, str):
         raise ParseError(f"{path}: integers must be decimal strings")
     try:
-        return int(value, 10)
+        v = int(value, 10)
     except ValueError:
         raise ParseError(f"{path}: bad decimal string {value!r}") from None
+    if str(v) != value:
+        raise ParseError(f"{path}: {value!r} is not a canonical decimal string")
+    return v
 
 
 def _parse_residue(value, q: int, path: str) -> int:
@@ -353,7 +355,7 @@ def _parse_residue(value, q: int, path: str) -> int:
 
 def _parse_residues(values: list, q: int, path: Optional[str]) -> Optional[list[int]]:
     """Every entry of a JSON list as ``_parse_residue`` reads it (entry i
-    at ``path[i]``): decimal strings are converted in bulk and range
+    at ``path[i]``): strings are converted in bulk, spelling and range
     checked once; only a list that fails is read entry by entry, to name
     its first bad entry, or is None when there is no path."""
     if set(map(type, values)) <= {str}:
@@ -362,7 +364,7 @@ def _parse_residues(values: list, q: int, path: Optional[str]) -> Optional[list[
         except ValueError:
             pass
         else:
-            if not out or (min(out) >= 0 and max(out) < q):
+            if list(map(str, out)) == values and (not out or min(out) >= 0 and max(out) < q):
                 return out
     if path is None:
         return None
@@ -385,6 +387,7 @@ def matrix_to_obj(mat: Matrix) -> dict:
 
 
 def matrix_from_obj(obj, q: int, path: str) -> Matrix:
+    """Entry by entry; the readers call it only to name z's or T's error."""
     rows = _need(obj, "rows", path)
     cols = _need(obj, "cols", path)
     entries = _need(obj, "entries", path)
@@ -395,8 +398,10 @@ def matrix_from_obj(obj, q: int, path: str) -> Matrix:
     return Matrix(rows, cols, _parse_residues(entries, q, f"{path}.entries"))
 
 
-def shift_poly_to_obj(poly: ShiftPoly) -> dict:
-    return {"coeffs": [str(c) for c in poly.coeffs]}
+def ring_matrix_to_obj(ring: RingMatrix) -> dict:
+    """z or key.T: the realization of the blocks' residue strings."""
+    entries = _realize([list(map(str, blk)) for blk in ring.blocks], ring.k, ring.d, "0")
+    return {"rows": ring.rows, "cols": ring.cols, "entries": entries}
 
 
 def shift_poly_from_obj(obj, q: int, path: str) -> ShiftPoly:
@@ -407,12 +412,8 @@ def shift_poly_from_obj(obj, q: int, path: str) -> ShiftPoly:
 
 
 def ring_sample_to_obj(sample: RingSample) -> dict:
-    """z as params.json holds it: the matrix realized from the blocks'
-    residue strings, and the recipe, if any, written from its
-    ``FlatRecipe``; no Matrix is built."""
-    ring, d, m = sample.ring, sample.ring.d, sample.ring.rows
-    entries = _realize([list(map(str, blk)) for blk in ring.blocks], ring.k, d, "0")
-    obj: dict = {"matrix": {"rows": m, "cols": m, "entries": entries}}
+    """z as params.json holds it: the matrix, and the recipe, if any."""
+    d, obj = sample.ring.d, {"matrix": ring_matrix_to_obj(sample.ring)}
     flat = sample.flat
     if flat is not None:
         blocks = iter([{"kind": kd, "value": str(v)} for kd, v in zip(flat.kinds, flat.values)])
@@ -432,37 +433,32 @@ def ring_sample_from_obj(obj, q: int, k: int, d: int, path: str) -> RingSample:
     k x k block upper-triangular Toeplitz (a matrix over R).  Every
     malformed part is a ParseError.
 
-    The matrix is read from its block rows (``_ring_in_bulk``) and the
-    recipe is checked in bulk and kept flat, never evaluated
-    (``_recipe_in_bulk``).  A matrix the bulk read does not accept -- a
-    malformed one, or one that spells a repeated or zero entry another
-    way, such as "07" -- is read entry by entry (``matrix_from_obj``); a
-    recipe the bulk check refuses is malformed, and ``_check_recipe``
-    names its first error.  Errors come in this order: the matrix's
-    entries, the recipe, then the matrix's shape and blocks."""
-    ring = _ring_in_bulk(obj, q, k, d)
-    if ring is None:
+    The one value path reads the matrix from its block rows and keeps the
+    recipe flat (``_ring_in_bulk``, ``_recipe_in_bulk``).  A z either
+    refuses is read entry by entry only to name its first error, in this
+    order: the matrix's entries, the recipe, then the matrix's shape and
+    blocks."""
+    ring = _ring_in_bulk(obj.get("matrix") if isinstance(obj, dict) else None, q, k, d)
+    has_recipe = ring is not None and "recipe" in obj
+    flat = _recipe_in_bulk(obj["recipe"], q, d) if has_recipe else None
+    if ring is None or has_recipe and flat is None:
         matrix = matrix_from_obj(_need(obj, "matrix", path), q, f"{path}.matrix")
-    flat = _recipe_in_bulk(obj["recipe"], q, d) if "recipe" in obj else None
-    if flat is None and "recipe" in obj:
-        _check_recipe(obj["recipe"], q, d, path)
-    if ring is None:
-        m = k * d
-        if matrix.rows != m or matrix.cols != m:
-            raise ParseError(f"params: ring base must be {m}x{m}")
+        if "recipe" in obj:
+            _check_recipe(obj["recipe"], q, d, path)
         try:
-            ring = RingMatrix.from_matrix(matrix, k, d)
+            RingMatrix.from_matrix(matrix, k, d)
+        except DimensionMismatch:
+            raise ParseError(f"params: ring base must be {k * d}x{k * d}") from None
         except NotBlockToeplitz as exc:
             raise ParseError(f"params: ring base: {exc}") from None
     return RingSample(ring, flat)
 
 
-def _ring_in_bulk(obj, q: int, k: int, d: int) -> Optional[RingMatrix]:
-    """z's m x m matrix (m = k*d) read from its block rows, or None: its
-    entries must be the realization of the blocks' first-row strings,
-    and only those d*d*k strings are parsed."""
+def _ring_in_bulk(mat, q: int, k: int, d: int) -> Optional[RingMatrix]:
+    """An m x m matrix object (m = k*d) read from its block rows, or
+    None: its entries must be the realization of the blocks' first-row
+    strings, and only those d*d*k strings are parsed."""
     m = k * d
-    mat = obj.get("matrix") if isinstance(obj, dict) else None
     if not isinstance(mat, dict) or [type(mat.get("rows")), type(mat.get("cols"))] != [int, int]:
         return None
     entries = mat.get("entries")
@@ -583,8 +579,8 @@ def params_from_json(text: str) -> Params:
 
 def private_key_to_obj(sk: PrivateKey) -> dict:
     return {
-        "coeffs": [shift_poly_to_obj(c) for c in sk.coeffs],
-        "T": matrix_to_obj(sk.matrix),
+        "coeffs": [{"coeffs": [str(c) for c in poly.coeffs]} for poly in sk.coeffs],
+        "T": ring_matrix_to_obj(sk.key),
     }
 
 
@@ -600,11 +596,12 @@ def private_key_from_obj(obj, params: Params) -> PrivateKey:
     for i, c in enumerate(coeffs):
         if c.k != k:
             raise ParseError(f"key.coeffs[{i}]: expected {k} entries, got {c.k}")
-    matrix = matrix_from_obj(_need(obj, "T", "key"), q, "key.T")
-    sk = PrivateKey(coeffs, eval_key_poly(params.field(), coeffs, params.z_powers, params.d))
-    if sk.matrix != matrix:
+    t = _need(obj, "T", "key")
+    key = eval_key_poly(params.field(), coeffs, params.z_powers, params.d)
+    if _ring_in_bulk(t, q, k, params.d) != key:
+        matrix_from_obj(t, q, "key.T")
         raise ParseError("key.T: not the key polynomial of key.coeffs in the params' base")
-    return sk
+    return PrivateKey(coeffs, key)
 
 
 def private_key_to_json(sk: PrivateKey) -> str:

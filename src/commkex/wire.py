@@ -158,6 +158,8 @@ class Transcript:
                 raise ParseError(f"transcript.frames[{i}]: unknown tag {tag}")
             try:
                 payload = bytes.fromhex(hexpay)
+                if payload.hex() != hexpay:  # fromhex also reads uppercase and spaces
+                    raise ValueError
             except (TypeError, ValueError):
                 raise ParseError(f"transcript.frames[{i}]: bad payload hex") from None
             frames.append((d, Frame(tag, payload)))

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import operator
 import os
 import signal
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from commkex.kex import (
     public_key_from_json,
 )
 from commkex.attacks import DirectoryEntry, KeyDirectory, directory_to_obj
-from commkex.wire import Transcript
+from commkex.wire import DIR_I2R, DIR_R2I, TAG_PARAMS, TAG_PUBKEY, Frame, Transcript
 
 
 def run(args):
@@ -477,6 +479,33 @@ def test_malformed_recipe_exits_3(tmp_path, capsys, malformed_recipes):
         edited.write_text(json.dumps(bad))
         assert keygen_cli(edited, tmp_path) == 3, label
         assert capsys.readouterr().err.startswith("error: params"), label
+
+
+def test_non_canonical_decimals_exit_3(tmp_path, capsys):
+    # a number has one spelling: a file that respells one is refused,
+    # and so is a transcript whose PARAMS frame does
+    paths = gen_pipeline(tmp_path, k=2, d=2)
+    derive = ["derive", "--params", str(paths["params"]), "--key", str(paths["alice_key"])]
+    derive += ["--peer-pub", str(paths["bob_pub"]), "-o", str(tmp_path / "shared.bin")]
+    places = [("params", ("k",)), ("params", ("zeta", "entries", 0))]
+    places += [("alice_key", ("T", "entries", 0)), ("bob_pub", ("xi", "entries", 0))]
+    for name, place in places:
+        original = paths[name].read_text()
+        obj = json.loads(original)
+        target = reduce(operator.getitem, place[:-1], obj)
+        target[place[-1]] = "+" + target[place[-1]]
+        paths[name].write_text(json.dumps(obj))
+        assert run(derive) == 3, name
+        assert "is not a canonical decimal string" in capsys.readouterr().err, name
+        if name == "params":
+            pubs = [(d, Frame(TAG_PUBKEY, bytes(32))) for d in (DIR_I2R, DIR_R2I)]
+            frames = [(DIR_I2R, Frame(TAG_PARAMS, json.dumps(obj).encode()))] + pubs
+            sniffed = tmp_path / "t.json"
+            sniffed.write_text(Transcript(frames).to_json())
+            assert run(["demo", "sniff", "--transcript", str(sniffed)]) == 3
+            assert "unreadable PARAMS frame" in capsys.readouterr().err
+        paths[name].write_text(original)
+    assert run(derive) == 0
 
 
 def test_params_degree_bound_from_file(tmp_path, capsys):

@@ -7,7 +7,6 @@ import threading
 from functools import reduce
 from itertools import product
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -273,6 +272,13 @@ def test_params_json_round_trip():
     assert again == params  # value equality, the base compared in R
 
 
+def test_a_negative_seed_round_trips():
+    # "-" before a nonzero number is its one spelling, so gen-params
+    # --seed -1 writes a params.json its own reader accepts
+    text = params_to_json(gen_params(101, 1, 2, 1, Rng(-1), seed=-1))
+    assert '"seed":"-1"' in text and params_to_json(params_from_json(text)) == text
+
+
 def test_key_and_pub_json_round_trip(micro_params, micro_keys):
     sk_a, pk_a, _, _ = micro_keys
     text = private_key_to_json(sk_a)
@@ -358,7 +364,8 @@ def test_private_key_load_checks_against_params():
     short["coeffs"][1]["coeffs"].pop()
     too_many = json.loads(json.dumps(good))
     too_many["coeffs"].append({"coeffs": ["0", "0"]})  # same T, degree D + 1
-    for bad in (tampered, short, too_many):
+    swapped = dict(good, T=private_key_to_obj(keygen(params, Rng(21))[0])["T"])  # T in R
+    for bad in (tampered, short, too_many, swapped):
         with pytest.raises(ParseError):
             private_key_from_obj(bad, params)
 
@@ -631,12 +638,12 @@ def test_malformed_recipe_error_texts(malformed_recipes):
         assert str(info.value) == RECIPE_ERRORS[label], label
 
 
-# The bulk z reader against the per-entry one, on a 4 x 2 params object
-# (q = 101): z's entries are block heads (row 0 of a block), their
-# repeats down each Toeplitz diagonal and zeros below it, and each may
-# be respelt as a string int() reads as the same number, one at a time
-# or a whole diagonal at once; recipe numbers are respelt the same way,
-# and exponents, kinds, grids, keys and the claimed shape are edited.
+# The z reader on edits of a 4 x 2 params object (q = 101): z's entries
+# are block heads (row 0 of a block), their repeats down each Toeplitz
+# diagonal and zeros below it, and each may be respelt as a string int()
+# reads as the same number, one at a time or a whole diagonal at once;
+# recipe numbers are respelt the same way, and exponents, kinds, grids,
+# keys and the claimed shape are edited.
 BULK_PARAMS = params_to_obj(gen_params(101, 4, 2, 3, Rng(9), seed=9))
 SPELLINGS = {
     "pad": lambda s: "0" + s,  # "07"
@@ -715,16 +722,9 @@ BULK_EDITS = st.lists(
 ).map(_bulk_edited)
 
 
-def _read_params(obj):
-    try:
-        params = params_from_obj(obj)
-    except Error as exc:
-        return type(exc).__name__, str(exc)
-    return params, params_to_json(params), params.ring_base.flat
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(BULK_EDITS, json_mutations(BULK_PARAMS)))
+@example(BULK_PARAMS)
 @example(_bulk_edited([("respell", BULK_NUMBERS[9], "pad")]))  # a repeat, "07"
 @example(_bulk_edited([("respell", BULK_NUMBERS[8], "minus"), ("respell", BULK_NUMBERS[16], "pad")]))  # zeros
 @example(_bulk_edited([("diagonal", 0, 1, 1, "underscore")]))  # a whole diagonal respelt
@@ -738,12 +738,125 @@ def _read_params(obj):
 @example(_bulk_edited([("delete", BULK_BLOCKS[0] + ("value",))]))
 @example(_bulk_edited([("set", ("k",), str(10**6))]))
 @example(_bulk_edited([("set", ("d",), str(10**6))]))
-def test_bulk_params_reader_matches_per_entry(obj):
-    # the per-entry z reader, alone, is the reference for every accepted
-    # value, its JSON and recipe, and every error text
-    with mock.patch.object(kex, "_ring_in_bulk", lambda *args: None):
-        reference = _read_params(obj)
-    assert _read_params(obj) == reference
+def test_bulk_z_reader_is_the_only_value_path(obj):
+    # z is read in bulk or its first error named, never read another
+    # way: the reader raises exactly when the bulk reads refuse z, and
+    # what it returns is what they read, written back as it was read
+    z = obj.get("z") if isinstance(obj, dict) else obj
+    ring = kex._ring_in_bulk(z.get("matrix") if isinstance(z, dict) else None, 101, 4, 2)
+    recipe_ok = not isinstance(z, dict) or "recipe" not in z or (
+        kex._recipe_in_bulk(z["recipe"], 101, 2) is not None
+    )
+    try:
+        sample = kex.ring_sample_from_obj(z, 101, 4, 2, "params.z")
+    except ParseError:
+        assert ring is None or not recipe_ok
+    else:
+        assert ring is not None and recipe_ok and sample.ring == ring
+        assert kex.ring_sample_to_obj(sample)["matrix"]["entries"] == z["matrix"]["entries"]
+
+
+# What the z reader names for each respelling of a z number: a block
+# head (entries[1], "32"), a repeat of the head "36" down a diagonal
+# (entries[9]), a zero below it (entries[8]), the whole diagonal of
+# head "67" in block (0, 1), a recipe coeff ("81") and a recipe value
+# ("20").  "-" before a nonzero number spells a negative one.
+Z_PLACES = {
+    "head": [("respell", BULK_NUMBERS[1])],
+    "repeat": [("respell", BULK_NUMBERS[9])],
+    "zero": [("respell", BULK_NUMBERS[8])],
+    "diagonal": [("diagonal", 0, 1, 1)],
+    "coeff": [("respell", BULK_NUMBERS[64])],
+    "value": [("respell", BULK_NUMBERS[-1])],
+}
+_E, _C = "params.z.matrix.entries", "is not a canonical decimal string"
+_V = "params.z.recipe[1].factors[1].grid[1][1].value"
+SPELLING_ERRORS = {
+    ("pad", "head"): f"{_E}[1]: '032' {_C}",
+    ("pad", "repeat"): f"{_E}[9]: '036' {_C}",
+    ("pad", "zero"): f"{_E}[8]: '00' {_C}",
+    ("pad", "diagonal"): f"{_E}[5]: '067' {_C}",
+    ("pad", "coeff"): f"params.z.recipe[0].coeff: '081' {_C}",
+    ("pad", "value"): f"{_V}: '020' {_C}",
+    ("space", "head"): f"{_E}[1]: ' 32' {_C}",
+    ("space", "repeat"): f"{_E}[9]: ' 36' {_C}",
+    ("space", "zero"): f"{_E}[8]: ' 0' {_C}",
+    ("space", "diagonal"): f"{_E}[5]: ' 67' {_C}",
+    ("space", "coeff"): f"params.z.recipe[0].coeff: ' 81' {_C}",
+    ("space", "value"): f"{_V}: ' 20' {_C}",
+    ("plus", "head"): f"{_E}[1]: '+32' {_C}",
+    ("plus", "repeat"): f"{_E}[9]: '+36' {_C}",
+    ("plus", "zero"): f"{_E}[8]: '+0' {_C}",
+    ("plus", "diagonal"): f"{_E}[5]: '+67' {_C}",
+    ("plus", "coeff"): f"params.z.recipe[0].coeff: '+81' {_C}",
+    ("plus", "value"): f"{_V}: '+20' {_C}",
+    ("underscore", "head"): f"{_E}[1]: '3_2' {_C}",
+    ("underscore", "repeat"): f"{_E}[9]: '3_6' {_C}",
+    ("underscore", "zero"): f"{_E}[8]: '0_0' {_C}",
+    ("underscore", "diagonal"): f"{_E}[5]: '6_7' {_C}",
+    ("underscore", "coeff"): f"params.z.recipe[0].coeff: '8_1' {_C}",
+    ("underscore", "value"): f"{_V}: '2_0' {_C}",
+    ("minus", "head"): f"{_E}[1]: -32 is not a canonical residue mod 101",
+    ("minus", "repeat"): f"{_E}[9]: -36 is not a canonical residue mod 101",
+    ("minus", "zero"): f"{_E}[8]: '-0' {_C}",
+    ("minus", "diagonal"): f"{_E}[5]: -67 is not a canonical residue mod 101",
+    ("minus", "coeff"): "params.z.recipe[0].coeff: -81 is not a canonical residue mod 101",
+    ("minus", "value"): f"{_V}: -20 is not a canonical residue mod 101",
+}
+
+
+def test_respelt_z_numbers_are_rejected():
+    # each respelling the bulk reader once sent down a second value path
+    # is now an error that names its place
+    assert list(SPELLING_ERRORS) == list(product(SPELLINGS, Z_PLACES))
+    for (spelling, place), text in SPELLING_ERRORS.items():
+        obj = _bulk_edited([edit + (spelling,) for edit in Z_PLACES[place]])
+        with pytest.raises(ParseError) as info:
+            params_from_obj(obj)
+        assert str(info.value) == text, (spelling, place)
+
+
+# Spellings int() reads and ``str`` never writes, and the number each
+# spells: every one is refused wherever a file holds an integer.
+NON_CANONICAL = {" 7": 7, "7 ": 7, "+7": 7, "-0": 0, "07": 7, "7_0": 70, "\u0667": 7, "\uff13": 3}
+
+
+def _respelt_places(spelling):
+    """(reader, object, path) for each place of the BULK_PARAMS files
+    (params, a key and its public key) that holds an integer, the object
+    with that place spelt ``spelling``.  A z matrix entry is respelt
+    down a diagonal set to the value spelling spells: the head
+    entries[0] or its repeat entries[9]."""
+    params = params_from_obj(BULK_PARAMS)
+    sk, pk = keygen(params, Rng(10))
+    files = {
+        "params": (params_from_obj, BULK_PARAMS),
+        "key": (lambda obj: private_key_from_obj(obj, params), private_key_to_obj(sk)),
+        "pub": (lambda obj: kex.public_key_from_obj(obj, 101), kex.public_key_to_obj(pk)),
+    }
+    places = [("params", (key,)) for key in ("q", "k", "d", "D", "seed")]
+    places += [("params", ("zeta", "entries", 0)), ("params", ("z", "matrix", "entries", 0))]
+    places += [("params", ("z", "matrix", "entries", 9)), ("params", BULK_NUMBERS[64])]
+    places += [("params", BULK_NUMBERS[-1]), ("key", ("coeffs", 0, "coeffs", 0))]
+    places += [("key", ("T", "entries", 0)), ("pub", ("xi", "entries", 0))]
+    for name, path in places:
+        reader, obj = files[name]
+        obj = copy.deepcopy(obj)
+        if path[:2] == ("z", "matrix"):
+            for i in (0, 9, 18, 27):  # block (0, 0)'s diagonal
+                obj["z"]["matrix"]["entries"][i] = str(NON_CANONICAL[spelling])
+        reduce(operator.getitem, path[:-1], obj)[path[-1]] = spelling
+        steps = [f"[{p}]" if isinstance(p, int) else f".{p}" for p in path]
+        yield reader, obj, name + "".join(steps)
+
+
+@pytest.mark.parametrize("spelling", list(NON_CANONICAL))
+def test_non_canonical_decimals_are_refused_everywhere(spelling):
+    assert int(spelling) == NON_CANONICAL[spelling] and str(int(spelling)) != spelling
+    for reader, obj, path in _respelt_places(spelling):
+        with pytest.raises(ParseError) as info:
+            reader(obj)
+        assert str(info.value) == f"{path}: {spelling!r} is not a canonical decimal string"
 
 
 BULK_RECIPE = BULK_PARAMS["z"]["recipe"]
@@ -778,7 +891,9 @@ def test_bulk_recipe_check_refuses_exactly_what_the_checker_names(raw):
 
 def test_params_reader_builds_nothing_per_entry(monkeypatch):
     # z is read from its block rows and the recipe kept flat: sampling,
-    # reading and writing params build no Matrix and no recipe object
+    # reading and writing params build no Matrix and no recipe object;
+    # key.json's T is written from the key's residue strings and read
+    # from its block rows
     built = {"Matrix": 0, "GeneratorBlock": 0, "BlockGrid": 0}
     nothing = dict.fromkeys(built, 0)
 
@@ -802,6 +917,10 @@ def test_params_reader_builds_nothing_per_entry(monkeypatch):
         assert params_to_json(again) == text and again == params
         assert built == nothing, (k, d)
         assert again.ring_base.flat == params.ring_base.flat
+        sk, _ = keygen(again, Rng(k * d + 1))
+        key_text = private_key_to_json(sk)
+        assert private_key_to_json(private_key_from_json(key_text, again)) == key_text
+        assert built == nothing, (k, d)
     obj = json.loads(text)
     del obj["z"]["recipe"]
     plain = params_from_obj(obj)

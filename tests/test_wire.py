@@ -51,6 +51,18 @@ from commkex.wire import (
 from oracles import mat_vec_mod
 
 
+def respelt_params(obj):
+    """(label, object) pairs of a params.json object with one number
+    respelt: a repeat down z's main diagonal with a leading zero (like
+    "07"), or a zeta entry with a plus sign (like "+7").  int() reads
+    each as the number it was; a reader does not."""
+    z, zeta = json.loads(json.dumps(obj)), json.loads(json.dumps(obj))
+    m = int(obj["k"]) * int(obj["d"])
+    z["z"]["matrix"]["entries"][m + 1] = "0" + z["z"]["matrix"]["entries"][m + 1]
+    zeta["zeta"]["entries"][0] = "+" + zeta["zeta"]["entries"][0]
+    return [("respelt z entry", z), ("respelt zeta entry", zeta)]
+
+
 def make_session(seed=1, q=101, k=2, d=2, degree=3):
     rng = Rng(seed)
     params = gen_params(q, k, d, degree, rng)
@@ -313,7 +325,8 @@ def test_eavesdrop_malformed_recipe_is_incomplete(malformed_recipes):
     results, _ = run_socketpair_session(params, sk_a, sk_b)
     _, transcript = results["i"]
     assert eavesdrop(transcript).verdict
-    for label, bad in malformed_recipes(json.loads(params_to_json(params))):
+    obj = json.loads(params_to_json(params))
+    for label, bad in malformed_recipes(obj) + respelt_params(obj):
         frames = [
             (d, Frame(TAG_PARAMS, json.dumps(bad).encode()) if f.tag == TAG_PARAMS else f)
             for d, f in transcript.frames
@@ -386,6 +399,10 @@ def test_transcript_json_validation():
     # true == 1, but a JSON boolean is not a tag
     with pytest.raises(ParseError):
         Transcript.from_json('{"frames": [{"dir": "i2r", "tag": true, "payload_hex": "00"}]}')
+    # bytes.fromhex reads both; a payload has one spelling, lowercase
+    for hexpay in ("0A", "0a 0b"):
+        with pytest.raises(ParseError, match=r"^transcript\.frames\[0\]: bad payload hex$"):
+            Transcript.from_json('{"frames": [{"dir": "i2r", "tag": 1, "payload_hex": "%s"}]}' % hexpay)
 
 
 JSON_VALUES = st.recursive(
@@ -507,11 +524,14 @@ def test_listener_rejects_degree_above_m_squared_and_keeps_serving():
 
 
 def test_listener_rejects_malformed_recipe_and_keeps_serving(malformed_recipes):
-    # a PARAMS frame whose recipe no loader accepts is a protocol
-    # violation; the same listener then serves an honest session
+    # a PARAMS frame whose recipe no loader accepts, or with a number
+    # respelt, is a protocol violation; the same listener then serves an
+    # honest session
     params = gen_params(101, 2, 2, 2, Rng(15))
-    bad = dict(malformed_recipes(json.loads(params_to_json(params))))
+    obj = json.loads(params_to_json(params))
+    bad = dict(malformed_recipes(obj) + respelt_params(obj))
     labels = ("factors not a list", "ragged grid", "zero block size", "huge exponent")
+    labels += ("respelt z entry", "respelt zeta entry")
     listener = Listener(seed=58, max_sessions=len(labels) + 1)
     host, port = listener.start()
     try:
