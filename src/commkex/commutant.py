@@ -52,9 +52,11 @@ from .errors import (
 from .gf import Field, Rng
 from .linalg import (
     Matrix,
+    _block_dots,
+    _elements,
     _pack_elements,
     _reduce,
-    _shape_cache,
+    _reduced_bytes,
     _slot_bytes,
     _slot_values,
     _slots,
@@ -134,44 +136,48 @@ class RingMatrix:
     ``_pack``), so entry (i, j) of a product is one dot product of d
     packed integers, d**3 big-integer products in all against (d*k)**3
     multiplications for the dense m x m product.  Applied to a vector
-    through a ``PowerTable``, it costs d**2 big-integer products against
-    m**2 multiplications.  A ring matrix is a plain value: it caches
-    nothing, and the packed powers of a public base live in a
-    ``PowerTable``.
+    (``PowerTable.act``, ``linalg.mat_apply``), it costs d**2 big-integer
+    products against m**2 multiplications.  The packed powers of a
+    public base live in a ``PowerTable``.
     Ring operations are not charged to an OpCounter.
 
-    It stands in for its dense realization in ``linalg.mat_apply`` and
-    ``mat_mul`` (``rows``, ``cols``, ``packed_columns``), so a derive
-    applies a key at the paper's m**2 count without building it densely.
+    ``packed`` is (slot, the bytes of the blocks packed as
+    ``PowerTable.base`` packs them) when the matrix came out of a
+    reduction that had them at hand (``eval_key_poly``), else None;
+    equality ignores it.  It stands in for its dense realization in
+    ``linalg.mat_apply`` (``rows``, ``cols``, ``packed_blocks``), so a
+    derive applies a key at the paper's m**2 count without building it
+    densely.
     """
 
-    __slots__ = ("k", "d", "blocks")
+    __slots__ = ("k", "d", "blocks", "packed")
 
-    def __init__(self, k: int, d: int, blocks: list[list[int]]):
+    def __init__(
+        self, k: int, d: int, blocks: list[list[int]], packed: Optional[tuple[int, bytes]] = None
+    ):
         self.k = k
         self.d = d
         self.blocks = blocks
+        self.packed = packed
 
     # m, the side of the dense realization
     rows = cols = property(lambda self: self.k * self.d)
 
-    def packed_columns(self, slot: int) -> list[int]:
-        """``Matrix.packed_columns`` of the dense realization, from the
-        blocks.  Block column b is packed once, as X_b: block row a at
-        slot a*k, each block's first residue in its highest slot (one
-        big-endian struct call).  Column c of a Toeplitz block holds
-        residues c, c-1, ..., 0 in rows 0..c and zeros below, so dense
-        column b*k + c is X_b shifted down by k-1-c slots and cut to the
-        low c+1 slots of every block (``_column_masks``)."""
-        k, d = self.k, self.d
-        bits, top = 8 * slot, d * d - d
-        write = _slots(k * d, slot, "big").pack
-        masks = _column_masks(k * d, k, slot)
-        out: list[int] = []
-        for b in range(d):  # block rows d-1 .. 0 of block column b
-            x = int.from_bytes(write(*chain.from_iterable(self.blocks[top + b :: -d])), "big")
-            out.extend([x >> (k - 1 - c) * bits & masks[c] for c in range(k)])
-        return out
+    def pack(self, slot: int) -> list[int]:
+        """The blocks, row-major, each packed into one integer (``_pack``)
+        by one struct call."""
+        return _pack_elements(list(chain.from_iterable(self.blocks)), self.k, slot)
+
+    def packed_blocks(self, q: int) -> tuple[int, list[int]]:
+        """(slot, the blocks packed as ``PowerTable.base`` packs them), at
+        a slot that holds m terms, as a block row applied to a vector
+        needs: cut from the carried bytes (``packed``) by one struct
+        call, or packed from the residues when there are none."""
+        if self.packed is not None:
+            slot, raw = self.packed
+            return slot, _elements(raw, self.k * slot)
+        slot = _slot_bytes(q, self.rows)
+        return slot, self.pack(slot)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingMatrix):
@@ -257,7 +263,7 @@ class PowerTable:
     and unpacked only where a caller reads a vector.
     """
 
-    __slots__ = ("field", "z", "count", "slot", "capacity", "base", "_rows", "_columns")
+    __slots__ = ("field", "z", "count", "slot", "capacity", "base", "_columns")
 
     def __init__(self, field: Field, z: RingMatrix, count: int):
         self.field = field
@@ -265,8 +271,7 @@ class PowerTable:
         self.count = count
         self.slot = _slot_bytes(field.q, max(count, z.d) * z.k)
         self.capacity = ((1 << (8 * self.slot)) - 1) // (z.k * (field.q - 1) ** 2)
-        self.base = _pack_elements(list(chain.from_iterable(z.blocks)), z.k, self.slot)
-        self._rows = [self.base[i : i + z.d] for i in range(0, z.d * z.d, z.d)]
+        self.base = z.pack(self.slot)
         self._columns: Optional[list[tuple[int, ...]]] = None
 
     @property
@@ -292,10 +297,10 @@ class PowerTable:
     def act(self, chunks: Sequence[int]) -> list[int]:
         """z @ v for v packed by ``pack``, packed the same way: output
         chunk i is the low k slots of one dot product of row i's packed
-        blocks with the chunks, each slot reduced mod q (d**2 products)."""
-        k, slot, q = self.z.k, self.slot, self.field.q
-        mul = operator.mul
-        return _reduce([sum(map(mul, row, chunks)) for row in self._rows], k, slot, q)
+        blocks with the chunks (``_block_dots``), each slot reduced mod q
+        (d**2 products)."""
+        z = self.z
+        return _reduce(_block_dots(self.base, [chunks], z.d), z.k, self.slot, self.field.q)
 
     def unpack(self, chunks: Sequence[int]) -> list[int]:
         """The vector that packed chunks hold: each chunk's low k slots,
@@ -350,13 +355,6 @@ def _realize(blocks: Sequence[list], k: int, d: int, zero) -> list:
     return entries
 
 
-@_shape_cache
-def _column_masks(m: int, k: int, slot: int) -> tuple[int, ...]:
-    """M_c for c < k: the low c+1 slots of every k-slot block of m slots."""
-    blocks = [b"\xff" * ((c + 1) * slot) + bytes((k - 1 - c) * slot) for c in range(k)]
-    return tuple(int.from_bytes(block * (m // k), "little") for block in blocks)
-
-
 def _pack_polys(coeffs: Sequence[ShiftPoly], k: int, slot: int, q: int) -> list[int]:
     """Each coefficient's k residues reduced mod q and packed, all of them
     by one struct call."""
@@ -369,11 +367,8 @@ def _block_products(
 ) -> list[int]:
     """The blocks of a @ b over R, packed and reduced (``_reduce``), for
     a and b given by their packed blocks, row-major, at a slot that
-    holds d*k terms."""
-    mul = operator.mul
-    cols = [b[j::d] for j in range(d)]
-    dots = [sum(map(mul, a[i : i + d], c)) for i in range(0, d * d, d) for c in cols]
-    return _reduce(dots, k, slot, q)
+    holds d*k terms: d**3 packed products (``_block_dots``)."""
+    return _reduce(_block_dots(a, [b[j::d] for j in range(d)], d), k, slot, q)
 
 
 def embed_block_diag(field: Field, poly: ShiftPoly, d: int) -> Matrix:
@@ -485,7 +480,7 @@ def random_block_grid(field: Field, k: int, d: int, rng: Rng) -> BlockGrid:
 
 
 def random_shift_poly(field: Field, k: int, rng: Rng) -> ShiftPoly:
-    return ShiftPoly(tuple(field.sample(rng) for _ in range(k)))
+    return ShiftPoly(tuple(rng.below_many(field.q, k)))
 
 
 def _is_parallel(field: Field, u: Sequence[int], v: Sequence[int]) -> bool:
@@ -555,7 +550,10 @@ def eval_key_poly(
     The result commutes with z.  ``base`` is a PowerTable of at least
     len(coeffs) powers, and the result is a RingMatrix; or z's dense
     m x m matrix, read into R (raising NotBlockToeplitz if it is not in
-    R) with a table of its own, and the result is dense.
+    R) with a table of its own, and the result is dense.  The d**2 dots
+    are reduced once; the residues are read from that reduction's bytes,
+    and the RingMatrix carries the bytes (``packed``), from which a
+    derive cuts the packed blocks at the table's slot (it holds m terms).
     """
     if not coeffs:
         raise DimensionMismatch("key polynomial needs at least one coefficient")
@@ -572,8 +570,10 @@ def eval_key_poly(
         )
     packed = _pack_polys(coeffs, k, slot, q)
     mul = operator.mul
-    flat = _slot_values([sum(map(mul, packed, col)) for col in table.columns], k, slot, q)
-    key = RingMatrix(k, d, [flat[s : s + k] for s in range(0, len(flat), k)])
+    raw = _reduced_bytes([sum(map(mul, packed, col)) for col in table.columns], k, slot, q)
+    flat = list(_slots(d * d * k, slot, "little").unpack(raw))
+    blocks = [flat[s : s + k] for s in range(0, len(flat), k)]
+    key = RingMatrix(k, d, blocks, (slot, raw))
     return key.to_matrix() if dense else key
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import os
+import struct
 from dataclasses import dataclass
 
 from .errors import InvalidParams, ZeroInverse
@@ -30,6 +31,7 @@ from .errors import InvalidParams, ZeroInverse
 MAX_MODULUS_BITS = 61
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's state increment
 
 # Deterministic Miller-Rabin witnesses; exact for n < 3.317e24 > 2**61.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -92,7 +94,7 @@ class Rng:
         self.state = seed & _U64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _U64
+        self.state = (self.state + _GAMMA) & _U64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
@@ -102,15 +104,73 @@ class Rng:
         """Uniform draw from [0, n) by rejection on 64-bit words, for
         1 <= n <= 2**64; a larger bound raises ValueError, since no
         64-bit word could then be accepted."""
-        if n <= 0:
-            raise ValueError("bound must be positive")
-        if n > 1 << 64:
-            raise ValueError("bound must be at most 2**64")
+        _check_bound(n)
         threshold = (1 << 64) - ((1 << 64) % n)
         while True:
             w = self.next_u64()
             if w < threshold:
                 return w % n
+
+    def below_many(self, n: int, count: int) -> list[int]:
+        """``count`` calls of ``below(n)``: the same draws, in order, and
+        the same state after them.
+
+        splitmix64 is counter-based, so a batch of words is computed at
+        once, in 128-bit lanes of one integer (SIMD within a register):
+        lane i holds state + (i+1)*gamma, and the mixing rounds run on
+        the whole integer, each cut back to 64 bits per lane.  Each word
+        is then reduced mod n by Barrett reduction per lane, as
+        ``linalg._slot_mod`` does per slot, and one struct call reads
+        them.  A batch in which some word would be rejected is drawn
+        again by ``below`` calls from the state it started at.  Batches
+        hold at most RNG_BATCH words, whose lane constants are cached."""
+        _check_bound(n)
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        out: list[int] = []
+        rejected = (1 << 64) % n
+        mu, top = (1 << 64) // n, n.bit_length() + 1
+        while len(out) < count:
+            size = min(count - len(out), RNG_BATCH)
+            ones, ramp, mask, read = _lanes(size)
+            x = (self.state * ones + ramp) & mask
+            x = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+            x = ((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB & mask
+            x = (x ^ (x >> 31)) & mask
+            # bit 64 of a lane is set by + rejected iff its word is rejected
+            if rejected and (x + rejected * ones) >> 64 & ones:
+                out += [self.below(n) for _ in range(size)]
+                continue
+            self.state = (self.state + size * _GAMMA) & _U64
+            # Barrett per lane: the quotient estimate is at most one short
+            x -= ((x * mu >> 64) & mask) * n
+            x -= ((x + ((1 << top) - n) * ones) >> top & ones) * n
+            out += read.unpack(x.to_bytes(16 * size, "little"))
+        return out
+
+
+def _check_bound(n: int) -> None:
+    if n <= 0:
+        raise ValueError("bound must be positive")
+    if n > 1 << 64:
+        raise ValueError("bound must be at most 2**64")
+
+
+# ``Rng.below_many`` draws in batches of at most RNG_BATCH words, and
+# keeps the lane constants of its RNG_CACHE_SIZE most recent batch sizes
+# (about 12 KB each at most), so a long-lived process that meets many
+# sizes (a listener fed PARAMS with large D) holds under 1 MB of them.
+RNG_BATCH = 256
+RNG_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=RNG_CACHE_SIZE)
+def _lanes(size: int) -> tuple[int, int, int, struct.Struct]:
+    """For ``size`` 128-bit lanes: 1 in each lane, (i+1)*gamma in lane i,
+    the low 64 bits of each lane, and the struct that reads those."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * size, "little")
+    ramp = int.from_bytes(b"".join([(i + 1).to_bytes(16, "little") for i in range(size)]), "little")
+    return ones, ramp * _GAMMA, ones * _U64, struct.Struct("<" + "Q8x" * size)
 
 
 class Field:

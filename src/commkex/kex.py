@@ -4,14 +4,15 @@ Public parameters are (q, k, d, degree bound, a public vector, and a
 public ring element called the base).  A private key is a polynomial in
 the base with coefficient-embedding coefficients.  The base and every
 private key are held as matrices over R = GF(q)[N]/(N**k); their dense
-m x m matrices are built when first read (to write params.json or
-key.json, and in ``derive_shared``).  Keys are evaluated from the base's
-packed powers z**0 .. z**D, which the params keep (``z_powers``).  The
+m x m matrices are built only when a caller reads one (``matrix``).
+Keys are evaluated from the base's packed powers z**0 .. z**D, which
+the params keep (``z_powers``), and carry their packed blocks.  The
 public key is the private key applied to the public vector, computed
 from the vector's packed orbit zeta, z zeta, ..., z**D zeta, which the
 params also keep (``zeta_orbit``).  The shared key is one's own
-private matrix applied to the peer's public key.  Any two private keys
-commute, so both parties derive the same vector.
+private key applied to the peer's public key, from the key's packed
+blocks.  Any two private keys commute, so both parties derive the same
+vector.
 
 Both the base and the public vector are public: without a shared base
 the two parties' keys would not commute, and without the vector nobody
@@ -52,7 +53,6 @@ from .commutant import (
     apply_key_poly,
     eval_key_poly,
     _realize,
-    random_shift_poly,
     sample_ring_element,
 )
 from .errors import (
@@ -212,7 +212,7 @@ def gen_params(
     field = Field(q)
     m = k * d
     while True:
-        vec = [field.sample(rng) for _ in range(m)]
+        vec = rng.below_many(q, m)
         if any(vec):
             break
     base = sample_ring_element(field, k, d, rng, base_vector=vec)
@@ -236,17 +236,18 @@ def keygen(params: Params, rng: Rng) -> tuple[PrivateKey, PublicKey]:
     """Sample a key pair.
 
     Coefficients are drawn uniformly (degree+1 polynomials of k
-    coefficients each, in order).  A draw is rejected when the key
-    matrix kills the public vector or is a scalar multiple of the
-    identity; both are weak keys the construction does not need.  The
-    key is evaluated in R from ``params.z_powers``, and the public key
-    from ``params.zeta_orbit`` (d*(D+1) packed products), where both
-    rules are decided.
+    coefficients each, in order, by one ``Rng.below_many`` call per
+    attempt).  A draw is rejected when the key matrix kills the public
+    vector or is a scalar multiple of the identity; both are weak keys
+    the construction does not need.  The key is evaluated in R from
+    ``params.z_powers``, and the public key from ``params.zeta_orbit``
+    (d*(D+1) packed products), where both rules are decided.
     """
-    field, table = params.field(), params.z_powers
+    field, table, k = params.field(), params.z_powers, params.k
     orbit = params.zeta_orbit.upto(params.degree)
     for _ in range(KEYGEN_MAX_ATTEMPTS):
-        coeffs = [random_shift_poly(field, params.k, rng) for _ in range(params.degree + 1)]
+        draw = rng.below_many(field.q, (params.degree + 1) * k)
+        coeffs = [ShiftPoly(tuple(draw[i : i + k])) for i in range(0, len(draw), k)]
         key = eval_key_poly(field, coeffs, table, params.d)
         if key.is_scalar():
             continue
@@ -266,9 +267,9 @@ def derive_shared(
     """Own private matrix applied to the peer's public key.
 
     Exactly m*m counted multiplications and m*(m-1) additions, the
-    paper's unit; ``mat_apply`` computes them as m packed column
-    products, with the columns taken from the key in R
-    (``RingMatrix.packed_columns``), so the dense matrix is never built.
+    paper's unit; ``mat_apply`` computes them as d**2 packed block
+    products, the key's packed blocks (kept by ``eval_key_poly``)
+    against the peer key's chunks, so the dense matrix is never built.
     """
     if len(peer.vec) != params.m:
         raise DimensionMismatch(
@@ -293,7 +294,8 @@ def count_ops(action: str, params: Params) -> OpReport:
     """Count field operations for a protocol action.
 
     ``derive_shared`` costs exactly m**2 multiplications (and m*(m-1)
-    additions): one matrix-vector application.  ``keygen`` reports the
+    additions): one matrix-vector application, which the library
+    computes as d**2 packed block products.  ``keygen`` reports the
     dense schoolbook figure for a Horner evaluation of the key
     polynomial: ``degree`` products of m x m matrices plus as many
     matrix additions, i.e. degree * m**3 multiplications and

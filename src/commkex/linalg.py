@@ -5,10 +5,10 @@ plain lists of ints.  Every operation takes the field context
 explicitly.  Products and vector application run on packed columns
 (``packed_columns``): each column of the left matrix is one integer of
 one slot per row, so a column of the result is one dot product of
-packed integers, reduced and read through the slot codec below.  The
-left operand may also be a ``commutant.RingMatrix``, which packs the
-columns of its dense form from its blocks.  Both kernels charge the
-field's counter with schoolbook counts
+packed integers, reduced and read through the slot codec below.
+``mat_apply`` also takes a ``commutant.RingMatrix``, which it applies
+from its packed blocks without its dense form (``_block_dots``).  Both
+kernels charge the field's counter with schoolbook counts
 (rows*inner*cols multiplies and the matching addition count);
 elimination and rank are not instrumented.
 
@@ -54,10 +54,14 @@ import functools
 import operator
 import struct
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DimensionMismatch, InvalidDimension
 from .gf import Field
+
+if TYPE_CHECKING:
+    from .commutant import RingMatrix
 
 Vector = list  # list[int]; alias for documentation purposes
 
@@ -143,10 +147,10 @@ class Matrix:
 def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
     """a @ b; charges a.rows*a.cols*b.cols multiplies, the schoolbook
     count.  Column p of the product is sum_j b[j, p] * C_j for a's packed
-    columns C_j (``a.packed_columns``; a may be a RingMatrix), which hold
-    a.cols products per slot (``_slot_bytes``); every slot of every
-    column is reduced by one ``_slot_mod`` and read by one struct call.
-    Relies on canonical entries in both operands (the Matrix contract)."""
+    columns C_j (``Matrix.packed_columns``), which hold a.cols products
+    per slot (``_slot_bytes``); every slot of every column is reduced by
+    one ``_slot_mod`` and read by one struct call.  Relies on canonical
+    entries in both operands (the Matrix contract)."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
     q = field.q
@@ -162,23 +166,31 @@ def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
     return Matrix(n, p, [x for i in range(n) for x in flat[i::n]])
 
 
-def mat_apply(field: Field, t: Matrix, v: Sequence[int]) -> list[int]:
+def mat_apply(field: Field, t: Matrix | RingMatrix, v: Sequence[int]) -> list[int]:
     """(t @ v) mod q for any ints v; charges exactly t.rows*t.cols
-    multiplies, the schoolbook count.  Computed as sum_j v_j * C_j for
-    t's packed columns C_j (``t.packed_columns``), every slot reduced by
-    one ``_slot_mod`` and read by one struct call: t.cols products of a
-    residue by a packed integer.  t is a Matrix, or a RingMatrix (a key
-    in R), whose columns come from its blocks by shifts.  A slot holds
-    t.cols products of residues, so v is reduced first when some entry
-    lies outside [0, q); t's entries are canonical by the Matrix
-    contract, which this relies on."""
+    multiplies, the schoolbook count.  t is a Matrix, applied as
+    sum_j v_j * C_j for its packed columns C_j (``t.packed_columns``):
+    t.cols products of a residue by a packed integer.  Or t is a
+    ``commutant.RingMatrix`` (a key in R), applied from its packed blocks
+    (``RingMatrix.packed_blocks``) without its dense form: block row i
+    against v's k-chunks packed reversed, d**2 packed products
+    (``_block_dots``, the product ``PowerTable.act`` takes).  Either way
+    every slot is reduced by one ``_slot_mod`` and read by one struct
+    call.  A slot holds t.cols products of residues, so v is reduced
+    first when some entry lies outside [0, q); t's entries are canonical
+    by the Matrix contract, which this relies on."""
     if t.cols != len(v):
         raise DimensionMismatch(f"{t.rows}x{t.cols} applied to length {len(v)}")
     q, c = field.q, t.cols
     if min(v) < 0 or max(v) >= q:
         v = [x % q for x in v]
-    slot = _slot_bytes(q, c)
-    out = _slot_values((sum(map(operator.mul, v, t.packed_columns(slot))),), t.rows, slot, q)
+    if isinstance(t, Matrix):
+        slot = _slot_bytes(q, c)
+        out = _slot_values((sum(map(operator.mul, v, t.packed_columns(slot))),), t.rows, slot, q)
+    else:
+        slot, blocks = t.packed_blocks(q)
+        chunks = _pack_elements(v, t.k, slot, "big")
+        out = _slot_values(_block_dots(blocks, [chunks], t.d), t.k, slot, q, "big")
     if field.counter is not None:
         field.counter.mul_count += t.rows * c
         field.counter.add_count += t.rows * (c - 1)
@@ -296,9 +308,19 @@ def _pack_elements(
     integer, written by one struct call: each chunk's first residue in
     its lowest slot for order "little" (``_pack``), in its highest for
     "big"."""
-    raw = _slots(len(residues), slot, order).pack(*residues)
-    width = k * slot
-    return [int.from_bytes(raw[s : s + width], order) for s in range(0, len(raw), width)]
+    return _elements(_slots(len(residues), slot, order).pack(*residues), k * slot, order)
+
+
+def _elements(raw: bytes, width: int, order: str = "little") -> list[int]:
+    """Consecutive ``width``-byte pieces of raw, each read as one integer;
+    one struct call cuts them (``_pieces``)."""
+    return list(map(int.from_bytes, _pieces(len(raw) // width, width).unpack(raw), repeat(order)))
+
+
+@_shape_cache
+def _pieces(n: int, width: int) -> struct.Struct:
+    """The struct that cuts n consecutive ``width``-byte strings."""
+    return struct.Struct(f"{width}s" * n)
 
 
 def _join(values: Sequence[int], k: int, slot: int, order: str) -> int:
@@ -309,25 +331,41 @@ def _join(values: Sequence[int], k: int, slot: int, order: str) -> int:
     return int.from_bytes(b"".join([(x & low).to_bytes(width, order) for x in values]), order)
 
 
+def _reduced_bytes(
+    values: Sequence[int], k: int, slot: int, q: int, order: str = "little"
+) -> bytes:
+    """The low k slots of each packed integer, each reduced mod q by one
+    ``_slot_mod`` of all of them, as the bytes of their join (``_join``)."""
+    n = len(values) * k
+    return _slot_mod(n, slot, q)(_join(values, k, slot, order)).to_bytes(n * slot, order)
+
+
 def _slot_values(
     values: Sequence[int], k: int, slot: int, q: int, order: str = "little"
 ) -> list[int]:
     """The low k slots of each packed integer, reduced mod q, in one flat
     list: value by value, each lowest slot first for order "little" and
     highest slot first for "big"."""
-    n = len(values) * k
-    reduced = _slot_mod(n, slot, q)(_join(values, k, slot, order))
-    return list(_slots(n, slot, order).unpack(reduced.to_bytes(n * slot, order)))
+    raw = _reduced_bytes(values, k, slot, q, order)
+    return list(_slots(len(values) * k, slot, order).unpack(raw))
 
 
 def _reduce(values: Sequence[int], k: int, slot: int, q: int) -> list[int]:
     """The low k slots of each packed integer, each reduced mod q, packed
     again at the same slot: ``_pack(_slot_values((x,), k, slot, q), slot)``
     for every x, with one reduction of all their slots."""
-    width = k * slot
-    n = len(values) * k
-    raw = _slot_mod(n, slot, q)(_join(values, k, slot, "little")).to_bytes(n * slot, "little")
-    return [int.from_bytes(raw[s : s + width], "little") for s in range(0, len(raw), width)]
+    return _elements(_reduced_bytes(values, k, slot, q), k * slot)
+
+
+def _block_dots(blocks: Sequence[int], cols: Sequence[Sequence[int]], d: int) -> list[int]:
+    """Row by row of d x d packed blocks (row-major), its dot product
+    with each of ``cols``, d packed integers each: d products per dot,
+    left unreduced.  Block products over R (``commutant._block_products``)
+    take the block columns of the other factor; a block matrix applied to
+    a vector (``PowerTable.act``, ``mat_apply`` on a RingMatrix) takes
+    the vector's d chunks."""
+    mul = operator.mul
+    return [sum(map(mul, blocks[i : i + d], c)) for i in range(0, len(blocks), d) for c in cols]
 
 
 def _pack_vector(vec: Sequence[int], k: int, slot: int) -> int:

@@ -250,7 +250,7 @@ def run_peer(
             raise ProtocolViolation(f"bad PARAMS frame: {exc}") from None
         if params is None:
             params = wire_params
-        elif params_to_json(params) != params_to_json(wire_params):
+        elif params != wire_params:
             raise ProtocolViolation("received parameters differ from configured ones")
         if private_key is None:
             private_key, own_pub = keygen(params, rng if rng is not None else Rng())

@@ -1,11 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commkex.errors import InvalidParams, ZeroInverse
-from commkex.gf import Field, OpCounter, Rng, is_prime
+from commkex.gf import RNG_BATCH, RNG_CACHE_SIZE, Field, OpCounter, Rng, _lanes, is_prime
 from commkex.linalg import Matrix, mat_add
 
 from conftest import TEST_PRIMES
@@ -199,3 +199,55 @@ def test_rng_below_rejects_bad_bounds():
     for n in (2**64 + 1, 2**512):
         with pytest.raises(ValueError, match="at most 2\\*\\*64"):
             Rng(1).below(n)
+
+
+# Bounds from 1 to 2**64 whose share of rejected words runs from none
+# (powers of two) through about 1/16 (2**60 + 1) to about a half
+# (2**63 + 1), so that batches with and without a rejection are drawn.
+BULK_BOUNDS = (1, 2, 3, 2**31 - 1, 2**60 + 1, 2**61 - 1, 2**63 + 1, 2**64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(BULK_BOUNDS),
+    st.integers(min_value=0, max_value=300),
+    st.one_of(st.integers(0, 2**16), st.integers(2**64 - 2**16, 2**64 - 1)),
+)
+def test_below_many_is_the_scalar_stream(n, count, seed):
+    # the same draws in the same order, and the same state after them,
+    # from seeds at both ends of the state range
+    bulk, scalar = Rng(seed), Rng(seed)
+    assert bulk.below_many(n, count) == [scalar.below(n) for _ in range(count)]
+    assert bulk.state == scalar.state
+
+
+def test_below_many_across_batches_and_bad_bounds():
+    # a draw longer than a batch, with and without rejected words
+    for n in (2**31 - 1, 2**63 + 1):
+        bulk, scalar = Rng(5), Rng(5)
+        count = 2 * RNG_BATCH + 3
+        assert bulk.below_many(n, count) == [scalar.below(n) for _ in range(count)]
+        assert bulk.state == scalar.state
+    # a bad bound raises what below raises, even for no draws
+    for n in (0, -1, 2**64 + 1, 2**512):
+        with pytest.raises(ValueError) as scalar_error:
+            Rng(1).below(n)
+        for count in (0, 3):
+            with pytest.raises(ValueError) as bulk_error:
+                Rng(1).below_many(n, count)
+            assert str(bulk_error.value) == str(scalar_error.value)
+    with pytest.raises(ValueError, match="^count must be non-negative$"):
+        Rng(1).below_many(7, -1)
+
+
+def test_below_many_lane_cache_stays_bounded():
+    # lane constants are kept for at most RNG_CACHE_SIZE batch sizes,
+    # however many sizes are drawn, and a long draw reuses the constants
+    # of a full batch instead of keeping its own
+    for count in range(1, 2 * RNG_CACHE_SIZE):
+        Rng(count).below_many(7, count)
+    assert _lanes.cache_info().currsize == RNG_CACHE_SIZE
+    Rng(1).below_many(7, RNG_BATCH)
+    misses = _lanes.cache_info().misses
+    Rng(1).below_many(7, 40 * RNG_BATCH)
+    assert _lanes.cache_info().misses == misses

@@ -411,6 +411,9 @@ def test_keygen_gives_up_on_rigged_rng():
         def below(self, n):
             return 0
 
+        def below_many(self, n, count):
+            return [self.below(n) for _ in range(count)]
+
     # all-zero coefficients give the zero key matrix every attempt
     with pytest.raises(DegenerateKey):
         keygen(params, ZeroRng())
@@ -423,6 +426,9 @@ def test_gen_params_propagates_degenerate_base():
     class OnesRng:
         def below(self, n):
             return 1 if n > 1 else 0
+
+        def below_many(self, n, count):
+            return [self.below(n) for _ in range(count)]
 
     with pytest.raises(DegenerateRingElement):
         gen_params(7, 1, 2, 1, OnesRng())
@@ -489,6 +495,24 @@ def test_benchmark_trace_contract():
     assert derive["calls"] == 1 and derive["mults"] == params.m**2
 
 
+def test_loaded_key_derives_the_written_bytes():
+    # a key read back from key.json carries the packed blocks of its own
+    # evaluation, and a ring built from the residues alone packs them on
+    # use: both derive the bytes that the written key derives
+    for q, k, d in ((101, 2, 3), (2**31 - 1, 16, 4), (2**61 - 1, 1, 5)):
+        rng = Rng(q + k)
+        params = gen_params(q, k, d, 3, rng)
+        sk, _ = keygen(params, rng)
+        _, peer = keygen(params, rng)
+        loaded = private_key_from_json(private_key_to_json(sk), params)
+        bare = kex.PrivateKey(sk.coeffs, RingMatrix(k, d, [list(b) for b in sk.key.blocks]))
+        assert loaded.key.packed is not None and bare.key.packed is None
+        assert loaded.key == sk.key == bare.key
+        shared = derive_shared(params, sk, peer).to_bytes()
+        assert derive_shared(params, loaded, peer).to_bytes() == shared
+        assert derive_shared(params, bare, peer).to_bytes() == shared
+
+
 class _Rejected(Exception):
     pass
 
@@ -503,6 +527,9 @@ class _OneDraw:
         if not self.values:
             raise _Rejected
         return self.values.pop(0)
+
+    def below_many(self, n, count):
+        return [self.below(n) for _ in range(count)]
 
 
 def test_keygen_rejections_match_dense_rules():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from commkex.commutant import PowerTable, RingMatrix
+from commkex.commutant import PowerTable, RingMatrix, ShiftPoly, eval_key_poly
 from commkex.errors import DimensionMismatch, InvalidDimension
 from commkex.gf import Field, OpCounter, Rng
 from commkex.linalg import (
@@ -469,44 +469,54 @@ def test_dense_kernels_match_oracle(case):
 
 @st.composite
 def ring_kernel_cases(draw):
-    """(q, ring, b, v): a d x d matrix over R = GF(q)[x]/(x**k) of
-    canonical blocks, k in 1..16 and d in 1..8, an m x p matrix of
-    residues and m ints for a vector, some of them wild
-    (``kernel_entries``)."""
+    """(q, ring, z, coeffs, v): two d x d matrices over
+    R = GF(q)[x]/(x**k) of canonical blocks, k in 1..16 and d in 1..8,
+    1..4 key-polynomial coefficients of canonical residues, and m ints
+    for a vector, some of them wild (``kernel_entries``)."""
     q = draw(st.sampled_from(CODEC_PRIMES))
     k = draw(st.integers(min_value=1, max_value=16))
     d = draw(st.integers(min_value=1, max_value=8))
-    p = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=4))
     residue, wild = kernel_entries(draw, q)
-    m = k * d
-    ring = RingMatrix(k, d, [[residue() for _ in range(k)] for _ in range(d * d)])
-    b = Matrix(m, p, [residue() for _ in range(m * p)])
-    v = [wild() if draw(st.booleans()) else residue() for _ in range(m)]
-    return q, ring, b, v
+    ring, z = (
+        RingMatrix(k, d, [[residue() for _ in range(k)] for _ in range(d * d)]) for _ in "rz"
+    )
+    coeffs = [ShiftPoly(tuple(residue() for _ in range(k))) for _ in range(n)]
+    v = [wild() if draw(st.booleans()) else residue() for _ in range(k * d)]
+    return q, ring, z, coeffs, v
 
 
 @settings(max_examples=60, deadline=None)
 @given(ring_kernel_cases())
-@example((2**61 - 1, RingMatrix(16, 1, [[2**61 - 2] * 16]), Matrix.zero(16, 1), [-1] * 16))
-@example((2, RingMatrix(1, 8, [[1]] * 64), Matrix.identity(8), [2**64] * 8))
+@example(
+    (
+        2**61 - 1,
+        RingMatrix(16, 1, [[2**61 - 2] * 16]),
+        RingMatrix(16, 1, [[2**61 - 2] * 16]),
+        [ShiftPoly((2**61 - 2,) * 16)] * 4,
+        [-1] * 16,
+    )
+)
+@example(
+    (2, RingMatrix(1, 8, [[1]] * 64), RingMatrix(1, 8, [[1]] * 64), [ShiftPoly((1,))], [2**64] * 8)
+)
 def test_ring_kernels_match_dense_and_oracle(case):
-    # a key in R is applied without its dense form: its packed columns
-    # are the dense matrix's, and mat_apply and mat_mul on it agree with
-    # the dense kernels and numpy, at the same schoolbook counts
-    q, ring, b, v = case
-    dense = ring.to_matrix()
-    assert (ring.rows, ring.cols) == (dense.rows, dense.cols)
-    slot = _slot_bytes(q, ring.cols)
-    assert ring.packed_columns(slot) == dense.packed_columns(slot)
-    counts = []
-    for t in (ring, dense):
-        ctr = OpCounter()
-        field = Field(q, ctr)
-        assert mat_apply(field, t, v) == mat_vec_mod(dense.to_rows(), v, q)
-        assert mat_mul(field, t, b).to_rows() == mat_mul_mod(dense.to_rows(), b.to_rows(), q)
-        counts.append((ctr.mul_count, ctr.add_count))
-    m = dense.rows
-    assert counts[0] == counts[1] == (m * m * (1 + b.cols), m * (m - 1) * (1 + b.cols))
+    # a matrix over R is applied without its dense form: from blocks it
+    # packs first (built by hand) or from the packed blocks a key carries
+    # out of eval_key_poly; mat_apply on it agrees with the dense kernel
+    # and numpy, at the same schoolbook counts
+    q, ring, z, coeffs, v = case
+    key = eval_key_poly(Field(q), coeffs, PowerTable(Field(q), z, len(coeffs)), z.d)
+    assert ring.packed is None and key.packed is not None
+    m = ring.rows
+    for r in (ring, key):
+        dense = r.to_matrix()
+        counts = []
+        for t in (r, dense):
+            ctr = OpCounter()
+            assert mat_apply(Field(q, ctr), t, v) == mat_vec_mod(dense.to_rows(), v, q)
+            counts.append((ctr.mul_count, ctr.add_count))
+        assert counts[0] == counts[1] == (m * m, m * (m - 1))
 
 
 def test_codec_caches_stay_bounded():

@@ -3,12 +3,14 @@ import json
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commkex.attacks import passive_commutant_attack
+from commkex.commutant import RingMatrix, RingSample
 from commkex.errors import (
     ChecksumMismatch,
     Error,
@@ -273,6 +275,35 @@ def test_responder_rejects_mismatched_params():
     finally:
         left.close()
         right.close()
+
+
+def test_configured_responder_compares_params():
+    # a responder with params of its own accepts a frame of the same
+    # params, read back from the file form, and refuses one that differs
+    # in a single z entry, in the seed, or in whether a recipe is present
+    params, sk_a, _, sk_b, _ = make_session(seed=9)
+    own = params_from_json(params_to_json(params))
+    results, errors = run_socketpair_session(own, sk_a, sk_b)
+    assert not errors and results["i"][0].vec == results["r"][0].vec
+    plain = replace(params, ring_base=RingSample(params.z_ring))
+    blocks = [list(b) for b in params.z_ring.blocks]
+    blocks[1][-1] = (blocks[1][-1] + 1) % params.q  # entry (0, 2k-1) of the dense z
+    other_z = replace(plain, ring_base=RingSample(RingMatrix(params.k, params.d, blocks)))
+    for configured, sent in (
+        (plain, other_z),
+        (params, replace(params, seed=1)),
+        (params, plain),
+        (plain, params),
+    ):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(encode_frame(Frame(TAG_PARAMS, params_to_json(sent).encode())))
+            left.shutdown(socket.SHUT_WR)  # a responder that accepts meets EOF, not a wait
+            with pytest.raises(ProtocolViolation, match="^received parameters differ"):
+                run_peer(ROLE_RESPONDER, right, params=configured, private_key=sk_b)
+        finally:
+            left.close()
+            right.close()
 
 
 def test_peer_requires_inputs():
