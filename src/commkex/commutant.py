@@ -40,7 +40,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -435,48 +435,68 @@ class RingSample:
 
 
 def eval_recipe(field: Field, k: int, d: int, recipe: FlatRecipe) -> RingMatrix:
-    """Evaluate a recipe's sum of mono-terms in R.  A term's product
-    starts from its first grid power (the identity only when every
-    exponent is 0), each grid is packed once per factor from its kinds
-    and values, and the products stay packed and reduced
-    (``_block_products``) until the sum is unpacked."""
+    """Evaluate a recipe's sum of mono-terms in R.  A generator grid is
+    G = V + N*J, V the d x d matrix of its block values and J the 0/1
+    matrix of its Jordan flags, so a running product P times G is
+    P*V + N*(P*J): no block product of two full elements of R is taken.
+
+    P is held as d packed column integers, element (i, l) at slots
+    i*k .. i*k + k - 1, first residue lowest.  Column l of P*G is
+    sum_j v_jl * P_j plus the sum of the P_j with J_jl set, times N:
+    shifted up one slot after each element's top slot is dropped
+    (N**k = 0; at k = 1 that term is 0).  So a grid power costs d**2
+    products of a residue by a column integer, and one reduction of all
+    its slots (``_reduce``).  A term's product starts from its first
+    grid power (the identity only when every exponent is 0); the term
+    sum stays in column form until it is unpacked, once."""
     q, n = field.q, d * d
     coeffs, counts, exps, kinds, values = recipe
     consistent = len(kinds) == len(values) == n * len(exps) == n * sum(counts)
     if not consistent or len(coeffs) != len(counts):
         raise DimensionMismatch(f"recipe lengths disagree with d={d} or each other")
-    slot = _slot_bytes(q, d * k)
-    total = [0] * n
+    # a slot holds d*k products, more than a column sum's d*(q-1)**2 + d*(q-1)
+    dk, slot = d * k, _slot_bytes(q, d * k)
+    width = 8 * slot
+    # each element's low k - 1 slots: the ones that N shifts up, not out
+    trunc = int.from_bytes((b"\xff" * (slot * (k - 1)) + bytes(slot)) * d, "little")
+    identity = [1 << (width * k * l) for l in range(d)]
+    total = [0] * d
     factors = iter(enumerate(exps))
     for coeff, count in zip(coeffs, counts):
         prod: Optional[list[int]] = None
         for f, exp in islice(factors, count):
             if not exp:
                 continue
-            grid = slice(f * n, f * n + n)
-            residues = map(_block_residues, kinds[grid], values[grid], repeat(k), repeat(q))
-            g = _pack_elements(list(chain.from_iterable(residues)), k, slot)
-            if prod is None:
-                prod, exp = g, exp - 1
+            cols = [slice(f * n + l, f * n + n, d) for l in range(d)]
+            vcols = [[v % q for v in values[c]] for c in cols]
+            jcols = [[kd == KIND_JORDAN for kd in kinds[c]] if k > 1 else () for c in cols]
             for _ in range(exp):
-                prod = _block_products(prod, g, d, k, slot, q)
-        if prod is None:
-            prod = [int(i % (d + 1) == 0) for i in range(n)]
+                p = prod or identity
+                new = [
+                    sum(map(operator.mul, vc, p)) + ((sum(compress(p, jc)) & trunc) << width)
+                    for vc, jc in zip(vcols, jcols)
+                ]
+                # the identity times G is G, whose residues are canonical
+                prod = _reduce(new, dk, slot, q) if prod else new
         c = coeff % q
-        total = _reduce([t + c * p for t, p in zip(total, prod)], k, slot, q)
-    flat = _slot_values(total, k, slot, q)
-    return RingMatrix(k, d, [flat[s : s + k] for s in range(0, len(flat), k)])
+        total = _reduce([t + c * p for t, p in zip(total, prod or identity)], dk, slot, q)
+    flat = _slot_values(total, dk, slot, q)
+    # flat is column-major: block (i, l) starts at (l*d + i)*k
+    starts = [(l * d + i) * k for i in range(d) for l in range(d)]
+    return RingMatrix(k, d, [flat[s : s + k] for s in starts])
 
 
-def _draw_block(field: Field, rng: Rng) -> tuple[str, int]:
-    """One generator block's draw: its kind, then its value."""
-    return KIND_SCALAR if rng.below(2) == 0 else KIND_JORDAN, field.sample(rng)
+def _draw_grid(field: Field, d: int, rng: Rng) -> tuple[list[str], list[int]]:
+    """A grid's d*d blocks, row-major, each drawn as its kind, then its
+    value, by one ``Rng.below_many`` call: their kinds and their values."""
+    draws = rng.below_many((2, field.q), 2 * d * d)
+    return [KIND_JORDAN if b else KIND_SCALAR for b in draws[0::2]], draws[1::2]
 
 
 def random_block_grid(field: Field, k: int, d: int, rng: Rng) -> BlockGrid:
     """Grid with blocks drawn row-major (fixed order for reproducibility)."""
-    rows = [[GeneratorBlock(*_draw_block(field, rng), k) for _ in range(d)] for _ in range(d)]
-    return BlockGrid(tuple(map(tuple, rows)))
+    blocks = [GeneratorBlock(kd, v, k) for kd, v in zip(*_draw_grid(field, d, rng))]
+    return BlockGrid(tuple(tuple(blocks[i : i + d]) for i in range(0, d * d, d)))
 
 
 def random_shift_poly(field: Field, k: int, rng: Rng) -> ShiftPoly:
@@ -511,22 +531,26 @@ def sample_ring_element(
 
     Draw order (fixed so seeded runs reproduce byte-for-byte): number
     of terms, then per term the factor count, per factor the grid
-    (blocks row-major: kind then value) and its exponent, then the
-    term coefficient.  The draws go straight into a ``FlatRecipe``.
+    (blocks row-major: kind then value, its 2*d*d draws by one
+    ``Rng.below_many((2, q), ...)`` call) and its exponent, then the
+    term coefficient.  The draws go straight into a ``FlatRecipe``,
+    which one ``eval_recipe`` call per draw evaluates.
     """
     for _ in range(SAMPLE_MAX_ATTEMPTS):
         coeffs: list[int] = []
         counts: list[int] = []
         exps: list[int] = []
-        blocks: list[tuple[str, int]] = []
+        kinds: list[str] = []
+        values: list[int] = []
         for _ in range(1 + rng.below(4)):
             counts.append(1 + rng.below(3))
             for _ in range(counts[-1]):
-                blocks += [_draw_block(field, rng) for _ in range(d * d)]
+                grid_kinds, grid_values = _draw_grid(field, d, rng)
+                kinds += grid_kinds
+                values += grid_values
                 exps.append(rng.below(MAX_GRID_EXP + 1))
             coeffs.append(field.sample(rng))
-        kinds, values = zip(*blocks)
-        recipe = FlatRecipe(tuple(coeffs), tuple(counts), tuple(exps), kinds, values)
+        recipe = FlatRecipe(*map(tuple, (coeffs, counts, exps, kinds, values)))
         ring = eval_recipe(field, k, d, recipe)
         if ring.is_embedding():
             continue

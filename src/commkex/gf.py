@@ -111,41 +111,51 @@ class Rng:
             if w < threshold:
                 return w % n
 
-    def below_many(self, n: int, count: int) -> list[int]:
-        """``count`` calls of ``below(n)``: the same draws, in order, and
-        the same state after them.
+    def below_many(self, bounds: int | tuple[int, ...], count: int) -> list[int]:
+        """``count`` bounded draws, word i below ``bounds[i % len(bounds)]``
+        (an int is the 1-tuple): the draws of as many ``below`` calls, in
+        order, and the same state after them.
 
         splitmix64 is counter-based, so a batch of words is computed at
         once, in 128-bit lanes of one integer (SIMD within a register):
         lane i holds state + (i+1)*gamma, and the mixing rounds run on
-        the whole integer, each cut back to 64 bits per lane.  Each word
-        is then reduced mod n by Barrett reduction per lane, as
-        ``linalg._slot_mod`` does per slot, and one struct call reads
-        them.  A batch in which some word would be rejected is drawn
+        the whole integer, each cut back to 64 bits per lane.  Each bound
+        owns the lanes of its phase (``_phases``), where its words are
+        reduced by Barrett reduction with its own constants, as
+        ``linalg._slot_mod`` does per slot, and one struct call reads the
+        batch.  A batch in which some word would be rejected is drawn
         again by ``below`` calls from the state it started at.  Batches
         hold at most RNG_BATCH words, whose lane constants are cached."""
-        _check_bound(n)
+        if not isinstance(bounds, tuple):
+            bounds = (bounds,)
+        if not bounds:
+            raise ValueError("bounds must not be empty")
+        for n in bounds:
+            _check_bound(n)
         if count < 0:
             raise ValueError("count must be non-negative")
+        period = len(bounds)
         out: list[int] = []
-        rejected = (1 << 64) % n
-        mu, top = (1 << 64) // n, n.bit_length() + 1
         while len(out) < count:
-            size = min(count - len(out), RNG_BATCH)
+            start, size = len(out), min(count - len(out), RNG_BATCH)
             ones, ramp, mask, read = _lanes(size)
+            rejected, phases = _phases(bounds, size, start % period)
             x = (self.state * ones + ramp) & mask
             x = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
             x = ((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB & mask
             x = (x ^ (x >> 31)) & mask
             # bit 64 of a lane is set by + rejected iff its word is rejected
-            if rejected and (x + rejected * ones) >> 64 & ones:
-                out += [self.below(n) for _ in range(size)]
+            if rejected and (x + rejected) >> 64 & ones:
+                out += [self.below(bounds[(start + i) % period]) for i in range(size)]
                 continue
             self.state = (self.state + size * _GAMMA) & _U64
-            # Barrett per lane: the quotient estimate is at most one short
-            x -= ((x * mu >> 64) & mask) * n
-            x -= ((x + ((1 << top) - n) * ones) >> top & ones) * n
-            out += read.unpack(x.to_bytes(16 * size, "little"))
+            reduced = 0
+            for n, mu, top, fix, lane, low in phases:
+                # Barrett per lane: the quotient estimate is at most one short
+                y = x & low
+                y -= ((y * mu >> 64) & mask) * n
+                reduced |= y - ((y + fix) >> top & lane) * n
+            out += read.unpack(reduced.to_bytes(16 * size, "little"))
         return out
 
 
@@ -158,10 +168,32 @@ def _check_bound(n: int) -> None:
 
 # ``Rng.below_many`` draws in batches of at most RNG_BATCH words, and
 # keeps the lane constants of its RNG_CACHE_SIZE most recent batch sizes
-# (about 12 KB each at most), so a long-lived process that meets many
-# sizes (a listener fed PARAMS with large D) holds under 1 MB of them.
+# (about 12 KB each at most) and the bounds' constants of as many
+# batches (about 4 KB plus 12 KB per bound at most), so a long-lived
+# process that meets many sizes and moduli (a listener fed PARAMS with
+# large D) holds about 3 MB of them for the bounds the library draws
+# below (one modulus, or a bit and a modulus).
 RNG_BATCH = 256
 RNG_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=RNG_CACHE_SIZE)
+def _phases(bounds: tuple[int, ...], size: int, start: int) -> tuple[int, tuple]:
+    """For a batch of ``size`` 128-bit lanes, lane i drawing below
+    bounds[(start + i) % len(bounds)]: the rejection offsets 2**64 % n in
+    their lanes, and per phase t < min(len(bounds), size) its bound n,
+    Barrett constants mu and top, the offset 2**top - n in its lanes, 1
+    in its lanes, and the low 64 bits of its lanes."""
+    period = len(bounds)
+    every = int.from_bytes((b"\x01" + bytes(16 * period - 1)) * -(-size // period), "little")
+    rejected, phases = 0, []
+    for t in range(min(period, size)):
+        n = bounds[(start + t) % period]
+        lane = (every << (128 * t)) % (1 << (128 * size))
+        top = n.bit_length() + 1
+        rejected += (1 << 64) % n * lane
+        phases.append((n, (1 << 64) // n, top, ((1 << top) - n) * lane, lane, lane * _U64))
+    return rejected, tuple(phases)
 
 
 @functools.lru_cache(maxsize=RNG_CACHE_SIZE)

@@ -13,6 +13,8 @@ TEST_PRIMES = [2, 7, 13, 101, 1009]
 GRID_PRIMES = [7, 101, 2147483647]
 GRID_SHAPES = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]
 GRID_DEGREES = [1, 3]
+# Moduli for the packed kernels: the smallest, word-sized and the largest.
+CODEC_PRIMES = [2, 3, 101, 65537, 2**31 - 1, 2**61 - 1]
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from commkex.commutant import (
 )
 from commkex.linalg import Matrix, _pack, _slot_bytes, _slot_values, mat_add, mat_apply, mat_mul
 
-from conftest import GRID_DEGREES, GRID_PRIMES, GRID_SHAPES
+from conftest import CODEC_PRIMES, GRID_DEGREES, GRID_PRIMES, GRID_SHAPES
 from oracles import (
     block_matrix,
     generator_rows,
@@ -327,6 +327,10 @@ def test_sample_raises_after_max_attempts(monkeypatch):
         def below(self, n):
             return 0
 
+        def below_many(self, bounds, count):
+            bounds = bounds if isinstance(bounds, tuple) else (bounds,)
+            return [self.below(bounds[i % len(bounds)]) for i in range(count)]
+
         def next_u64(self):
             return 0
 
@@ -587,6 +591,41 @@ def test_eval_recipe_ring_matches_oracle():
         assert flat_recipe(terms) == sample.flat
         oracle = Matrix.from_rows(recipe_mod(dense_terms(terms, k, q), k * d, q))
         assert eval_recipe(field, k, d, sample.flat).to_matrix() == oracle == sample.matrix
+
+
+@st.composite
+def grid_recipes(draw):
+    """(q, k, d, terms) for ``flat_recipe``: k = 1..16 and d = 2..8 with m
+    at most 48, so that the dense oracle stays quick; grids that are
+    mixed, all scalar, all Jordan or all zero, exponents from 0, and
+    values and coefficients that include 0 and q - 1."""
+    q = draw(st.sampled_from(CODEC_PRIMES))
+    d = draw(st.integers(min_value=2, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=min(16, 48 // d)))
+    residue = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(min_value=0, max_value=q - 1))
+
+    def grid():
+        style = draw(st.sampled_from(["mixed", "scalar", "jordan", "zero"]))
+        kind = {"mixed": st.sampled_from(["scalar", "jordan"]), "zero": st.just("scalar")}.get(
+            style, st.just(style)
+        )
+        value = st.just(0) if style == "zero" else residue
+        return [[(draw(kind), draw(value)) for _ in range(d)] for _ in range(d)]
+
+    exponent = st.integers(min_value=0, max_value=3)
+    terms = [
+        (draw(residue), [(grid(), draw(exponent)) for _ in range(draw(st.integers(1, 3)))])
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return q, k, d, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_recipes())
+def test_eval_recipe_matches_dense_oracle(case):
+    q, k, d, terms = case
+    oracle = Matrix.from_rows(recipe_mod(dense_terms(terms, k, q), k * d, q))
+    assert eval_recipe(Field(q), k, d, flat_recipe(terms)).to_matrix() == oracle
 
 
 def test_ring_matrix_product_matches_dense():

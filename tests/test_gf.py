@@ -205,19 +205,29 @@ def test_rng_below_rejects_bad_bounds():
 # (powers of two) through about 1/16 (2**60 + 1) to about a half
 # (2**63 + 1), so that batches with and without a rejection are drawn.
 BULK_BOUNDS = (1, 2, 3, 2**31 - 1, 2**60 + 1, 2**61 - 1, 2**63 + 1, 2**64)
+# Bounds taken in turn, as a grid's blocks are drawn (kind, then value):
+# at 2**60 + 33 about 1/16 of the words are rejected, and at 2**63 + 1
+# about half, so batches fall back to scalar draws in either phase.
+TUPLE_BOUNDS = tuple((2, q) for q in (2, 3, 101, 2**31 - 1, 2**60 + 33, 2**61 - 1)) + (
+    (2**63 + 1, 3),
+)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
-    st.sampled_from(BULK_BOUNDS),
-    st.integers(min_value=0, max_value=300),
+    st.sampled_from(BULK_BOUNDS + TUPLE_BOUNDS),
+    st.one_of(st.integers(min_value=0, max_value=600), st.sampled_from([255, 256, 257, 511, 513])),
     st.one_of(st.integers(0, 2**16), st.integers(2**64 - 2**16, 2**64 - 1)),
 )
-def test_below_many_is_the_scalar_stream(n, count, seed):
+def test_below_many_is_the_scalar_stream(bounds, count, seed):
     # the same draws in the same order, and the same state after them,
-    # from seeds at both ends of the state range
+    # from seeds at both ends of the state range; word i is drawn below
+    # bounds[i % len(bounds)], and an int is the 1-tuple
+    cycle = bounds if isinstance(bounds, tuple) else (bounds,)
     bulk, scalar = Rng(seed), Rng(seed)
-    assert bulk.below_many(n, count) == [scalar.below(n) for _ in range(count)]
+    assert bulk.below_many(bounds, count) == [
+        scalar.below(cycle[i % len(cycle)]) for i in range(count)
+    ]
     assert bulk.state == scalar.state
 
 
@@ -228,14 +238,18 @@ def test_below_many_across_batches_and_bad_bounds():
         count = 2 * RNG_BATCH + 3
         assert bulk.below_many(n, count) == [scalar.below(n) for _ in range(count)]
         assert bulk.state == scalar.state
-    # a bad bound raises what below raises, even for no draws
+    # a bad bound, alone or anywhere in a tuple, raises what below
+    # raises, even for no draws
     for n in (0, -1, 2**64 + 1, 2**512):
         with pytest.raises(ValueError) as scalar_error:
             Rng(1).below(n)
-        for count in (0, 3):
-            with pytest.raises(ValueError) as bulk_error:
-                Rng(1).below_many(n, count)
-            assert str(bulk_error.value) == str(scalar_error.value)
+        for bounds in (n, (n,), (n, 3), (2, n), (2, 3, n)):
+            for count in (0, 3):
+                with pytest.raises(ValueError) as bulk_error:
+                    Rng(1).below_many(bounds, count)
+                assert str(bulk_error.value) == str(scalar_error.value)
+    with pytest.raises(ValueError, match="^bounds must not be empty$"):
+        Rng(1).below_many((), 3)
     with pytest.raises(ValueError, match="^count must be non-negative$"):
         Rng(1).below_many(7, -1)
 

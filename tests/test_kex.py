@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import importlib.util
 import json
 import operator
@@ -419,6 +420,26 @@ def test_keygen_gives_up_on_rigged_rng():
         keygen(params, ZeroRng())
 
 
+# SHA-256 of params_to_json(gen_params(q, k, d, 3, Rng(11), seed=11)),
+# recorded before the grids were drawn in bulk and multiplied as
+# V + N*J.  At 2**60 + 33 most grid batches hold a rejected word and
+# are drawn again word by word.
+PINNED_PARAMS = {
+    (2**31 - 1, 4, 16): "e5ed16ba2effeffae49192cca368e795aaa03c1371f54148428bf3634e1b9bc0",
+    (2**31 - 1, 16, 4): "42f13f295a7c554fa1a815274bfd5101cedfd46f2fe8435cc2dbac813c041aa0",
+    (2**31 - 1, 1, 8): "3c2d6425aab0df5b74c2e3d19348966f914f5413690f9e75701c94689231e719",
+    (2**60 + 33, 2, 5): "e1fb8d879f5bb6c0c280f8f78c6752e570453a4cc318f034c6a2fba5a91d47fc",
+    (2, 2, 2): "7c45d5825f1f92594cde9707519b3efa9b54bc761f951499c14e9d97a31e2d58",
+    (13, 3, 3): "a2ce7bbcaebfb6479db8e083901c712ee093445e5417a632e4fe4454fe6f6a20",
+}
+
+
+@pytest.mark.parametrize("q, k, d", list(PINNED_PARAMS))
+def test_gen_params_bytes_are_pinned(q, k, d):
+    text = params_to_json(gen_params(q, k, d, 3, Rng(11), seed=11))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PARAMS[q, k, d]
+
+
 def test_gen_params_propagates_degenerate_base():
     # all-ones draws: the public vector becomes (1, 1) and every base
     # candidate maps it to a scalar multiple of itself, so sampling
@@ -427,8 +448,9 @@ def test_gen_params_propagates_degenerate_base():
         def below(self, n):
             return 1 if n > 1 else 0
 
-        def below_many(self, n, count):
-            return [self.below(n) for _ in range(count)]
+        def below_many(self, bounds, count):
+            bounds = bounds if isinstance(bounds, tuple) else (bounds,)
+            return [self.below(bounds[i % len(bounds)]) for i in range(count)]
 
     with pytest.raises(DegenerateRingElement):
         gen_params(7, 1, 2, 1, OnesRng())
