@@ -123,9 +123,10 @@ class Rng:
         owns the lanes of its phase (``_phases``), where its words are
         reduced by Barrett reduction with its own constants, as
         ``linalg._slot_mod`` does per slot, and one struct call reads the
-        batch.  A batch in which some word would be rejected is drawn
-        again by ``below`` calls from the state it started at.  Batches
-        hold at most RNG_BATCH words, whose lane constants are cached."""
+        batch.  In a batch in which some word is rejected, the words are
+        instead taken one by one, as ``below`` takes them, so the batch
+        may yield fewer draws than words.  Batches hold at most RNG_BATCH
+        words, whose lane constants are cached."""
         if not isinstance(bounds, tuple):
             bounds = (bounds,)
         if not bounds:
@@ -144,11 +145,17 @@ class Rng:
             x = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
             x = ((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB & mask
             x = (x ^ (x >> 31)) & mask
+            self.state = (self.state + size * _GAMMA) & _U64
             # bit 64 of a lane is set by + rejected iff its word is rejected
             if rejected and (x + rejected) >> 64 & ones:
-                out += [self.below(bounds[(start + i) % period]) for i in range(size)]
+                # take the words in turn, as below does: a rejected word
+                # is skipped, and its bound passes to the next word
+                limits = [(1 << 64) - (1 << 64) % n for n in bounds]
+                for w in read.unpack(x.to_bytes(16 * size, "little")):
+                    t = len(out) % period
+                    if w < limits[t]:
+                        out.append(w % bounds[t])
                 continue
-            self.state = (self.state + size * _GAMMA) & _U64
             reduced = 0
             for n, mu, top, fix, lane, low in phases:
                 # Barrett per lane: the quotient estimate is at most one short

@@ -40,10 +40,9 @@ conditional subtraction of q finishes the residue.  Even and odd slots
 are reduced apart, each value alone in a window of two slots, so that
 the products v*mu never carry into a neighbour; about twenty
 whole-integer operations reduce any number of slots.  Canonical residues
-are written and read by one ``struct`` call per packed value or list
-(per block of CODEC_CACHE_SLOTS slots above that), one machine word per
-slot plus pad bytes (``_slots``).  The constants of each shape are kept
-in bounded caches (``_shape_cache``).
+are written and read by one ``struct`` call per packed value or list,
+one machine word per slot plus pad bytes (``_slots``).  The constants of
+each shape are kept in bounded caches (``_shape_cache``).
 
 JSON forms: matrix {"rows": r, "cols": c, "entries": [decimal, ...]}
 row-major; vector {"entries": [decimal, ...]}.
@@ -55,8 +54,8 @@ import functools
 import operator
 import struct
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DimensionMismatch, InvalidDimension
 from .gf import Field
@@ -230,16 +229,13 @@ def _slot_bytes(q: int, terms: int) -> int:
 # shapes of at most CODEC_CACHE_SLOTS slots.  They grow with the slot
 # count (about 190 KB at 2048 slots of 18 bytes), so a long-lived process
 # that meets many shapes (a listener fed hostile PARAMS) holds about
-# 12 MB of them at most.  A larger reduction (``_slot_mod``) is built per
-# call, since the work on the slots outweighs the build: at 4096 slots of
-# 9 bytes, about 140 us of build against 320 us of reduction (2-core
-# x86-64, CPython 3.11).  A larger struct is not: compiling one costs
-# about 160 us there against 90 us of packing, so ``_slots`` reads and
-# writes a larger shape in blocks (``_Blocks``), whose structs are kept
-# for CODEC_BLOCK_SHAPES tails (at most about 2.3 MB at 18-byte slots).
+# 12 MB of them at most.  Larger shapes are built per call.  For a
+# reduction (``_slot_mod``) the work on the slots outweighs the build: at
+# 4096 slots of 9 bytes, about 140 us of build against 320 us of
+# reduction (2-core x86-64, CPython 3.11).  For a struct it does not:
+# compiling one costs about 160 us there against 90 us of packing.
 CODEC_CACHE_SIZE = 64
 CODEC_CACHE_SLOTS = 2048
-CODEC_BLOCK_SHAPES = 16
 
 
 def _shape_cache(build):
@@ -255,51 +251,16 @@ def _shape_cache(build):
 
 
 @_shape_cache
-def _slots(n: int, slot: int, order: str) -> struct.Struct | _Blocks:
+def _slots(n: int, slot: int, order: str) -> struct.Struct:
     """The struct that reads or writes n consecutive slots of ``slot``
     bytes in byte order ``order`` ("little" or "big"), one canonical
     residue each: the widest machine word that fits a slot, plus pad
     bytes.  A slot holds 2*bitlen(q - 1) bits or more and q < 2**61, so
     the word (Q from 8 bytes up) holds any canonical residue; pad bytes
-    are written as zeros and skipped when read.  Above CODEC_CACHE_SLOTS
-    slots, the ``_Blocks`` that does the same with kept structs."""
-    if n > CODEC_CACHE_SLOTS:
-        return _blocks(n % CODEC_CACHE_SLOTS, slot, order)
+    are written as zeros and skipped when read."""
     word = next(w for w in "QIHB" if struct.calcsize("<" + w) <= slot)
     pad = f"{slot - struct.calcsize('<' + word)}x"
     return struct.Struct("<" + (word + pad) * n if order == "little" else ">" + (pad + word) * n)
-
-
-class _Blocks(NamedTuple):
-    """``_slots`` for more than CODEC_CACHE_SLOTS slots: whole blocks of
-    CODEC_CACHE_SLOTS slots, then a tail of the rest, each read or written
-    by one call of a kept struct.  Slots lie one after another in either
-    byte order, so the blocks' bytes, joined, are one struct's."""
-
-    block: struct.Struct
-    tail: struct.Struct
-
-    def pack(self, *values: int) -> bytes:
-        size = CODEC_CACHE_SLOTS
-        cut = len(values) - len(values) % size
-        write = self.block.pack
-        blocks = [write(*values[i : i + size]) for i in range(0, cut, size)]
-        return b"".join(blocks) + self.tail.pack(*values[cut:])
-
-    def unpack(self, raw: bytes) -> list[int]:
-        cut = len(raw) - self.tail.size
-        out = list(chain.from_iterable(self.block.iter_unpack(memoryview(raw)[:cut])))
-        out += self.tail.unpack_from(raw, cut)
-        return out
-
-
-@functools.lru_cache(maxsize=CODEC_BLOCK_SHAPES)
-def _blocks(tail: int, slot: int, order: str) -> _Blocks:
-    """The ``_Blocks`` for a tail of ``tail`` slots.  Its structs are kept
-    here, apart from ``_slots``' cache, so that large shapes neither evict
-    nor count among the small ones."""
-    build = _slots.__wrapped__
-    return _Blocks(build(CODEC_CACHE_SLOTS, slot, order), build(tail, slot, order))
 
 
 @_shape_cache

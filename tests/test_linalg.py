@@ -1,5 +1,4 @@
 import random
-import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -518,22 +517,6 @@ def test_ring_kernels_match_dense_and_oracle(case):
             assert mat_apply(Field(q, ctr), t, v) == mat_vec_mod(dense.to_rows(), v, q)
             counts.append((ctr.mul_count, ctr.add_count))
         assert counts[0] == counts[1] == (m * m, m * (m - 1))
-
-
-def test_slots_above_the_cache_are_one_structs_bytes():
-    # above CODEC_CACHE_SLOTS slots, _slots writes and reads in blocks the
-    # bytes of one compiled struct of all the slots, in both byte orders,
-    # at a slot count that is no multiple of a block
-    n = 2 * CODEC_CACHE_SLOTS + 5
-    rng = random.Random(5)
-    for slot, word in ((9, "Q"), (8, "Q"), (5, "I"), (3, "H")):
-        top = (1 << (8 * struct.calcsize(word))) - 1
-        values = [rng.randint(0, top) for _ in range(n - 2)] + [0, top]
-        pad = f"{slot - struct.calcsize(word)}x"
-        for order, fmt in (("little", "<" + (word + pad) * n), ("big", ">" + (pad + word) * n)):
-            raw = struct.Struct(fmt).pack(*values)
-            assert _slots(n, slot, order).pack(*values) == raw
-            assert list(_slots(n, slot, order).unpack(raw)) == values
 
 
 def test_codec_caches_stay_bounded():
