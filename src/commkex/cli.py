@@ -104,11 +104,18 @@ def _load_public(path: str, q: int) -> kex.PublicKey:
 
 def _parse_addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdecimal():
+    if not sep or not port.isascii() or not port.isdecimal():
         raise ParseError(f"address must be host:port, got {text!r}")
     if int(port) > 65535:
         raise ParseError(f"port must be in [0, 65535], got {text!r}")
     return host or "127.0.0.1", int(port)
+
+
+def _count(text: str) -> int:
+    """A count flag in ASCII digits, else a usage error (exit 2)."""
+    if not text.isascii() or not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a count of 0 or more, got {text!r}")
+    return int(text)
 
 
 def _sample_exponent(rng: Rng, bits: int) -> int:
@@ -200,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None, help="optional; otherwise adopted from the wire")
     p.add_argument("--key", default=None, help="optional private key; otherwise ephemeral")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-sessions", type=int, default=None, help="stop after N sessions")
+    p.add_argument("--max-sessions", type=_count, default=None, help="stop after N sessions")
     p.set_defaults(handler=_cmd_demo_listen)
 
     p = demo_sub.add_parser("connect", help="run an initiator session")

@@ -29,7 +29,8 @@ R = GF(q)[N]/(N**k): each k x k block is upper-triangular Toeplitz,
 i.e. a ShiftPoly.  The algebra is computed in that form (RingMatrix),
 including such a matrix applied to a vector (PowerTable.apply,
 apply_key_poly, apply_key_product); dense m x m matrices are only built
-where a caller needs one.  A public base's packed powers, which key
+where a caller needs one.  Packed integers are written and read through
+the slot codec (``kron``).  A public base's packed powers, which key
 evaluation reads, live in one PowerTable kept by the parameters
 (``kex.Params.z_powers``), and so does the public vector's packed orbit
 (``kex.Params.zeta_orbit``), which key application reads.
@@ -43,6 +44,7 @@ from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from typing import NamedTuple, Optional, Sequence
 
+from . import kron
 from .errors import (
     DegenerateRingElement,
     DimensionMismatch,
@@ -50,18 +52,7 @@ from .errors import (
     NotBlockToeplitz,
 )
 from .gf import Field, Rng
-from .linalg import (
-    Matrix,
-    _block_dots,
-    _elements,
-    _pack_elements,
-    _reduce,
-    _reduced_bytes,
-    _slot_bytes,
-    _slot_values,
-    _slots,
-    mat_mul,
-)
+from .linalg import Matrix, mat_mul
 
 KIND_SCALAR = "scalar"
 KIND_JORDAN = "jordan"
@@ -133,7 +124,7 @@ class RingMatrix:
     residues (c_0, ..., c_{k-1}) of sum_j c_j N**j -- the first row of
     the upper-triangular Toeplitz block it realizes as.  Products are
     taken packed (``_block_products``): each block is one integer (see
-    ``_pack``), so entry (i, j) of a product is one dot product of d
+    ``kron.pack``), so entry (i, j) of a product is one dot product of d
     packed integers, d**3 big-integer products in all against (d*k)**3
     multiplications for the dense m x m product.  Applied to a vector
     (``PowerTable.act``, ``linalg.mat_apply``), it costs d**2 big-integer
@@ -163,11 +154,6 @@ class RingMatrix:
     # m, the side of the dense realization
     rows = cols = property(lambda self: self.k * self.d)
 
-    def pack(self, slot: int) -> list[int]:
-        """The blocks, row-major, each packed into one integer (``_pack``)
-        by one struct call."""
-        return _pack_elements(list(chain.from_iterable(self.blocks)), self.k, slot)
-
     def packed_blocks(self, q: int) -> tuple[int, list[int]]:
         """(slot, the blocks packed as ``PowerTable.base`` packs them), at
         a slot that holds m terms, as a block row applied to a vector
@@ -175,9 +161,9 @@ class RingMatrix:
         call, or packed from the residues when there are none."""
         if self.packed is not None:
             slot, raw = self.packed
-            return slot, _elements(raw, self.k * slot)
-        slot = _slot_bytes(q, self.rows)
-        return slot, self.pack(slot)
+            return slot, kron.elements(raw, self.k * slot)
+        slot = kron.slot_bytes(q, self.rows)
+        return slot, kron.pack_elements(list(chain.from_iterable(self.blocks)), self.k, slot)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingMatrix):
@@ -257,10 +243,10 @@ class PowerTable:
     slot's byte rounding often far more.
 
     A vector of m residues is packed (``pack``) as d chunks of k, each
-    reversed, since a block then acts on a chunk as a truncated
-    convolution.  ``act`` applies z to a packed vector and keeps it
-    packed, so an orbit v, z v, z**2 v, ... (``Orbit``) is packed once
-    and unpacked only where a caller reads a vector.
+    reversed (``kron.pack_chunks``), since a block then acts on a chunk
+    as a truncated convolution.  ``act`` applies z to a packed vector
+    and keeps it packed, so an orbit v, z v, z**2 v, ... (``Orbit``) is
+    packed once and unpacked only where a caller reads a vector.
     """
 
     __slots__ = ("field", "z", "count", "slot", "capacity", "base", "_columns")
@@ -269,9 +255,9 @@ class PowerTable:
         self.field = field
         self.z = z
         self.count = count
-        self.slot = _slot_bytes(field.q, max(count, z.d) * z.k)
+        self.slot = kron.slot_bytes(field.q, max(count, z.d) * z.k)
         self.capacity = ((1 << (8 * self.slot)) - 1) // (z.k * (field.q - 1) ** 2)
-        self.base = z.pack(self.slot)
+        self.base = kron.pack_elements(list(chain.from_iterable(z.blocks)), z.k, self.slot)
         self._columns: Optional[list[tuple[int, ...]]] = None
 
     @property
@@ -287,25 +273,25 @@ class PowerTable:
 
     def pack(self, vec: Sequence[int]) -> list[int]:
         """A vector of m canonical residues as d packed chunks, each
-        reversed: written big-endian (``_pack_elements``), a chunk's first
-        entry lands in its highest slot."""
-        k, d, slot = self.z.k, self.z.d, self.slot
+        reversed (``kron.pack_chunks``): a chunk's first entry lands in
+        its highest slot."""
+        k, d = self.z.k, self.z.d
         if len(vec) != k * d:
             raise DimensionMismatch(f"ring matrix of size {k * d} applied to length {len(vec)}")
-        return _pack_elements(vec, k, slot, "big")
+        return kron.pack_chunks(vec, k, self.slot)
 
     def act(self, chunks: Sequence[int]) -> list[int]:
         """z @ v for v packed by ``pack``, packed the same way: output
         chunk i is the low k slots of one dot product of row i's packed
-        blocks with the chunks (``_block_dots``), each slot reduced mod q
-        (d**2 products)."""
+        blocks with the chunks (``kron.block_dots``), each slot reduced
+        mod q (d**2 products)."""
         z = self.z
-        return _reduce(_block_dots(self.base, [chunks], z.d), z.k, self.slot, self.field.q)
+        return kron.reduce(kron.block_dots(self.base, [chunks], z.d), z.k, self.slot, self.field.q)
 
     def unpack(self, chunks: Sequence[int]) -> list[int]:
         """The vector that packed chunks hold: each chunk's low k slots,
-        reduced mod q, in vector order (highest slot first)."""
-        return _slot_values(chunks, self.z.k, self.slot, self.field.q, "big")
+        reduced mod q, in vector order (``kron.unpack_chunks``)."""
+        return kron.unpack_chunks(chunks, self.z.k, self.slot, self.field.q)
 
     def apply(self, vec: Sequence[int]) -> list[int]:
         """z @ vec for a vector of m canonical residues."""
@@ -359,16 +345,16 @@ def _pack_polys(coeffs: Sequence[ShiftPoly], k: int, slot: int, q: int) -> list[
     """Each coefficient's k residues reduced mod q and packed, all of them
     by one struct call."""
     residues = map(operator.mod, chain.from_iterable(c.coeffs for c in coeffs), repeat(q))
-    return _pack_elements(list(residues), k, slot)
+    return kron.pack_elements(list(residues), k, slot)
 
 
 def _block_products(
     a: Sequence[int], b: Sequence[int], d: int, k: int, slot: int, q: int
 ) -> list[int]:
-    """The blocks of a @ b over R, packed and reduced (``_reduce``), for
-    a and b given by their packed blocks, row-major, at a slot that
-    holds d*k terms: d**3 packed products (``_block_dots``)."""
-    return _reduce(_block_dots(a, [b[j::d] for j in range(d)], d), k, slot, q)
+    """The blocks of a @ b over R, packed and reduced (``kron.reduce``),
+    for a and b given by their packed blocks, row-major, at a slot that
+    holds d*k terms: d**3 packed products (``kron.block_dots``)."""
+    return kron.reduce(kron.block_dots(a, [b[j::d] for j in range(d)], d), k, slot, q)
 
 
 def embed_block_diag(field: Field, poly: ShiftPoly, d: int) -> Matrix:
@@ -446,7 +432,7 @@ def eval_recipe(field: Field, k: int, d: int, recipe: FlatRecipe) -> RingMatrix:
     shifted up one slot after each element's top slot is dropped
     (N**k = 0; at k = 1 that term is 0).  So a grid power costs d**2
     products of a residue by a column integer, and one reduction of all
-    its slots (``_reduce``).  A term's product starts from its first
+    its slots (``kron.reduce``).  A term's product starts from its first
     grid power (the identity only when every exponent is 0); the term
     sum stays in column form until it is unpacked, once."""
     q, n = field.q, d * d
@@ -455,7 +441,7 @@ def eval_recipe(field: Field, k: int, d: int, recipe: FlatRecipe) -> RingMatrix:
     if not consistent or len(coeffs) != len(counts):
         raise DimensionMismatch(f"recipe lengths disagree with d={d} or each other")
     # a slot holds d*k products, more than a column sum's d*(q-1)**2 + d*(q-1)
-    dk, slot = d * k, _slot_bytes(q, d * k)
+    dk, slot = d * k, kron.slot_bytes(q, d * k)
     width = 8 * slot
     # each element's low k - 1 slots: the ones that N shifts up, not out
     trunc = int.from_bytes((b"\xff" * (slot * (k - 1)) + bytes(slot)) * d, "little")
@@ -477,10 +463,10 @@ def eval_recipe(field: Field, k: int, d: int, recipe: FlatRecipe) -> RingMatrix:
                     for vc, jc in zip(vcols, jcols)
                 ]
                 # the identity times G is G, whose residues are canonical
-                prod = _reduce(new, dk, slot, q) if prod else new
+                prod = kron.reduce(new, dk, slot, q) if prod else new
         c = coeff % q
-        total = _reduce([t + c * p for t, p in zip(total, prod or identity)], dk, slot, q)
-    flat = _slot_values(total, dk, slot, q)
+        total = kron.reduce([t + c * p for t, p in zip(total, prod or identity)], dk, slot, q)
+    flat = kron.slot_values(total, dk, slot, q)
     # flat is column-major: block (i, l) starts at (l*d + i)*k
     starts = [(l * d + i) * k for i in range(d) for l in range(d)]
     return RingMatrix(k, d, [flat[s : s + k] for s in starts])
@@ -594,8 +580,8 @@ def eval_key_poly(
         )
     packed = _pack_polys(coeffs, k, slot, q)
     mul = operator.mul
-    raw = _reduced_bytes([sum(map(mul, packed, col)) for col in table.columns], k, slot, q)
-    flat = list(_slots(d * d * k, slot, "little").unpack(raw))
+    raw = kron.reduced_bytes([sum(map(mul, packed, col)) for col in table.columns], k, slot, q)
+    flat = list(kron.slots(d * d * k, slot).unpack(raw))
     blocks = [flat[s : s + k] for s in range(0, len(flat), k)]
     key = RingMatrix(k, d, blocks, (slot, raw))
     return key.to_matrix() if dense else key
@@ -655,13 +641,13 @@ def apply_key_product(
             f"key polynomials of {len(a)} and {len(b)} residues (k={k}) for "
             f"{len(images)} images and a slot that holds {table.capacity}"
         )
-    elements = _pack_elements(list(chain(a, b)), k, slot)
+    elements = kron.pack_elements(list(chain(a, b)), k, slot)
     sums = [0] * terms
     for i, x in enumerate(elements[:n]):
         for j, y in enumerate(elements[n:]):
             sums[i + j] += x * y
     lane = 8 * slot * (2 * k - 1)
-    fused = _reduce(sums, k, slot, q)
+    fused = kron.reduce(sums, k, slot, q)
     fused[:n] = [e + (x << lane) for e, x in zip(fused, elements[:n])]
     mul = operator.mul
     dots = [sum(map(mul, fused, chunks)) for chunks in zip(*images)]

@@ -122,7 +122,7 @@ class Rng:
         the whole integer, each cut back to 64 bits per lane.  Each bound
         owns the lanes of its phase (``_phases``), where its words are
         reduced by Barrett reduction with its own constants, as
-        ``linalg._slot_mod`` does per slot, and one struct call reads the
+        ``kron.slot_mod`` does per slot, and one struct call reads the
         batch.  In a batch in which some word is rejected, the words are
         instead taken one by one, as ``below`` takes them, so the batch
         may yield fewer draws than words.  Batches hold at most RNG_BATCH

@@ -5,9 +5,9 @@ plain lists of ints.  Every operation takes the field context
 explicitly.  Products and vector application run on packed columns
 (``packed_columns``): each column of the left matrix is one integer of
 one slot per row, so a column of the result is one dot product of
-packed integers, reduced and read through the slot codec below.
+packed integers, reduced and read through the slot codec (``kron``).
 ``mat_apply`` also takes a ``commutant.RingMatrix``, which it applies
-from its packed blocks without its dense form (``_block_dots``).  Both
+from its packed blocks without its dense form (``kron.block_dots``).  Both
 kernels charge the field's counter with schoolbook counts
 (rows*inner*cols multiplies and the matching addition count);
 elimination and rank are not instrumented.
@@ -19,7 +19,7 @@ eliminator, ``eliminate_ring``, over the chain ring R = GF(q)[x]/(x**k);
 GF(q) is R at k = 1.  It takes a system by columns whose elements are
 vectors' k-chunks (the structured attack systems: d rows per input
 vector in degree+1 unknowns over R) and packs each column into a single
-integer (Kronecker substitution, 2k - 1 slots per element), so a pivot
+integer (``kron.pack_vector``, 2k - 1 slots per element), so a pivot
 step costs a few big-integer operations per column rather than a Python
 loop over its entries.  It records its pivot steps, and a right-hand
 side is solved by replaying that record (``RingElimination.solve``), so
@@ -30,41 +30,22 @@ of the GF(q) system, with the same rank (see RingElimination).
 the columns with e_i = 1.  The attacks, which solve systems, call it
 directly.
 
-Packed integers (here and in ``commutant``) leave and enter the packed
-form through one slot codec.  ``_slot_mod`` reduces every slot of a
-packed integer mod q at once, by Barrett reduction run on the whole
-integer: with W = 8*slot bits per slot and mu = floor(2**W / q), the
-quotient estimate floor(v*mu / 2**W) of a slot value v < 2**W is
-floor(v/q) or one less, because v/q - 1 < v*mu / 2**W <= v/q, so one
-conditional subtraction of q finishes the residue.  Even and odd slots
-are reduced apart, each value alone in a window of two slots, so that
-the products v*mu never carry into a neighbour; about twenty
-whole-integer operations reduce any number of slots.  Canonical residues
-are written and read by one ``struct`` call per packed value or list,
-one machine word per slot plus pad bytes (``_slots``).  The constants of
-each shape are kept in bounded caches (``_shape_cache``).
-
 JSON forms: matrix {"rows": r, "cols": c, "entries": [decimal, ...]}
 row-major; vector {"entries": [decimal, ...]}.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
-import struct
 from dataclasses import dataclass
-from itertools import repeat
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from . import kron
 from .errors import DimensionMismatch, InvalidDimension
 from .gf import Field
 
 if TYPE_CHECKING:
     from .commutant import RingMatrix
-
-Vector = list  # list[int]; alias for documentation purposes
-
 
 class Matrix:
     """Row-major dense matrix; entries are canonical residues."""
@@ -137,9 +118,9 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {self.to_rows()})"
 
     def packed_columns(self, slot: int) -> list[int]:
-        """Column j as one integer of ``rows`` slots (``_pack``), each
+        """Column j as one integer of ``rows`` slots (``kron.pack``), each
         written by the cached struct of its shape."""
-        write = _slots(self.rows, slot, "little").pack
+        write = kron.slots(self.rows, slot).pack
         e, c = self.entries, self.cols
         return [int.from_bytes(write(*e[j::c]), "little") for j in range(c)]
 
@@ -148,18 +129,18 @@ def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
     """a @ b; charges a.rows*a.cols*b.cols multiplies, the schoolbook
     count.  Column p of the product is sum_j b[j, p] * C_j for a's packed
     columns C_j (``Matrix.packed_columns``), which hold a.cols products
-    per slot (``_slot_bytes``); every slot of every column is reduced by
-    one ``_slot_mod`` and read by one struct call.  Relies on canonical
-    entries in both operands (the Matrix contract)."""
+    per slot (``kron.slot_bytes``); every slot of every column is reduced
+    by one ``kron.slot_mod`` and read by one struct call.  Relies on
+    canonical entries in both operands (the Matrix contract)."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
     q = field.q
     n, inner, p = a.rows, a.cols, b.cols
-    slot = _slot_bytes(q, inner)
+    slot = kron.slot_bytes(q, inner)
     cols = a.packed_columns(slot)
     be = b.entries
     # the product's columns, one after another
-    flat = _slot_values([sum(map(operator.mul, be[j::p], cols)) for j in range(p)], n, slot, q)
+    flat = kron.slot_values([sum(map(operator.mul, be[j::p], cols)) for j in range(p)], n, slot, q)
     if field.counter is not None:
         field.counter.mul_count += n * inner * p
         field.counter.add_count += n * (inner - 1) * p
@@ -173,24 +154,25 @@ def mat_apply(field: Field, t: Matrix | RingMatrix, v: Sequence[int]) -> list[in
     t.cols products of a residue by a packed integer.  Or t is a
     ``commutant.RingMatrix`` (a key in R), applied from its packed blocks
     (``RingMatrix.packed_blocks``) without its dense form: block row i
-    against v's k-chunks packed reversed, d**2 packed products
-    (``_block_dots``, the product ``PowerTable.act`` takes).  Either way
-    every slot is reduced by one ``_slot_mod`` and read by one struct
-    call.  A slot holds t.cols products of residues, so v is reduced
-    first when some entry lies outside [0, q); t's entries are canonical
-    by the Matrix contract, which this relies on."""
+    against v's k-chunks packed reversed (``kron.pack_chunks``), d**2
+    packed products (``kron.block_dots``, the product ``PowerTable.act``
+    takes).  Either way every slot is reduced by one ``kron.slot_mod``
+    and read by one struct call.  A slot holds t.cols products of
+    residues, so v is reduced first when some entry lies outside [0, q);
+    t's entries are canonical by the Matrix contract, which this relies
+    on."""
     if t.cols != len(v):
         raise DimensionMismatch(f"{t.rows}x{t.cols} applied to length {len(v)}")
     q, c = field.q, t.cols
     if min(v) < 0 or max(v) >= q:
         v = [x % q for x in v]
     if isinstance(t, Matrix):
-        slot = _slot_bytes(q, c)
-        out = _slot_values((sum(map(operator.mul, v, t.packed_columns(slot))),), t.rows, slot, q)
+        slot = kron.slot_bytes(q, c)
+        out = kron.slot_values([sum(map(operator.mul, v, t.packed_columns(slot)))], t.rows, slot, q)
     else:
         slot, blocks = t.packed_blocks(q)
-        chunks = _pack_elements(v, t.k, slot, "big")
-        out = _slot_values(_block_dots(blocks, [chunks], t.d), t.k, slot, q, "big")
+        chunks = kron.pack_chunks(v, t.k, slot)
+        out = kron.unpack_chunks(kron.block_dots(blocks, [chunks], t.d), t.k, slot, q)
     if field.counter is not None:
         field.counter.mul_count += t.rows * c
         field.counter.add_count += t.rows * (c - 1)
@@ -219,170 +201,6 @@ def vec_scale(field: Field, c: int, v: Sequence[int]) -> list[int]:
     return [c * x % q for x in v]
 
 
-def _slot_bytes(q: int, terms: int) -> int:
-    """Width of a packed slot that holds a sum of ``terms`` products of
-    residues mod q exactly: carries then never cross into the next slot."""
-    return (2 * (q - 1).bit_length() + terms.bit_length() + 7) // 8
-
-
-# The codec keeps the constants of its CODEC_CACHE_SIZE most recent
-# shapes of at most CODEC_CACHE_SLOTS slots.  They grow with the slot
-# count (about 190 KB at 2048 slots of 18 bytes), so a long-lived process
-# that meets many shapes (a listener fed hostile PARAMS) holds about
-# 12 MB of them at most.  Larger shapes are built per call.  For a
-# reduction (``_slot_mod``) the work on the slots outweighs the build: at
-# 4096 slots of 9 bytes, about 140 us of build against 320 us of
-# reduction (2-core x86-64, CPython 3.11).  For a struct it does not:
-# compiling one costs about 160 us there against 90 us of packing.
-CODEC_CACHE_SIZE = 64
-CODEC_CACHE_SLOTS = 2048
-
-
-def _shape_cache(build):
-    """``build(n, ...)`` with its results kept as above."""
-    kept = functools.lru_cache(maxsize=CODEC_CACHE_SIZE)(build)
-
-    @functools.wraps(build)
-    def get(n: int, *shape):
-        return kept(n, *shape) if n <= CODEC_CACHE_SLOTS else build(n, *shape)
-
-    get.cache_info = kept.cache_info
-    return get
-
-
-@_shape_cache
-def _slots(n: int, slot: int, order: str) -> struct.Struct:
-    """The struct that reads or writes n consecutive slots of ``slot``
-    bytes in byte order ``order`` ("little" or "big"), one canonical
-    residue each: the widest machine word that fits a slot, plus pad
-    bytes.  A slot holds 2*bitlen(q - 1) bits or more and q < 2**61, so
-    the word (Q from 8 bytes up) holds any canonical residue; pad bytes
-    are written as zeros and skipped when read."""
-    word = next(w for w in "QIHB" if struct.calcsize("<" + w) <= slot)
-    pad = f"{slot - struct.calcsize('<' + word)}x"
-    return struct.Struct("<" + (word + pad) * n if order == "little" else ">" + (pad + word) * n)
-
-
-@_shape_cache
-def _slot_mod(n: int, slot: int, q: int) -> Callable[[int], int]:
-    """The function that reduces each of the n slots of a packed integer
-    mod q, by Barrett reduction on the whole integer (SIMD within a
-    register); the integer must have no bits above its n slots.
-
-    With W = 8*slot and mu = floor(2**W / q), a slot value v < 2**W has
-    v/q - 1 < v*mu/2**W <= v/q, so the quotient estimate floor(v*mu/2**W)
-    is floor(v/q) or one less, and v minus q times it lies in [0, 2q).
-    The even and the odd slots are reduced apart, each value in a window
-    of two slots, so that v*mu < 2**(2W) never carries into the next
-    window.  The one conditional subtraction of q is read off bit b + 1
-    of r + 2**(b+1) - q (b = bitlen(q)), which is set iff r >= q."""
-    bits = 8 * slot
-    pairs = (n + 1) // 2
-    even = int.from_bytes((b"\xff" * slot + bytes(slot)) * pairs, "little")
-    ones = int.from_bytes((b"\x01" + bytes(2 * slot - 1)) * pairs, "little")
-    mu = (1 << bits) // q
-    top = q.bit_length() + 1
-    fix = ((1 << top) - q) * ones
-
-    def mod(x: int) -> int:
-        lo = x & even
-        hi = x >> bits & even
-        lo -= (lo * mu >> bits & even) * q
-        hi -= (hi * mu >> bits & even) * q
-        lo -= ((lo + fix) >> top & ones) * q
-        hi -= ((hi + fix) >> top & ones) * q
-        return lo | hi << bits
-
-    return mod
-
-
-def _pack(residues: Sequence[int], slot: int) -> int:
-    """Kronecker substitution: sum_j c_j * 2**(8*slot*j) for canonical c_j."""
-    return int.from_bytes(_slots(len(residues), slot, "little").pack(*residues), "little")
-
-
-def _pack_elements(
-    residues: Sequence[int], k: int, slot: int, order: str = "little"
-) -> list[int]:
-    """Consecutive k-chunks of canonical residues, each packed into one
-    integer, written by one struct call: each chunk's first residue in
-    its lowest slot for order "little" (``_pack``), in its highest for
-    "big"."""
-    return _elements(_slots(len(residues), slot, order).pack(*residues), k * slot, order)
-
-
-def _elements(raw: bytes, width: int, order: str = "little") -> list[int]:
-    """Consecutive ``width``-byte pieces of raw, each read as one integer;
-    one struct call cuts them (``_pieces``)."""
-    return list(map(int.from_bytes, _pieces(len(raw) // width, width).unpack(raw), repeat(order)))
-
-
-@_shape_cache
-def _pieces(n: int, width: int) -> struct.Struct:
-    """The struct that cuts n consecutive ``width``-byte strings."""
-    return struct.Struct(f"{width}s" * n)
-
-
-def _join(values: Sequence[int], k: int, slot: int, order: str) -> int:
-    """The low k slots of each packed integer, concatenated into one
-    integer: value 0 lowest for order "little", highest for "big"."""
-    width = k * slot
-    low = (1 << (8 * width)) - 1
-    return int.from_bytes(b"".join([(x & low).to_bytes(width, order) for x in values]), order)
-
-
-def _reduced_bytes(
-    values: Sequence[int], k: int, slot: int, q: int, order: str = "little"
-) -> bytes:
-    """The low k slots of each packed integer, each reduced mod q by one
-    ``_slot_mod`` of all of them, as the bytes of their join (``_join``)."""
-    n = len(values) * k
-    return _slot_mod(n, slot, q)(_join(values, k, slot, order)).to_bytes(n * slot, order)
-
-
-def _slot_values(
-    values: Sequence[int], k: int, slot: int, q: int, order: str = "little"
-) -> list[int]:
-    """The low k slots of each packed integer, reduced mod q, in one flat
-    list: value by value, each lowest slot first for order "little" and
-    highest slot first for "big"."""
-    raw = _reduced_bytes(values, k, slot, q, order)
-    return list(_slots(len(values) * k, slot, order).unpack(raw))
-
-
-def _reduce(values: Sequence[int], k: int, slot: int, q: int) -> list[int]:
-    """The low k slots of each packed integer, each reduced mod q, packed
-    again at the same slot: ``_pack(_slot_values((x,), k, slot, q), slot)``
-    for every x, with one reduction of all their slots."""
-    return _elements(_reduced_bytes(values, k, slot, q), k * slot)
-
-
-def _block_dots(blocks: Sequence[int], cols: Sequence[Sequence[int]], d: int) -> list[int]:
-    """Row by row of d x d packed blocks (row-major), its dot product
-    with each of ``cols``, d packed integers each: d products per dot,
-    left unreduced.  Block products over R (``commutant._block_products``)
-    take the block columns of the other factor; a block matrix applied to
-    a vector (``PowerTable.act``, ``mat_apply`` on a RingMatrix) takes
-    the vector's d chunks."""
-    mul = operator.mul
-    return [sum(map(mul, blocks[i : i + d], c)) for i in range(0, len(blocks), d) for c in cols]
-
-
-def _pack_vector(vec: Sequence[int], k: int, slot: int) -> int:
-    """A vector's k-chunks packed as elements of R = GF(q)[x]/(x**k).
-    An element's k residues, lowest power first, fill the low k of 2k - 1
-    slots; the high k - 1 slots take the overflow of a product with
-    another element, which the caller masks off (x**k = 0).  Each chunk
-    is reversed, so that the shift N (entry r picks up entry r + 1) acts
-    as x: slot t of element r holds entry r*k + k - 1 - t.  The slots are
-    laid out by k slice assignments and written by one struct call."""
-    stride = 2 * k - 1
-    layout = [0] * (len(vec) // k * stride)
-    for t in range(k):
-        layout[t::stride] = vec[k - 1 - t :: k]
-    return int.from_bytes(_slots(len(layout), slot, "little").pack(*layout), "little")
-
-
 def _ring_replay(
     packed: int, steps: Sequence[tuple[int, int, int]], k: int, slot: int, q: int, mask: int
 ) -> int:
@@ -393,7 +211,7 @@ def _ring_replay(
     step is recorded.  A zero element is skipped: w*s and (G*w)*s are 0.
     At k = 1 an element is one slot, reduced by %."""
     low = (1 << (8 * k * slot)) - 1
-    mod = _slot_mod(k, slot, q)
+    mod = kron.slot_mod(k, slot, q)
     for shift, w, gw in steps:
         s = (packed >> shift) & low
         if s:
@@ -440,7 +258,7 @@ class RingElimination:
     back-substitute, and the record is that of Gauss-Jordan elimination:
     the pivots are the columns with e_i = 1.
 
-    Elements are packed as in ``_pack_vector``.  Per pivot, ``steps``
+    Elements are packed as in ``kron.pack_vector``.  Per pivot, ``steps``
     holds the bit shift of the pivot row, the packed inverse w of the
     pivot's unit part (the pivot row is scaled by w) and the packed G*w,
     reduced mod q, where G holds minus the row's element divided by x**v
@@ -448,8 +266,8 @@ class RingElimination:
     pivot row.  A replay reduces the pivot row's element s once, adds
     (G*w)*s and leaves w*s in the pivot row unreduced (``_ring_replay``).
     Every slot stays below 2*P*k*(q-1)**2 for P pivots, which the slot
-    width holds (see ``eliminate_ring``).  A replayed column
-    has ``slots`` slots, all reduced mod q by one ``_slot_mod``; ``free``
+    width holds (see ``eliminate_ring``).  A replayed column has
+    ``slots`` slots, all reduced mod q by one ``kron.slot_mod``; ``free``
     masks the slots of the rows left free, which a consistent right-hand
     side leaves zero, and one struct call reads all of them.  ``back``
     holds, per pivot, its column, the index of its row's first slot, v,
@@ -484,23 +302,22 @@ class RingElimination:
             raise DimensionMismatch(
                 f"system has {self.rows * k} equations but rhs has {len(vec)} rows"
             )
-        packed = _ring_replay(_pack_vector(vec, k, slot), self.steps, k, slot, q, self.mask)
-        reduced = _slot_mod(self.slots, slot, q)(packed)
+        packed = _ring_replay(kron.pack_vector(vec, k, slot), self.steps, k, slot, q, self.mask)
+        reduced = kron.slot_mod(self.slots, slot, q)(packed)
         if reduced & self.free:
             return None
-        raw = reduced.to_bytes(self.slots * slot, "little")
-        entries = _slots(self.slots, slot, "little").unpack(raw)
+        entries = kron.slots(self.slots, slot).unpack(reduced.to_bytes(self.slots * slot, "little"))
         coeffs = [0] * (self.cols * k)
         solved: dict[int, int] = {}
         for i, at, v, later, referred in reversed(self.back):
             c = entries[at : at + k]
             if later:
-                c = _pack(c, slot) + sum(a * solved[j] for j, a in later)
-                c = _slot_values((c,), k, slot, q)
+                c = kron.pack(c, slot) + sum(a * solved[j] for j, a in later)
+                c = kron.slot_values((c,), k, slot, q)
             c = c[v:]
             coeffs[i * k : i * k + k - v] = c
             if referred:
-                solved[i] = _pack(c, slot)
+                solved[i] = kron.pack(c, slot)
         return coeffs
 
 
@@ -508,14 +325,14 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
     """Eliminate over R = GF(q)[x]/(x**k), recorded for replay, the
     system whose columns are these vectors of canonical residues; each
     k-chunk of a column is one row's element of R, read as in
-    ``PowerTable.pack`` (reversed, so that the shift N acts as x).
+    ``kron.pack_chunks`` (reversed, so that the shift N acts as x).
 
-    Kronecker-packed: column i is one integer, reduced by replaying the
-    steps recorded so far, then every slot mod q (``_slot_mod``) and
-    read by one struct call, and then its pivot step is recorded (see
-    RingElimination); G comes from the column's slot-wise negation
-    (q - c for each slot c), shifted down by v slots, and is multiplied
-    by w and reduced once.
+    Kronecker-packed (``kron.pack_vector``): column i is one integer,
+    reduced by replaying the steps recorded so far, then every slot mod
+    q (``kron.slot_mod``) and read by one struct call, and then its pivot
+    step is recorded (see RingElimination); G comes from the column's
+    slot-wise negation (q - c for each slot c), shifted down by v slots,
+    and is multiplied by w and reduced once.
 
     The slot width holds 2*P*k products of residues for the P <=
     min(cols, rows*k) pivots.  A replay starts from canonical residues,
@@ -541,7 +358,7 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
     if not n or n % k:
         raise DimensionMismatch(ragged)
     rows = n // k
-    slot = _slot_bytes(q, 2 * min(cols, n) * k)
+    slot = kron.slot_bytes(q, 2 * min(cols, n) * k)
     bits = 8 * slot
     stride = 2 * k - 1
     # the low k slots of every element, and q in each of them, with room
@@ -566,9 +383,9 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
         # the column has total rows, reduced and read whole: slot v of
         # element r is entries[r*stride + v]
         slots = total * stride
-        mod = _slot_mod(slots, slot, q)
-        reduced = mod(_ring_replay(_pack_vector(col, k, slot), steps, k, slot, q, mask))
-        entries = _slots(slots, slot, "little").unpack(reduced.to_bytes(slots * slot, "little"))
+        mod = kron.slot_mod(slots, slot, q)
+        reduced = mod(_ring_replay(kron.pack_vector(col, k, slot), steps, k, slot, q, mask))
+        entries = kron.slots(slots, slot).unpack(reduced.to_bytes(slots * slot, "little"))
         # the first free row of least valuation v
         for v in range(k):
             p = next((r for r in free if entries[r * stride + v]), None)
@@ -594,8 +411,8 @@ def eliminate_ring(field: Field, k: int, columns: Sequence[Sequence[int]]) -> Ri
             g |= 1 << (bits * (total * stride + k - v))  # x**(k-v), the annihilator row
             free.append(total)
             total += 1
-        w = _pack(w, slot)
-        steps.append((shift, w, _slot_mod(total * stride, slot, q)(g * w & mask)))
+        w = kron.pack(w, slot)
+        steps.append((shift, w, kron.slot_mod(total * stride, slot, q)(g * w & mask)))
         pivots.append((i, p, v, []))
         exps.append(k - v)
     referred = {j for _, _, _, later in pivots for j, _ in later}

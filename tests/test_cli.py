@@ -699,3 +699,18 @@ def test_out_of_range_port_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.count("port must be in [0, 65535]") == 3
     assert _parse_addr("localhost:65535") == ("localhost", 65535)
     assert _parse_addr(":0") == ("127.0.0.1", 0)
+
+
+def test_non_ascii_port_exits_3(capsys):
+    # str.isdecimal accepts any Unicode digit: Arabic-Indic zero would
+    # start a listener, and these eighties would read as port 80
+    for port in ("\u0660", "\u0668\u0660", "\uff18\uff10"):
+        assert run(["demo", "listen", "--addr", f"127.0.0.1:{port}"]) == 3
+    assert capsys.readouterr().err.count("address must be host:port") == 3
+
+
+def test_negative_max_sessions_exits_2(capsys):
+    # a listener that may serve no sessions is a usage error, not a run
+    # that serves nothing and exits 0
+    assert run(["demo", "listen", "--addr", "127.0.0.1:0", "--max-sessions", "-1"]) == 2
+    assert "--max-sessions: must be a count of 0 or more" in capsys.readouterr().err

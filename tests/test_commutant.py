@@ -11,6 +11,7 @@ from commkex.errors import (
     NotBlockToeplitz,
 )
 from commkex.gf import Field, Rng
+from commkex import kron
 from commkex.commutant import (
     BlockGrid,
     FlatRecipe,
@@ -30,7 +31,7 @@ from commkex.commutant import (
     _block_products,
     sample_ring_element,
 )
-from commkex.linalg import Matrix, _pack, _slot_bytes, _slot_values, mat_add, mat_apply, mat_mul
+from commkex.linalg import Matrix, mat_add, mat_apply, mat_mul
 
 from conftest import CODEC_PRIMES, GRID_DEGREES, GRID_PRIMES, GRID_SHAPES
 from oracles import (
@@ -52,11 +53,11 @@ def block_product(field, a, b):
     """a @ b over R through the packed block products, at a slot that
     holds d*k terms."""
     k, d, q = a.k, a.d, field.q
-    slot = _slot_bytes(q, d * k)
-    a_packed = [_pack(e, slot) for e in a.blocks]
-    b_packed = [_pack(e, slot) for e in b.blocks]
+    slot = kron.slot_bytes(q, d * k)
+    a_packed = [kron.pack(e, slot) for e in a.blocks]
+    b_packed = [kron.pack(e, slot) for e in b.blocks]
     product = _block_products(a_packed, b_packed, d, k, slot, q)
-    return RingMatrix(k, d, [_slot_values((x,), k, slot, q) for x in product])
+    return RingMatrix(k, d, [kron.slot_values((x,), k, slot, q) for x in product])
 
 
 def block_matrix_of(field, blk):

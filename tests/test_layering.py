@@ -1,0 +1,56 @@
+"""The slot codec is a leaf, and the modules that use it share no
+private names: ``kron`` imports no commkex module, and ``linalg`` and
+``commutant`` import no underscore name from each other or from
+``kron`` (they call ``kron.<name>``)."""
+
+import ast
+from pathlib import Path
+
+import commkex
+
+SRC = Path(commkex.__file__).resolve().parent
+CODEC_USERS = ("linalg", "commutant")
+
+
+def imports(module):
+    """(module imported from, names) for every import in a source file;
+    a relative import's module is its commkex name."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(alias.name, ()) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "commkex" + ("." + base if base else "")
+            out.append((base, tuple(alias.name for alias in node.names)))
+    return out, tree
+
+
+def test_codec_imports_no_commkex_module():
+    found, _ = imports("kron")
+    assert [m for m, _ in found if m.split(".")[0] == "commkex"] == []
+
+
+def test_codec_users_share_no_private_names():
+    shared = {f"commkex.{m}" for m in (*CODEC_USERS, "kron")}
+    for module in CODEC_USERS:
+        found, tree = imports(module)
+        private = [
+            (m, name)
+            for m, names in found
+            for name in names
+            if name.startswith("_") and (m in shared or f"{m}.{name}" in shared)
+        ]
+        assert private == [], module
+        # and none reached through the module object
+        reached = [
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("kron", *CODEC_USERS)
+            and node.attr.startswith("_")
+        ]
+        assert reached == [], module

@@ -7,16 +7,9 @@ from hypothesis import strategies as st
 from commkex.commutant import PowerTable, RingMatrix, ShiftPoly, eval_key_poly
 from commkex.errors import DimensionMismatch, InvalidDimension
 from commkex.gf import Field, OpCounter, Rng
+from commkex import kron
 from commkex.linalg import (
-    CODEC_CACHE_SIZE,
-    CODEC_CACHE_SLOTS,
     Matrix,
-    _pack,
-    _reduce,
-    _slot_bytes,
-    _slot_mod,
-    _slot_values,
-    _slots,
     eliminate_ring,
     mat_add,
     mat_apply,
@@ -359,10 +352,10 @@ def oracle_pack(cells, slot, order="little"):
 @st.composite
 def packed_values(draw):
     """(q, k, slot, values): a few integers of k slots each, at a slot
-    width that _slot_bytes gives for 1..2**10 terms, and some spill
+    width that kron.slot_bytes gives for 1..2**10 terms, and some spill
     above the k slots that every reader drops."""
     q = draw(st.sampled_from(CODEC_PRIMES))
-    slot = _slot_bytes(q, draw(st.integers(min_value=1, max_value=2**10)))
+    slot = kron.slot_bytes(q, draw(st.integers(min_value=1, max_value=2**10)))
     k = draw(st.integers(min_value=1, max_value=16))
     full = (1 << (8 * slot)) - 1
     cell = st.one_of(st.sampled_from([0, q - 1, q, full]), st.integers(min_value=0, max_value=full))
@@ -379,14 +372,14 @@ def packed_values(draw):
 def test_slot_codec_matches_per_slot_oracle(case):
     q, k, slot, values = case
     expect = [[c % q for c in oracle_slots(x, k, slot)] for x in values]
-    assert [_slot_values((x,), k, slot, q) for x in values] == expect
-    assert _reduce(values, k, slot, q) == [oracle_pack(e, slot) for e in expect]
-    assert [_pack(e, slot) for e in expect] == [oracle_pack(e, slot) for e in expect]
+    assert [kron.slot_values((x,), k, slot, q) for x in values] == expect
+    assert kron.reduce(values, k, slot, q) == [oracle_pack(e, slot) for e in expect]
+    assert [kron.pack(e, slot) for e in expect] == [oracle_pack(e, slot) for e in expect]
     # all slots of all values at once: the low k of each, side by side
     low = [oracle_slots(x, k, slot) for x in values]
     joined = oracle_pack([c for cells in low for c in cells], slot)
     n = len(values) * k
-    assert _slot_mod(n, slot, q)(joined) == oracle_pack([c for e in expect for c in e], slot)
+    assert kron.slot_mod(n, slot, q)(joined) == oracle_pack([c for e in expect for c in e], slot)
 
 
 @settings(max_examples=200, deadline=None)
@@ -414,6 +407,27 @@ def test_power_table_codec_matches_per_slot_oracle(q, k, d, count, data):
     # the first cell of each chunk is spill above its k slots
     chunks = [oracle_pack(cells, slot, "big") for cells in raw]
     assert table.unpack(chunks) == [c % q for cells in raw for c in cells[1:]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(CODEC_PRIMES),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=2, max_value=8),
+    st.data(),
+)
+def test_eliminator_layout_matches_chunk_pair(q, k, d, data):
+    # one orientation: element r of an eliminator column holds in its low
+    # k slots what chunk r of the vector pair holds, and the pair's reader
+    # returns the vector
+    slot = kron.slot_bytes(q, 2 * d * k * k)
+    residue = st.one_of(st.sampled_from([0, q - 1]), st.integers(min_value=0, max_value=q - 1))
+    vec = data.draw(st.lists(residue, min_size=k * d, max_size=k * d))
+    chunks = kron.pack_chunks(vec, k, slot)
+    column = kron.pack_vector(vec, k, slot)
+    low, stride = (1 << (8 * k * slot)) - 1, 8 * (2 * k - 1) * slot
+    assert [column >> (stride * r) & low for r in range(d)] == chunks
+    assert kron.unpack_chunks(chunks, k, slot, q) == vec
 
 
 def kernel_entries(draw, q):
@@ -523,13 +537,17 @@ def test_codec_caches_stay_bounded():
     # a process that meets many shapes (a listener fed hostile PARAMS)
     # keeps the constants of at most CODEC_CACHE_SIZE of them, and none
     # of a shape above CODEC_CACHE_SLOTS slots
-    for n in range(1, 2 * CODEC_CACHE_SIZE):
-        assert _slot_mod(n, 2, 101)(n) == n % 101
-        assert _pack([1] * n, 2) == oracle_pack([1] * n, 2)
-    for cache in (_slot_mod, _slots):
-        assert cache.cache_info().currsize == CODEC_CACHE_SIZE
-    misses = _slot_mod.cache_info().misses, _slots.cache_info().misses
-    big = CODEC_CACHE_SLOTS + 1
+    for n in range(1, 2 * kron.CODEC_CACHE_SIZE):
+        assert kron.slot_mod(n, 2, 101)(n) == n % 101
+        assert kron.pack([1] * n, 2) == oracle_pack([1] * n, 2)
+        assert kron.elements(bytes(2 * n), 2) == [0] * n
+    for cache in (kron.slot_mod, kron.slots, kron._pieces):
+        assert cache.cache_info().currsize == kron.CODEC_CACHE_SIZE
+    misses = kron.slot_mod.cache_info().misses, kron.slots.cache_info().misses
+    pieces = kron._pieces.cache_info().misses
+    big = kron.CODEC_CACHE_SLOTS + 1
     x = oracle_pack([101] * big, 2)
-    assert _slot_values([x], big, 2, 101) == [0] * big
-    assert (_slot_mod.cache_info().misses, _slots.cache_info().misses) == misses
+    assert kron.slot_values([x], big, 2, 101) == [0] * big
+    assert kron.elements(bytes(2 * big), 2) == [0] * big
+    assert (kron.slot_mod.cache_info().misses, kron.slots.cache_info().misses) == misses
+    assert kron._pieces.cache_info().misses == pieces
