@@ -111,11 +111,19 @@ def _parse_addr(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+def _int(text: str) -> int:
+    """An integer flag in the files' decimal grammar, else a usage error (exit 2)."""
+    try:
+        return kex._parse_int(text, "")
+    except ParseError:
+        raise argparse.ArgumentTypeError(f"must be a decimal integer as str() writes it, got {text!r}") from None
+
+
 def _count(text: str) -> int:
-    """A count flag in ASCII digits, else a usage error (exit 2)."""
-    if not text.isascii() or not text.isdecimal():
+    n = _int(text)
+    if n < 0:
         raise argparse.ArgumentTypeError(f"must be a count of 0 or more, got {text!r}")
-    return int(text)
+    return n
 
 
 def _sample_exponent(rng: Rng, bits: int) -> int:
@@ -139,17 +147,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-params", help="sample public parameters")
-    p.add_argument("--q", type=int, required=True, help="prime modulus")
-    p.add_argument("--k", type=int, required=True, help="block size")
-    p.add_argument("--d", type=int, required=True, help="block count (>= 2)")
-    p.add_argument("--degree", type=int, required=True, help="key polynomial degree bound")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--q", type=_int, required=True, help="prime modulus")
+    p.add_argument("--k", type=_int, required=True, help="block size")
+    p.add_argument("--d", type=_int, required=True, help="block count (>= 2)")
+    p.add_argument("--degree", type=_int, required=True, help="key polynomial degree bound")
+    p.add_argument("--seed", type=_int, default=None)
     p.add_argument("-o", "--out", required=True, help="output params.json")
     p.set_defaults(handler=_cmd_gen_params)
 
     p = sub.add_parser("keygen", help="sample a key pair under given parameters")
     p.add_argument("--params", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int, default=None)
     p.add_argument("-o", "--out", required=True, help="output key.json (private)")
     p.add_argument("--pub", required=True, help="output pub.json (public)")
     p.set_defaults(handler=_cmd_keygen)
@@ -185,17 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pub-a", required=True)
     p.add_argument("--pub-b", required=True)
     p.add_argument(
-        "--degree-bound", type=int, default=None, help="0 to m**2; default: the params' D"
+        "--degree-bound", type=_int, default=None, help="0 to m**2; default: the params' D"
     )
     p.add_argument("-o", "--out", default=None, help="also write the shared key bytes here")
     p.set_defaults(handler=_cmd_attack_passive)
 
     p = sub.add_parser("bench", help="operation-count comparison against toy Diffie-Hellman")
-    p.add_argument("--q", type=int, default=BENCH_DEFAULTS["q"])
-    p.add_argument("--k", type=int, default=BENCH_DEFAULTS["k"])
-    p.add_argument("--d", type=int, default=BENCH_DEFAULTS["d"])
-    p.add_argument("--degree", type=int, default=BENCH_DEFAULTS["degree"])
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--q", type=_int, default=BENCH_DEFAULTS["q"])
+    p.add_argument("--k", type=_int, default=BENCH_DEFAULTS["k"])
+    p.add_argument("--d", type=_int, default=BENCH_DEFAULTS["d"])
+    p.add_argument("--degree", type=_int, default=BENCH_DEFAULTS["degree"])
+    p.add_argument("--seed", type=_int, default=None)
     p.add_argument("-o", "--out", required=True, help="output report.json")
     p.set_defaults(handler=_cmd_bench)
 
@@ -206,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--addr", required=True, help="host:port (port 0 = ephemeral)")
     p.add_argument("--params", default=None, help="optional; otherwise adopted from the wire")
     p.add_argument("--key", default=None, help="optional private key; otherwise ephemeral")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int, default=None)
     p.add_argument("--max-sessions", type=_count, default=None, help="stop after N sessions")
     p.set_defaults(handler=_cmd_demo_listen)
 
@@ -214,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--addr", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--key", default=None, help="optional private key; otherwise ephemeral")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int, default=None)
     p.add_argument("--transcript", default=None, help="write the session transcript JSON here")
     p.add_argument("-o", "--out", default=None, help="write the shared key bytes here")
     p.set_defaults(handler=_cmd_demo_connect)
@@ -365,8 +373,8 @@ def _cmd_demo_listen(args) -> int:
         max_sessions=args.max_sessions,
     )
     bound_host, bound_port = listener.start()
-    print(f"listening on {bound_host}:{bound_port}", flush=True)
     try:
+        print(f"listening on {bound_host}:{bound_port}", flush=True)  # a SIGINT may follow at once
         if args.max_sessions is not None:
             listener.wait(args.max_sessions, timeout=600.0)
         else:

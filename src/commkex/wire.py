@@ -4,7 +4,8 @@ plus the passive eavesdropper that breaks every session.
 Frame wire format: 4-byte big-endian payload length, one tag byte,
 payload.  Payloads are capped at 2**20 bytes.  Tags:
 
-  0x01 PARAMS   canonical params JSON (UTF-8)
+  0x01 PARAMS   canonical params JSON (UTF-8); a responder refuses D
+                above max(3, d): z's powers past d-1 add no keys
   0x02 PUBKEY   public-key vector, 8-byte big-endian per entry
   0x03 CONFIRM  8-byte big-endian FNV-1a-64 checksum of the shared key
                 bytes (key confirmation only -- deliberately not a MAC;
@@ -16,6 +17,11 @@ sends CONFIRM, the responder echoes its own CONFIRM, and each side
 compares checksums.  A single round trip, no retransmission, no
 authentication.
 
+``Listener`` serves the responder side: ``socketserver`` accepts, and a
+pool of ``LISTENER_WORKERS`` threads runs each session on a socket that
+times out after ``SESSION_TIMEOUT`` seconds.  A connection beyond the
+pool or ``max_sessions`` is closed unserved; ``stop`` ends open sessions.
+
 Every frame either sent or received is appended to a transcript, so a
 transcript captured by either peer (or a tap) replays the full session.
 ``eavesdrop`` consumes such a transcript and recovers the shared key
@@ -25,8 +31,9 @@ from public data alone via the passive attack.
 from __future__ import annotations
 
 import socket
+import socketserver
 import threading
-import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -64,6 +71,9 @@ _TAGS = {TAG_PARAMS, TAG_PUBKEY, TAG_CONFIRM}
 _TAG_NAMES = {TAG_PARAMS: "PARAMS", TAG_PUBKEY: "PUBKEY", TAG_CONFIRM: "CONFIRM"}
 
 MAX_PAYLOAD = 1 << 20
+
+SESSION_TIMEOUT = 30.0  # seconds a session's socket waits on its peer
+LISTENER_WORKERS = 32  # sessions a Listener serves at once
 
 ROLE_INITIATOR = "initiator"
 ROLE_RESPONDER = "responder"
@@ -248,6 +258,9 @@ def run_peer(
             wire_params = params_from_json(frame.payload.decode("utf-8"))
         except (ParseError, UnicodeDecodeError) as exc:
             raise ProtocolViolation(f"bad PARAMS frame: {exc}") from None
+        cap = max(3, wire_params.d)  # Cayley-Hamilton over R
+        if wire_params.degree > cap:
+            raise ProtocolViolation(f"PARAMS degree bound {wire_params.degree} exceeds max(3, d) = {cap}")
         if params is None:
             params = wire_params
         elif params != wire_params:
@@ -305,14 +318,15 @@ def eavesdrop(transcript: Transcript) -> EavesdropResult:
     return EavesdropResult(attack.shared_key, verdict, len(confirm_frames))
 
 
-class Listener:
-    """TCP listener running the responder side, one thread per session.
-
-    Each session's shared key (or exception) is collected in ``results``
+class Listener(socketserver.TCPServer):
+    """TCP listener running the responder side (see the module docstring):
+    each session's shared key (or exception) is collected in ``results``
     in completion order; transcripts are not kept.  With a seed, every
     session uses the same deterministic key stream; without one, each
-    session draws an ephemeral key from OS entropy.
-    """
+    session draws an ephemeral key from OS entropy."""
+
+    allow_reuse_address = True
+    request_queue_size = 16
 
     def __init__(
         self,
@@ -323,96 +337,74 @@ class Listener:
         seed: Optional[int] = None,
         max_sessions: Optional[int] = None,
     ):
-        self._host = host
-        self._port = port
+        super().__init__((host, port), None, bind_and_activate=False)
         self._params = params
         self._private_key = private_key
         self._seed = seed
         self._max_sessions = max_sessions
-        self._sock: Optional[socket.socket] = None
+        self._admitted = 0
+        self._open: set[socket.socket] = set()
+        self._done = threading.Condition()
+        self._pool = ThreadPoolExecutor(LISTENER_WORKERS)
         self._accept_thread: Optional[threading.Thread] = None
-        self._workers: list[threading.Thread] = []
-        self._lock = threading.Lock()
-        self._stopping = False
         self.results: list[SharedKey | Exception] = []
 
     @property
     def address(self) -> tuple[str, int]:
-        assert self._sock is not None, "listener not started"
-        return self._sock.getsockname()[:2]
+        return self.server_address[:2]
 
     def start(self) -> tuple[str, int]:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._host, self._port))
-        sock.listen(16)
-        self._sock = sock
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self.server_bind()
+        self.server_activate()
+        # stop() waits up to one poll interval for the accept loop
+        self._accept_thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
         self._accept_thread.start()
         return self.address
 
-    def _accept_loop(self) -> None:
-        served = 0
-        assert self._sock is not None
-        while not self._stopping:
-            if self._max_sessions is not None and served >= self._max_sessions:
-                break
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                break
-            served += 1
-            worker = threading.Thread(target=self._serve_one, args=(conn,), daemon=True)
-            with self._lock:
-                self._workers = [w for w in self._workers if w.is_alive()]
-                self._workers.append(worker)
-            worker.start()
+    def verify_request(self, conn, client_address) -> bool:
+        cap = self._max_sessions
+        if len(self._open) >= LISTENER_WORKERS or (cap is not None and self._admitted >= cap):
+            return False
+        self._admitted += 1
+        return True
+
+    def process_request(self, conn, client_address) -> None:
+        conn.settimeout(SESSION_TIMEOUT)
+        with self._done:
+            self._open.add(conn)
+        self._pool.submit(self._serve_one, conn)
 
     def _serve_one(self, conn: socket.socket) -> None:
         rng = Rng(self._seed) if self._seed is not None else Rng()
         try:
             with conn:
                 result = run_peer(
-                    ROLE_RESPONDER,
-                    conn,
-                    params=self._params,
-                    private_key=self._private_key,
-                    rng=rng,
+                    ROLE_RESPONDER, conn, params=self._params, private_key=self._private_key, rng=rng
                 )[0]
         except Exception as exc:  # collected for the owner to inspect
             result = exc
-        with self._lock:
+        with self._done:
+            self._open.discard(conn)
             self.results.append(result)
+            self._done.notify_all()
 
-    def wait(self, sessions: int, timeout: float = 30.0) -> None:
+    def wait(self, sessions: int, timeout: float = SESSION_TIMEOUT) -> None:
         """Block until at least ``sessions`` results are in."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if len(self.results) >= sessions:
-                    return
-            time.sleep(0.01)
-        raise TimeoutError(f"listener saw {len(self.results)} of {sessions} sessions")
+        with self._done:
+            if not self._done.wait_for(lambda: len(self.results) >= sessions, timeout):
+                raise TimeoutError(f"listener saw {len(self.results)} of {sessions} sessions")
 
     def stop(self) -> None:
-        self._stopping = True
-        if self._sock is not None:
-            # shutdown wakes the accept loop (accept fails with EINVAL);
-            # close alone leaves it blocked
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._sock.close()
-            except OSError:
-                pass
         if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-        with self._lock:
-            workers = list(self._workers)
-        for w in workers:
-            w.join(timeout=5)
+            self.shutdown()
+        self.server_close()
+        with self._done:
+            for conn in self._open:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)  # wakes a session blocked in recv
+                except OSError:
+                    pass
+        self._pool.shutdown()
 
 
 def connect_and_run(
@@ -420,7 +412,7 @@ def connect_and_run(
     port: int,
     params: Params,
     private_key: PrivateKey,
-    timeout: float = 30.0,
+    timeout: float = SESSION_TIMEOUT,
 ) -> tuple[SharedKey, Transcript]:
     """Dial a listener and run the initiator side."""
     with socket.create_connection((host, port), timeout=timeout) as sock:

@@ -1,4 +1,6 @@
 import copy
+import threading
+import time
 
 import pytest
 from hypothesis import strategies as st
@@ -15,6 +17,20 @@ GRID_SHAPES = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]
 GRID_DEGREES = [1, 3]
 # Moduli for the packed kernels: the smallest, word-sized and the largest.
 CODEC_PRIMES = [2, 3, 101, 65537, 2**31 - 1, 2**61 - 1]
+
+
+@pytest.fixture
+def no_thread_leak():
+    """Fail the test if a thread it started is still alive 1 s after it
+    ends (a listener's accept loop or session workers, say)."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 1.0
+    for thread in set(threading.enumerate()) - before:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    if leaked:
+        pytest.fail(f"threads still alive 1 s after the test: {leaked}")
 
 
 @pytest.fixture

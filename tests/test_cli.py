@@ -3,8 +3,10 @@ import json
 import operator
 import os
 import signal
+import socket
 import subprocess
 import sys
+import time
 from functools import reduce
 from pathlib import Path
 
@@ -571,6 +573,7 @@ def test_derive_with_tampered_key_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out.bin").exists()
 
 
+@pytest.mark.usefixtures("no_thread_leak")
 def test_demo_roundtrip_and_sniff(tmp_path, capsys):
     paths = gen_pipeline(tmp_path, q=2147483647)
     params = params_from_json(paths["params"].read_text())
@@ -640,12 +643,15 @@ def test_demo_sniff_incomplete_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def commkex_env():
+    src = Path(commkex.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+
+
+@pytest.mark.usefixtures("no_thread_leak")
 def test_demo_listen_stops_on_sigint_when_started_ignoring_it():
     # a background job of a non-interactive shell starts with SIGINT
     # ignored; the listener must still stop on it and report its sessions
-    src = Path(commkex.__file__).resolve().parents[1]
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
     # an ignored signal stays ignored across exec
     launch = (
         "import os, signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
@@ -654,7 +660,7 @@ def test_demo_listen_stops_on_sigint_when_started_ignoring_it():
     )
     proc = subprocess.Popen(
         [sys.executable, "-c", launch],
-        env=env,
+        env=commkex_env(),
         stdin=subprocess.DEVNULL,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -687,6 +693,7 @@ def test_bad_address_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.usefixtures("no_thread_leak")
 def test_out_of_range_port_exits_3(tmp_path, capsys):
     # the socket calls would raise OverflowError (a traceback) or a
     # transport error for these; the address parser rejects them first
@@ -701,6 +708,7 @@ def test_out_of_range_port_exits_3(tmp_path, capsys):
     assert _parse_addr(":0") == ("127.0.0.1", 0)
 
 
+@pytest.mark.usefixtures("no_thread_leak")
 def test_non_ascii_port_exits_3(capsys):
     # str.isdecimal accepts any Unicode digit: Arabic-Indic zero would
     # start a listener, and these eighties would read as port 80
@@ -709,8 +717,61 @@ def test_non_ascii_port_exits_3(capsys):
     assert capsys.readouterr().err.count("address must be host:port") == 3
 
 
+@pytest.mark.usefixtures("no_thread_leak")
 def test_negative_max_sessions_exits_2(capsys):
     # a listener that may serve no sessions is a usage error, not a run
     # that serves nothing and exits 0
     assert run(["demo", "listen", "--addr", "127.0.0.1:0", "--max-sessions", "-1"]) == 2
     assert "--max-sessions: must be a count of 0 or more" in capsys.readouterr().err
+
+
+@pytest.mark.usefixtures("no_thread_leak")
+def test_demo_listen_with_a_silent_client_exits_promptly_on_sigint():
+    # stop() ends the silent client's session, which is reported as
+    # failed: exit 5, at once rather than after any timeout
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "commkex.cli", "demo", "listen", "--addr", "127.0.0.1:0"],
+        env=commkex_env(),
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("listening on ")
+        host, port = _parse_addr(line.split()[-1])
+        with socket.create_connection((host, port), timeout=10):
+            time.sleep(0.2)  # the session is now blocked in recv
+            proc.send_signal(signal.SIGINT)
+            started = time.monotonic()
+            _, err = proc.communicate(timeout=5)
+            assert time.monotonic() - started < 2.0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 5
+    assert err.count("session failed: peer closed the connection mid-session") == 1
+
+
+@pytest.mark.parametrize("value", ["\u0661\u0660\u0661", "1_0", "+3", " 2"])
+def test_integer_flags_read_the_file_grammar(tmp_path, capsys, value):
+    # int() reads each of these as a number; a flag reads only the
+    # decimal spelling that str() writes, like every file field
+    paths = gen_pipeline(tmp_path)
+    capsys.readouterr()
+    out = str(tmp_path / "out.json")
+    shape = {"--q": "101", "--k": "2", "--d": "2", "--degree": "3", "--seed": "10"}
+    for flag in shape:
+        argv = [a for f, v in shape.items() for a in (f, value if f == flag else v)]
+        assert run(["gen-params", *argv, "-o", out]) == 2
+        assert f"argument {flag}: must be a decimal integer" in capsys.readouterr().err
+    assert run(["bench", "--k", value, "-o", out]) == 2
+    assert run(["keygen", "--params", str(paths["params"]), "--seed", value, "-o", out, "--pub", out]) == 2
+    assert run(["demo", "listen", "--addr", "127.0.0.1:0", "--seed", value]) == 2
+    passive = ["--params", str(paths["params"]), "--pub-a", str(paths["alice_pub"])]
+    passive += ["--pub-b", str(paths["bob_pub"]), "--degree-bound", value]
+    assert run(["attack", "passive", *passive]) == 2
+    assert capsys.readouterr().err.count("must be a decimal integer") == 4
+    assert not Path(out).exists()

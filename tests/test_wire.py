@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from commkex import commutant, wire
 from commkex.attacks import passive_commutant_attack
 from commkex.commutant import RingMatrix, RingSample
 from commkex.errors import (
@@ -476,6 +477,7 @@ def test_transcript_from_arbitrary_json_raises_only_parse_error(text):
 # --- listener -------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("no_thread_leak")
 def test_idle_listener_stops_at_once():
     # stop() must wake an accept loop that no client ever reached
     listener = Listener(params=None, seed=1)
@@ -487,6 +489,7 @@ def test_idle_listener_stops_at_once():
     assert not listener._accept_thread.is_alive()
 
 
+@pytest.mark.usefixtures("no_thread_leak")
 def test_listener_serves_concurrent_sessions():
     params, sk_a, _, _, _ = make_session(seed=12)
     listener = Listener(params=params, seed=999, max_sessions=4)
@@ -515,6 +518,7 @@ def test_listener_serves_concurrent_sessions():
         assert res.verdict and res.shared_key.vec == shared.vec
 
 
+@pytest.mark.usefixtures("no_thread_leak")
 def test_listener_adopts_params_from_wire():
     params, sk_a, _, _, _ = make_session(seed=13)
     listener = Listener(seed=55, max_sessions=1)  # no params configured
@@ -529,31 +533,71 @@ def test_listener_adopts_params_from_wire():
     assert result.vec == shared.vec
 
 
+@pytest.mark.usefixtures("no_thread_leak")
 def test_listener_rejects_degree_above_m_squared_and_keeps_serving():
-    # m = 2: a PARAMS frame with D = 5 > m**2 is a protocol violation;
-    # D = 4 = m**2 is served, on the same listener, afterwards
+    # m = 2: a PARAMS frame with D = 5 > m**2 is a protocol violation,
+    # and so is D = 4 = m**2 > max(3, d), the wire cap; D = 3 is served,
+    # on the same listener, afterwards
     params = gen_params(101, 1, 2, 1, Rng(14))
     obj = json.loads(params_to_json(params))
-    obj["D"] = "5"
-    listener = Listener(seed=56, max_sessions=2)
+    listener = Listener(seed=56, max_sessions=3)
+    host, port = listener.start()
+    try:
+        for n, degree in enumerate(("5", "4"), 1):
+            obj["D"] = degree
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(encode_frame(Frame(TAG_PARAMS, json.dumps(obj).encode())))
+                assert sock.recv(1) == b""  # the listener hangs up
+            listener.wait(n)
+        obj["D"] = "3"
+        at_cap = params_from_json(json.dumps(obj))
+        sk, _ = keygen(at_cap, Rng(57))
+        shared, _ = connect_and_run(host, port, at_cap, sk)
+        listener.wait(3)
+    finally:
+        listener.stop()
+    above_m2, above_cap, good = listener.results
+    assert isinstance(above_m2, ProtocolViolation) and "exceeds m**2" in str(above_m2)
+    assert isinstance(above_cap, ProtocolViolation) and "exceeds max(3, d) = 3" in str(above_cap)
+    assert not isinstance(good, Exception) and good.vec == shared.vec
+
+
+@pytest.mark.usefixtures("no_thread_leak")
+def test_listener_refuses_degree_above_wire_cap_before_keygen(monkeypatch):
+    # a 1x16 frame with D = m**2 = 256 is refused before the responder
+    # builds z's power table; D = 16 = max(3, d) is served and broken
+    params = gen_params(Q31, 1, 16, 16, Rng(16))
+    obj = json.loads(params_to_json(params))
+    obj["D"] = "256"
+    tables = []
+    build = commutant.PowerTable.__init__
+
+    def counting_build(self, *args):
+        tables.append(args)
+        build(self, *args)
+
+    monkeypatch.setattr(commutant.PowerTable, "__init__", counting_build)
+    listener = Listener(seed=60, max_sessions=2)
     host, port = listener.start()
     try:
         with socket.create_connection((host, port), timeout=10) as sock:
             sock.sendall(encode_frame(Frame(TAG_PARAMS, json.dumps(obj).encode())))
-            assert sock.recv(1) == b""  # the listener hangs up
+            assert sock.recv(1) == b""
         listener.wait(1)
-        obj["D"] = "4"
-        at_cap = params_from_json(json.dumps(obj))
-        sk, _ = keygen(at_cap, Rng(57))
-        shared, _ = connect_and_run(host, port, at_cap, sk)
+        assert tables == []
+        sk, _ = keygen(params, Rng(61))
+        shared, transcript = connect_and_run(host, port, params, sk)
         listener.wait(2)
     finally:
         listener.stop()
-    bad, good = listener.results
-    assert isinstance(bad, ProtocolViolation) and "exceeds m**2" in str(bad)
+    refused, good = listener.results
+    assert isinstance(refused, ProtocolViolation) and "degree bound 256 exceeds" in str(refused)
     assert not isinstance(good, Exception) and good.vec == shared.vec
+    res = eavesdrop(transcript)
+    assert res.verdict and res.shared_key.vec == shared.vec
 
 
+@pytest.mark.usefixtures("no_thread_leak")
 def test_listener_rejects_malformed_recipe_and_keeps_serving(malformed_recipes):
     # a PARAMS frame whose recipe no loader accepts, or with a number
     # respelt, is a protocol violation; the same listener then serves an
@@ -578,4 +622,82 @@ def test_listener_rejects_malformed_recipe_and_keeps_serving(malformed_recipes):
         listener.stop()
     *rejected, good = listener.results
     assert all(isinstance(r, ProtocolViolation) for r in rejected), rejected
+    assert not isinstance(good, Exception) and good.vec == shared.vec
+
+
+@pytest.mark.usefixtures("no_thread_leak")
+def test_stop_ends_silent_sessions_at_once():
+    # eight clients that never send a byte hold eight sessions open; an
+    # honest client is still served, and stop() ends the eight at once,
+    # collecting each as a failed session
+    before = set(threading.enumerate())
+    params, sk_a, _, _, _ = make_session(seed=17)
+    listener = Listener(seed=62)
+    host, port = listener.start()
+    silent = [socket.create_connection((host, port), timeout=10) for _ in range(8)]
+    try:
+        shared, _ = connect_and_run(host, port, params, sk_a)
+        listener.wait(1)
+        started = time.monotonic()
+        listener.stop()
+        assert time.monotonic() - started < 1.0
+        assert [t.name for t in threading.enumerate() if t not in before] == []
+    finally:
+        listener.stop()
+        for sock in silent:
+            sock.close()
+    good, *cut = listener.results
+    assert not isinstance(good, Exception) and good.vec == shared.vec
+    assert len(cut) == 8 and all(isinstance(r, ConnectionError) for r in cut)
+
+
+@pytest.mark.usefixtures("no_thread_leak")
+def test_silent_session_times_out(monkeypatch):
+    monkeypatch.setattr(wire, "SESSION_TIMEOUT", 0.2)
+    params, sk_a, _, _, _ = make_session(seed=18)
+    listener = Listener(seed=63)
+    host, port = listener.start()
+    try:
+        with socket.create_connection((host, port), timeout=10):
+            listener.wait(1, timeout=10)
+        shared, _ = connect_and_run(host, port, params, sk_a)
+        listener.wait(2)
+    finally:
+        listener.stop()
+    timed_out, good = listener.results
+    assert isinstance(timed_out, TimeoutError)
+    assert not isinstance(good, Exception) and good.vec == shared.vec
+
+
+@pytest.mark.usefixtures("no_thread_leak")
+def test_listener_closes_connection_beyond_its_workers(monkeypatch):
+    monkeypatch.setattr(wire, "LISTENER_WORKERS", 2)
+    listener = Listener(seed=64)
+    host, port = listener.start()
+    busy = [socket.create_connection((host, port), timeout=10) for _ in range(2)]
+    try:
+        with socket.create_connection((host, port), timeout=10) as third:
+            assert third.recv(1) == b""  # closed unserved
+    finally:
+        listener.stop()
+        for sock in busy:
+            sock.close()
+    # only the two admitted sessions are collected, both cut by stop()
+    assert len(listener.results) == 2
+    assert all(isinstance(r, ConnectionError) for r in listener.results)
+
+
+@pytest.mark.usefixtures("no_thread_leak")
+def test_listener_closes_connections_after_max_sessions():
+    params, sk_a, _, _, _ = make_session(seed=19)
+    listener = Listener(seed=65, max_sessions=1)
+    host, port = listener.start()
+    try:
+        shared, _ = connect_and_run(host, port, params, sk_a)
+        listener.wait(1)
+        with socket.create_connection((host, port), timeout=10) as late:
+            assert late.recv(1) == b""
+    finally:
+        listener.stop()
+    (good,) = listener.results
     assert not isinstance(good, Exception) and good.vec == shared.vec
