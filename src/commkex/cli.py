@@ -104,11 +104,15 @@ def _load_public(path: str, q: int) -> kex.PublicKey:
 
 def _parse_addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isascii() or not port.isdecimal():
+    try:  # the files' decimal grammar
+        number = kex._parse_int(port, "port") if sep else -1
+    except ParseError:
+        number = -1
+    if number < 0:
         raise ParseError(f"address must be host:port, got {text!r}")
-    if int(port) > 65535:
+    if number > 65535:
         raise ParseError(f"port must be in [0, 65535], got {text!r}")
-    return host or "127.0.0.1", int(port)
+    return host or "127.0.0.1", number
 
 
 def _int(text: str) -> int:

@@ -27,10 +27,11 @@ private keys commute -- the property the key exchange rides on.
 Every matrix above is a d x d matrix over the commutative ring
 R = GF(q)[N]/(N**k): each k x k block is upper-triangular Toeplitz,
 i.e. a ShiftPoly.  The algebra is computed in that form (RingMatrix),
-including such a matrix applied to a vector (PowerTable.apply,
+including such a matrix applied to a vector (PowerTable.act,
 apply_key_poly, apply_key_product); dense m x m matrices are only built
 where a caller needs one.  Packed integers are written and read through
-the slot codec (``kron``).  A public base's packed powers, which key
+the slot codec (``kron``), and their dot products are taken by its one
+dot kernel (``kron.dots``).  A public base's packed powers, which key
 evaluation reads, live in one PowerTable kept by the parameters
 (``kex.Params.z_powers``), and so does the public vector's packed orbit
 (``kex.Params.zeta_orbit``), which key application reads.
@@ -52,7 +53,7 @@ from .errors import (
     NotBlockToeplitz,
 )
 from .gf import Field, Rng
-from .linalg import Matrix, mat_mul
+from .linalg import Matrix, mat_apply, mat_mul
 
 KIND_SCALAR = "scalar"
 KIND_JORDAN = "jordan"
@@ -78,15 +79,11 @@ class GeneratorBlock:
             raise InvalidDimension(f"unknown generator kind {self.kind!r}")
 
     def residues(self, field: Field) -> list[int]:
-        return _block_residues(self.kind, self.value, self.k, field.q)
-
-
-def _block_residues(kind: str, value: int, k: int, q: int) -> list[int]:
-    """A generator block as an element of R: its k shift coefficients."""
-    out = [value % q] + [0] * (k - 1)
-    if kind == KIND_JORDAN and k > 1:
-        out[1] = 1
-    return out
+        """The block as an element of R: its k shift coefficients."""
+        out = [self.value % field.q] + [0] * (self.k - 1)
+        if self.kind == KIND_JORDAN and self.k > 1:
+            out[1] = 1
+        return out
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ class ShiftPoly:
     upper-triangular Toeplitz matrix with entry (i, j) = c_{j-i} for
     j >= i.  Closed under sum and product; the product is coefficient
     convolution truncated to length k because N**k = 0, which the packed
-    products (``_block_products``) compute.
+    block products (``PowerTable.columns``) compute.
     """
 
     coeffs: tuple[int, ...]
@@ -123,7 +120,7 @@ class RingMatrix:
     ``blocks`` holds the d*d entries row-major, each as the k canonical
     residues (c_0, ..., c_{k-1}) of sum_j c_j N**j -- the first row of
     the upper-triangular Toeplitz block it realizes as.  Products are
-    taken packed (``_block_products``): each block is one integer (see
+    taken packed (``PowerTable.columns``): each block is one integer (see
     ``kron.pack``), so entry (i, j) of a product is one dot product of d
     packed integers, d**3 big-integer products in all against (d*k)**3
     multiplications for the dense m x m product.  Applied to a vector
@@ -179,10 +176,6 @@ class RingMatrix:
         diag = [c % q for c in poly.coeffs]
         zero = [0] * k
         return cls(k, d, [list(diag) if i == j else list(zero) for i in range(d) for j in range(d)])
-
-    @classmethod
-    def from_grid(cls, field: Field, grid: "BlockGrid") -> "RingMatrix":
-        return cls(grid.k, grid.d, [blk.residues(field) for row in grid.blocks for blk in row])
 
     @classmethod
     def from_matrix(cls, mat: Matrix, k: int, d: int) -> "RingMatrix":
@@ -265,9 +258,11 @@ class PowerTable:
         columns = self._columns
         if columns is None:
             k, d, q, slot = self.z.k, self.z.d, self.field.q, self.slot
+            # z**i = z**(i-1) @ z over R: d**3 packed products, d*k per slot
+            zcols = [self.base[j::d] for j in range(d)]
             packed = [[int(n % (d + 1) == 0) for n in range(d * d)], self.base]
             for _ in range(2, self.count):
-                packed.append(_block_products(packed[-1], self.base, d, k, slot, q))
+                packed.append(kron.reduce(kron.block_dots(packed[-1], zcols, d), k, slot, q))
             columns = self._columns = list(zip(*packed[: self.count]))
         return columns
 
@@ -292,10 +287,6 @@ class PowerTable:
         """The vector that packed chunks hold: each chunk's low k slots,
         reduced mod q, in vector order (``kron.unpack_chunks``)."""
         return kron.unpack_chunks(chunks, self.z.k, self.slot, self.field.q)
-
-    def apply(self, vec: Sequence[int]) -> list[int]:
-        """z @ vec for a vector of m canonical residues."""
-        return self.unpack(self.act(self.pack(vec)))
 
 
 class Orbit:
@@ -348,15 +339,6 @@ def _pack_polys(coeffs: Sequence[ShiftPoly], k: int, slot: int, q: int) -> list[
     return kron.pack_elements(list(residues), k, slot)
 
 
-def _block_products(
-    a: Sequence[int], b: Sequence[int], d: int, k: int, slot: int, q: int
-) -> list[int]:
-    """The blocks of a @ b over R, packed and reduced (``kron.reduce``),
-    for a and b given by their packed blocks, row-major, at a slot that
-    holds d*k terms: d**3 packed products (``kron.block_dots``)."""
-    return kron.reduce(kron.block_dots(a, [b[j::d] for j in range(d)], d), k, slot, q)
-
-
 def embed_block_diag(field: Field, poly: ShiftPoly, d: int) -> Matrix:
     """m x m block diagonal with d copies of the poly's realization."""
     return RingMatrix.embed(field, poly, d).to_matrix()
@@ -389,7 +371,8 @@ class BlockGrid:
         return self.blocks[0][0].k
 
     def realize(self, field: Field) -> Matrix:
-        return RingMatrix.from_grid(field, self).to_matrix()
+        residues = [blk.residues(field) for row in self.blocks for blk in row]
+        return RingMatrix(self.k, self.d, residues).to_matrix()
 
 
 class FlatRecipe(NamedTuple):
@@ -431,9 +414,9 @@ def eval_recipe(field: Field, k: int, d: int, recipe: FlatRecipe) -> RingMatrix:
     sum_j v_jl * P_j plus the sum of the P_j with J_jl set, times N:
     shifted up one slot after each element's top slot is dropped
     (N**k = 0; at k = 1 that term is 0).  So a grid power costs d**2
-    products of a residue by a column integer, and one reduction of all
-    its slots (``kron.reduce``).  A term's product starts from its first
-    grid power (the identity only when every exponent is 0); the term
+    products of a residue by a column integer (one ``kron.dots``), and
+    one reduction of all its slots (``kron.reduce``).  A term's product
+    starts from its first grid power (the identity only when every exponent is 0); the term
     sum stays in column form until it is unpacked, once."""
     q, n = field.q, d * d
     coeffs, counts, exps, kinds, values = recipe
@@ -458,10 +441,8 @@ def eval_recipe(field: Field, k: int, d: int, recipe: FlatRecipe) -> RingMatrix:
             jcols = [[kd == KIND_JORDAN for kd in kinds[c]] if k > 1 else () for c in cols]
             for _ in range(exp):
                 p = prod or identity
-                new = [
-                    sum(map(operator.mul, vc, p)) + ((sum(compress(p, jc)) & trunc) << width)
-                    for vc, jc in zip(vcols, jcols)
-                ]
+                vdots = kron.dots(p, vcols)
+                new = [x + ((sum(compress(p, jc)) & trunc) << width) for x, jc in zip(vdots, jcols)]
                 # the identity times G is G, whose residues are canonical
                 prod = kron.reduce(new, dk, slot, q) if prod else new
         c = coeff % q
@@ -541,7 +522,7 @@ def sample_ring_element(
         if ring.is_embedding():
             continue
         if base_vector is not None and _is_parallel(
-            field, PowerTable(field, ring, 1).apply(base_vector), base_vector
+            field, mat_apply(field, ring, base_vector), base_vector
         ):
             continue
         return RingSample(ring, recipe)
@@ -556,7 +537,7 @@ def eval_key_poly(
     """Evaluate sum_i diag(a_i) * z**i in R, in one pass.
 
     R is commutative, so block n of the result is sum_i a_i * (z**i)_n:
-    one packed dot product of the a_i with column n of z's power table.
+    the packed a_i dotted with column n of z's power table (``kron.dots``).
     The result commutes with z.  ``base`` is a PowerTable of at least
     len(coeffs) powers, and the result is a RingMatrix; or z's dense
     m x m matrix, read into R (raising NotBlockToeplitz if it is not in
@@ -579,8 +560,7 @@ def eval_key_poly(
             f"{len(coeffs)} coefficients (k={k}, d={d}) for {table.count} powers (k={z.k}, d={z.d})"
         )
     packed = _pack_polys(coeffs, k, slot, q)
-    mul = operator.mul
-    raw = kron.reduced_bytes([sum(map(mul, packed, col)) for col in table.columns], k, slot, q)
+    raw = kron.reduced_bytes(kron.dots(packed, table.columns), k, slot, q)
     flat = list(kron.slots(d * d * k, slot).unpack(raw))
     blocks = [flat[s : s + k] for s in range(0, len(flat), k)]
     key = RingMatrix(k, d, blocks, (slot, raw))
@@ -592,10 +572,10 @@ def apply_key_poly(
 ) -> list[int]:
     """sum_i diag(a_i) @ z**i vec for the table's z, given vec's packed
     orbit images[i] = z**i vec (``Orbit.upto``): the key polynomial
-    applied to vec without building the key, d * len(coeffs) packed
-    products.  Output chunk b is one dot product of the packed a_i with
-    chunk b of the images.  It needs len(coeffs) <= table.capacity, so
-    that the table's slot holds the sum.
+    applied to vec without building the key.  Output chunk b is the
+    packed a_i dotted with chunk b of the images: d dots of len(coeffs)
+    products in one ``kron.dots``.  It needs len(coeffs) <=
+    table.capacity, so that the table's slot holds the sum.
     """
     z, q, slot = table.z, table.field.q, table.slot
     if not coeffs or len(images) != len(coeffs) or len(coeffs) > table.capacity:
@@ -606,8 +586,7 @@ def apply_key_poly(
     if any(c.k != z.k for c in coeffs) or any(len(v) != z.d for v in images):
         raise DimensionMismatch("coefficient and image sizes disagree")
     packed = _pack_polys(coeffs, z.k, slot, q)
-    mul = operator.mul
-    return table.unpack([sum(map(mul, packed, chunks)) for chunks in zip(*images)])
+    return table.unpack(kron.dots(packed, zip(*images)))
 
 
 def apply_key_product(
@@ -621,8 +600,9 @@ def apply_key_product(
     T' T'' is the key polynomial sum_t e_t z**t with e_t = sum_{i+j=t}
     a_i b_j in R: n**2 packed products and one reduction.  Each e_t then
     carries a_t in a second lane 2k - 1 slots up, above the 2k - 1 slots
-    of a product with an image chunk, so that one packed dot per chunk,
-    as in ``apply_key_poly``, returns both vectors.  It needs
+    of a product with an image chunk, so that one ``kron.dots`` of the
+    e_t with the d image chunks ((2n - 1)*d products), as in
+    ``apply_key_poly``, returns both vectors.  It needs
     2n - 1 <= table.capacity.
     """
     z, q, slot = table.z, table.field.q, table.slot
@@ -649,8 +629,7 @@ def apply_key_product(
     lane = 8 * slot * (2 * k - 1)
     fused = kron.reduce(sums, k, slot, q)
     fused[:n] = [e + (x << lane) for e, x in zip(fused, elements[:n])]
-    mul = operator.mul
-    dots = [sum(map(mul, fused, chunks)) for chunks in zip(*images)]
+    dots = kron.dots(fused, zip(*images))
     both = table.unpack(dots + [x >> lane for x in dots])
     return both[: z.d * k], both[z.d * k :]
 

@@ -19,6 +19,10 @@ A vector is packed as elements of R = GF(q)[x]/(x**k), its k-chunks
 each reversed, so that the shift N acts as x: ``pack_chunks`` and
 ``unpack_chunks`` write and read it one integer per chunk, and the
 eliminator's ``pack_vector`` lays out the same elements in one integer.
+
+The one dot kernel is here too: every dot product of packed integers in
+``linalg`` and ``commutant`` is a ``dots`` (``block_dots`` for block
+matrices), len(row) products per column; single products stay inline.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import functools
 import operator
 import struct
 from itertools import repeat
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 def slot_bytes(q: int, terms: int) -> int:
@@ -177,12 +181,19 @@ def pack_vector(vec: Sequence[int], k: int, slot: int) -> int:
     return pack(layout, slot)
 
 
-def block_dots(blocks: Sequence[int], cols: Sequence[Sequence[int]], d: int) -> list[int]:
-    """Row by row of d x d packed blocks (row-major), its dot product
-    with each of ``cols``, d packed integers each: d products per dot,
-    left unreduced.  Block products over R (``commutant._block_products``)
-    take the block columns of the other factor; a block matrix applied to
-    a vector (``PowerTable.act``, ``linalg.mat_apply`` on a RingMatrix)
-    takes the vector's d chunks (``pack_chunks``)."""
+def dots(row: Sequence[int], cols: Iterable[Sequence[int]]) -> list[int]:
+    """The dot product of ``row`` with each of ``cols``, left unreduced:
+    len(row) products per column."""
     mul = operator.mul
-    return [sum(map(mul, blocks[i : i + d], c)) for i in range(0, len(blocks), d) for c in cols]
+    return [sum(map(mul, row, c)) for c in cols]
+
+
+def block_dots(blocks: Sequence[int], cols: Iterable[Sequence[int]], d: int) -> list[int]:
+    """Row by row of d x d packed blocks (row-major), its ``dots`` with
+    each of ``cols``, d packed integers each: d products per dot.  Block
+    products over R (``commutant.PowerTable.columns``) take the block
+    columns of the other factor; a block matrix applied to a vector
+    (``PowerTable.act``, ``linalg.mat_apply`` on a RingMatrix) takes the
+    vector's d chunks (``pack_chunks``)."""
+    cols = list(cols)
+    return [x for i in range(0, len(blocks), d) for x in dots(blocks[i : i + d], cols)]

@@ -5,12 +5,12 @@ plain lists of ints.  Every operation takes the field context
 explicitly.  Products and vector application run on packed columns
 (``packed_columns``): each column of the left matrix is one integer of
 one slot per row, so a column of the result is one dot product of
-packed integers, reduced and read through the slot codec (``kron``).
-``mat_apply`` also takes a ``commutant.RingMatrix``, which it applies
-from its packed blocks without its dense form (``kron.block_dots``).  Both
-kernels charge the field's counter with schoolbook counts
-(rows*inner*cols multiplies and the matching addition count);
-elimination and rank are not instrumented.
+packed integers (``kron.dots``), reduced and read through the slot
+codec.  ``mat_apply`` also takes a ``commutant.RingMatrix``, which it
+applies from its packed blocks without its dense form
+(``kron.block_dots``).  Both kernels charge the field's counter with
+schoolbook counts (rows*inner*cols multiplies and the matching addition
+count); elimination and rank are not instrumented.
 
 Elimination pivots on the first nonzero entry in column order -- there
 is no magnitude over GF(q) -- and always fully reduces, so particular
@@ -139,8 +139,8 @@ def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
     slot = kron.slot_bytes(q, inner)
     cols = a.packed_columns(slot)
     be = b.entries
-    # the product's columns, one after another
-    flat = kron.slot_values([sum(map(operator.mul, be[j::p], cols)) for j in range(p)], n, slot, q)
+    # the product's columns, one after another, as one kron.dots
+    flat = kron.slot_values(kron.dots(cols, (be[j::p] for j in range(p))), n, slot, q)
     if field.counter is not None:
         field.counter.mul_count += n * inner * p
         field.counter.add_count += n * (inner - 1) * p
@@ -151,16 +151,16 @@ def mat_apply(field: Field, t: Matrix | RingMatrix, v: Sequence[int]) -> list[in
     """(t @ v) mod q for any ints v; charges exactly t.rows*t.cols
     multiplies, the schoolbook count.  t is a Matrix, applied as
     sum_j v_j * C_j for its packed columns C_j (``t.packed_columns``):
-    t.cols products of a residue by a packed integer.  Or t is a
-    ``commutant.RingMatrix`` (a key in R), applied from its packed blocks
-    (``RingMatrix.packed_blocks``) without its dense form: block row i
-    against v's k-chunks packed reversed (``kron.pack_chunks``), d**2
-    packed products (``kron.block_dots``, the product ``PowerTable.act``
-    takes).  Either way every slot is reduced by one ``kron.slot_mod``
-    and read by one struct call.  A slot holds t.cols products of
-    residues, so v is reduced first when some entry lies outside [0, q);
-    t's entries are canonical by the Matrix contract, which this relies
-    on."""
+    t.cols products of a residue by a packed integer (``kron.dots``).  Or
+    t is a ``commutant.RingMatrix`` (a key in R), applied from its packed
+    blocks (``RingMatrix.packed_blocks``) without its dense form: block
+    row i against v's k-chunks packed reversed (``kron.pack_chunks``),
+    d**2 packed products (``kron.block_dots``, the product
+    ``PowerTable.act`` takes).  Either way every slot is reduced by one
+    ``kron.slot_mod`` and read by one struct call.  A slot holds t.cols
+    products of residues, so v is reduced first when some entry lies
+    outside [0, q); t's entries are canonical by the Matrix contract,
+    which this relies on."""
     if t.cols != len(v):
         raise DimensionMismatch(f"{t.rows}x{t.cols} applied to length {len(v)}")
     q, c = field.q, t.cols
@@ -168,7 +168,7 @@ def mat_apply(field: Field, t: Matrix | RingMatrix, v: Sequence[int]) -> list[in
         v = [x % q for x in v]
     if isinstance(t, Matrix):
         slot = kron.slot_bytes(q, c)
-        out = kron.slot_values([sum(map(operator.mul, v, t.packed_columns(slot)))], t.rows, slot, q)
+        out = kron.slot_values(kron.dots(t.packed_columns(slot), (v,)), t.rows, slot, q)
     else:
         slot, blocks = t.packed_blocks(q)
         chunks = kron.pack_chunks(v, t.k, slot)

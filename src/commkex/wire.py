@@ -30,6 +30,7 @@ from public data alone via the passive attack.
 
 from __future__ import annotations
 
+import operator
 import socket
 import socketserver
 import threading
@@ -77,6 +78,7 @@ LISTENER_WORKERS = 32  # sessions a Listener serves at once
 
 ROLE_INITIATOR = "initiator"
 ROLE_RESPONDER = "responder"
+_session_values = operator.attrgetter("q", "k", "d", "degree", "base_vector", "z_ring")
 
 # Direction labels are relative to the initiator: i2r frames travel
 # initiator -> responder.
@@ -216,9 +218,10 @@ def run_peer(
     """Run one side of the exchange over a connected byte stream.
 
     The initiator must bring params and a private key.  A responder may
-    bring both (the received PARAMS frame must then match them), or
-    neither, in which case it adopts the received parameters and
-    generates an ephemeral key with ``rng``.  Transport errors
+    bring both (the received PARAMS frame must then match their q, k, d,
+    D, zeta and z in R; not the seed or recipe, which nothing reads after
+    sampling), or neither, in which case it adopts the received
+    parameters and generates an ephemeral key with ``rng``.  Transport errors
     propagate as OSError/ConnectionError.
     """
     if role not in (ROLE_INITIATOR, ROLE_RESPONDER):
@@ -263,7 +266,7 @@ def run_peer(
             raise ProtocolViolation(f"PARAMS degree bound {wire_params.degree} exceeds max(3, d) = {cap}")
         if params is None:
             params = wire_params
-        elif params != wire_params:
+        elif _session_values(params) != _session_values(wire_params):
             raise ProtocolViolation("received parameters differ from configured ones")
         if private_key is None:
             private_key, own_pub = keygen(params, rng if rng is not None else Rng())

@@ -251,3 +251,15 @@ def shifted_columns(columns, k):
         for v in columns
         for j in range(k)
     ]
+
+
+def dot_products(rows, cols):
+    """Each row dotted with each column, row by row, by a plain loop."""
+    out = []
+    for row in rows:
+        for col in cols:
+            acc = 0
+            for x, y in zip(row, col, strict=True):
+                acc += x * y
+            out.append(acc)
+    return out

@@ -15,6 +15,7 @@ import pytest
 import commkex
 
 from commkex.cli import _parse_addr, main
+from commkex.errors import ParseError
 from commkex.gf import Rng
 from commkex.kex import (
     derive_shared,
@@ -706,6 +707,15 @@ def test_out_of_range_port_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.count("port must be in [0, 65535]") == 3
     assert _parse_addr("localhost:65535") == ("localhost", 65535)
     assert _parse_addr(":0") == ("127.0.0.1", 0)
+    # the port reads in the files' decimal grammar: "0080" would ask for
+    # port 80 and "00" for an ephemeral one
+    bad = ("0080", "00", "-1", "+80", " 80", "")
+    for port in bad:
+        with pytest.raises(ParseError, match="^address must be host:port"):
+            _parse_addr(f"h:{port}")
+    for port in bad:
+        assert run(["demo", "listen", "--addr", f"127.0.0.1:{port}"]) == 3
+    assert capsys.readouterr().err.count("address must be host:port") == 6
 
 
 @pytest.mark.usefixtures("no_thread_leak")

@@ -28,7 +28,6 @@ from commkex.commutant import (
     eval_recipe,
     random_block_grid,
     random_shift_poly,
-    _block_products,
     sample_ring_element,
 )
 from commkex.linalg import Matrix, mat_add, mat_apply, mat_mul
@@ -56,7 +55,7 @@ def block_product(field, a, b):
     slot = kron.slot_bytes(q, d * k)
     a_packed = [kron.pack(e, slot) for e in a.blocks]
     b_packed = [kron.pack(e, slot) for e in b.blocks]
-    product = _block_products(a_packed, b_packed, d, k, slot, q)
+    product = kron.reduce(kron.block_dots(a_packed, [b_packed[j::d] for j in range(d)], d), k, slot, q)
     return RingMatrix(k, d, [kron.slot_values((x,), k, slot, q) for x in product])
 
 
@@ -507,7 +506,7 @@ def test_packed_orbit_and_key_application_match_dense(q, k, d, count, above, top
     for i, packed in enumerate(powers):
         assert table.unpack(packed) == mat_vec_mod(mat_pow_mod(rows, i, q), vec, q)
     assert orbit.upto(0) == powers[:1]
-    assert table.apply(vec) == mat_vec_mod(rows, vec, q)
+    assert table.unpack(table.act(table.pack(vec))) == mat_vec_mod(rows, vec, q)
     oracle = key_poly_mod([c.coeffs for c in coeffs], rows, d, q)
     assert apply_key_poly(table, coeffs, powers[:count]) == mat_vec_mod(oracle, vec, q)
     # the slot holds sums of up to its capacity's coefficients, which is
@@ -648,9 +647,9 @@ def test_ring_matrix_product_matches_dense():
         # ring-vs-dense application to vectors, every entry q - 1 included
         table = PowerTable(field, ra, 1)
         for vec in ([q - 1] * (k * d), [field.sample(rng) for _ in range(k * d)]):
-            assert table.apply(vec) == mat_apply(field, a, vec)
+            assert table.unpack(table.act(table.pack(vec))) == mat_apply(field, a, vec)
     with pytest.raises(DimensionMismatch):
-        table.apply([0] * (k * d + 1))
+        table.pack([0] * (k * d + 1))
 
 
 def test_ring_matrix_from_matrix_rejects_non_toeplitz_blocks():

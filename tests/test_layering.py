@@ -1,9 +1,12 @@
 """The slot codec is a leaf, and the modules that use it share no
 private names: ``kron`` imports no commkex module, and ``linalg`` and
 ``commutant`` import no underscore name from each other or from
-``kron`` (they call ``kron.<name>``)."""
+``kron`` (they call ``kron.<name>``).  Their dot products of packed
+integers go through ``kron.dots``, and the library imports nothing
+beyond the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import commkex
@@ -54,3 +57,28 @@ def test_codec_users_share_no_private_names():
             and node.attr.startswith("_")
         ]
         assert reached == [], module
+
+
+def test_library_imports_only_the_standard_library():
+    allowed = sys.stdlib_module_names | {"__future__", "commkex"}
+    for path in sorted(SRC.glob("*.py")):
+        found, _ = imports(path.stem)
+        assert [m for m, _ in found if m.split(".")[0] not in allowed] == [], path.name
+
+
+def test_packed_dots_go_through_the_kernel():
+    # a sum(map(...)) dot is left only in _series_inverse, on residues
+    for module in CODEC_USERS:
+        _, tree = imports(module)
+        owners = [
+            fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "sum"
+            and node.args
+            and isinstance(node.args[0], ast.Call)
+            and getattr(node.args[0].func, "id", None) == "map"
+        ]
+        assert set(owners) <= {"_series_inverse"}, module

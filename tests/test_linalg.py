@@ -19,6 +19,7 @@ from commkex.linalg import (
 
 from conftest import CODEC_PRIMES
 from oracles import (
+    dot_products,
     mat_mul_mod,
     mat_vec_mod,
     rank_by_minors,
@@ -380,6 +381,27 @@ def test_slot_codec_matches_per_slot_oracle(case):
     joined = oracle_pack([c for cells in low for c in cells], slot)
     n = len(values) * k
     assert kron.slot_mod(n, slot, q)(joined) == oracle_pack([c for e in expect for c in e], slot)
+
+
+@st.composite
+def dot_cases(draw):
+    """(rows, cols): 1 to 4 rows of n integers below 2**200, n from 1 to
+    8, and zero, one or several columns of n."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    big = st.one_of(st.sampled_from([0, 1, 2**200]), st.integers(min_value=0, max_value=2**200))
+    line = st.lists(big, min_size=n, max_size=n)
+    return draw(st.lists(line, min_size=1, max_size=4)), draw(st.lists(line, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dot_cases(), st.booleans())
+def test_dot_kernel_matches_plain_dots(case, one_shot):
+    rows, cols = case
+    given_cols = (lambda: iter(cols)) if one_shot else (lambda: cols)
+    for row in rows:
+        assert kron.dots(row, given_cols()) == dot_products([row], cols)
+    blocks = [x for row in rows for x in row]
+    assert kron.block_dots(blocks, given_cols(), len(rows[0])) == dot_products(rows, cols)
 
 
 @settings(max_examples=200, deadline=None)

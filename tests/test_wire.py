@@ -74,9 +74,10 @@ def make_session(seed=1, q=101, k=2, d=2, degree=3):
     return params, sk_a, pk_a, sk_b, pk_b
 
 
-def run_socketpair_session(params, sk_a, sk_b, tamper=None):
-    """Run both peers over a socketpair; optionally tamper with the raw
-    bytes the initiator sends."""
+def run_socketpair_session(params, sk_a, sk_b, tamper=None, responder_params=None):
+    """Run both peers over a socketpair, the responder configured with
+    ``responder_params`` (default: params); optionally tamper with the
+    raw bytes the initiator sends."""
     left, right = socket.socketpair()
 
     class TamperingSocket:
@@ -95,10 +96,11 @@ def run_socketpair_session(params, sk_a, sk_b, tamper=None):
     def responder():
         try:
             results["r"] = run_peer(
-                ROLE_RESPONDER, right, params=params, private_key=sk_b
+                ROLE_RESPONDER, right, params=responder_params or params, private_key=sk_b
             )
         except Exception as exc:  # noqa: BLE001 - collected for asserts
             errors["r"] = exc
+            right.shutdown(socket.SHUT_RDWR)  # the initiator meets EOF, not a wait
 
     thread = threading.Thread(target=responder)
     thread.start()
@@ -280,21 +282,28 @@ def test_responder_rejects_mismatched_params():
 
 def test_configured_responder_compares_params():
     # a responder with params of its own accepts a frame of the same
-    # params, read back from the file form, and refuses one that differs
-    # in a single z entry, in the seed, or in whether a recipe is present
+    # values (q, k, d, D, zeta, z), whatever its seed or recipe, and
+    # refuses one that differs in a single z entry, zeta entry or in D
     params, sk_a, _, sk_b, _ = make_session(seed=9)
-    own = params_from_json(params_to_json(params))
-    results, errors = run_socketpair_session(own, sk_a, sk_b)
-    assert not errors and results["i"][0].vec == results["r"][0].vec
     plain = replace(params, ring_base=RingSample(params.z_ring))
+    for configured in (
+        params_from_json(params_to_json(params)),
+        replace(params, seed=1),
+        plain,
+        replace(plain, seed=None),
+    ):
+        results, errors = run_socketpair_session(params, sk_a, sk_b, responder_params=configured)
+        assert not errors and results["i"][0].vec == results["r"][0].vec
     blocks = [list(b) for b in params.z_ring.blocks]
     blocks[1][-1] = (blocks[1][-1] + 1) % params.q  # entry (0, 2k-1) of the dense z
     other_z = replace(plain, ring_base=RingSample(RingMatrix(params.k, params.d, blocks)))
+    zeta = list(params.base_vector)
+    zeta[0] = (zeta[0] + 1) % params.q
     for configured, sent in (
         (plain, other_z),
-        (params, replace(params, seed=1)),
-        (params, plain),
-        (plain, params),
+        (params, other_z),
+        (params, replace(params, base_vector=zeta)),
+        (params, replace(params, degree=params.degree - 1)),
     ):
         left, right = socket.socketpair()
         try:
@@ -305,6 +314,20 @@ def test_configured_responder_compares_params():
         finally:
             left.close()
             right.close()
+
+
+def test_responder_accepts_equal_params_without_recipe_or_seed():
+    # the responder's params.json has no recipe and no seed; the
+    # initiator sends the params it sampled, recipe and seed included
+    params = gen_params(101, 2, 2, 3, Rng(5), seed=5)
+    obj = json.loads(params_to_json(params))
+    del obj["z"]["recipe"], obj["seed"]
+    configured = params_from_json(json.dumps(obj))
+    rng = Rng(6)
+    (sk_a, _), (sk_b, _) = keygen(params, rng), keygen(configured, rng)
+    results, errors = run_socketpair_session(params, sk_a, sk_b, responder_params=configured)
+    assert not errors
+    assert results["i"][0].vec == results["r"][0].vec
 
 
 def test_peer_requires_inputs():
