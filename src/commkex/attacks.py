@@ -197,15 +197,18 @@ def _passive_system(field: Field, params: Params, bound: int) -> tuple[int, Orbi
     key polynomials of up to bound+1 coefficients to the orbit, so its
     table must hold 2*bound+1: the orbit is ``params.zeta_orbit`` when
     the params' table does, and by a table of 2*bound+1 powers of its own
-    otherwise.  The system depends on the params alone, so the entry is
-    kept on them; one for another bound replaces it."""
-    entry = params.passive_system
+    otherwise.  The system depends on the frozen params alone, so the
+    entry is kept in their private slot, which only this function writes
+    (by ``object.__setattr__``, as ``cached_property`` fills a frozen
+    value); one for another bound replaces it.  Threads sharing the
+    params read a whole entry and at worst build one twice."""
+    entry = params._passive_system
     if entry is None or entry[0] != bound:
         orbit = params.zeta_orbit
         if orbit.table.capacity < 2 * bound + 1:
             orbit = Orbit(PowerTable(field, params.z_ring, 2 * bound + 1), params.base_vector)
         entry = (bound, orbit, eliminate_ring(field, params.k, _Columns([orbit], bound + 1)))
-        params.passive_system = entry
+        object.__setattr__(params, "_passive_system", entry)
     return entry
 
 

@@ -40,7 +40,7 @@ evaluation reads, live in one PowerTable kept by the parameters
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from typing import NamedTuple, Optional, Sequence
@@ -114,20 +114,21 @@ class ShiftPoly:
         return ShiftPoly(tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs)))
 
 
+@dataclass(frozen=True, slots=True)
 class RingMatrix:
-    """A d x d matrix over R = GF(q)[N]/(N**k).
+    """A d x d matrix over R = GF(q)[N]/(N**k), a frozen value.
 
-    ``blocks`` holds the d*d entries row-major, each as the k canonical
-    residues (c_0, ..., c_{k-1}) of sum_j c_j N**j -- the first row of
-    the upper-triangular Toeplitz block it realizes as.  Products are
-    taken packed (``PowerTable.columns``): each block is one integer (see
-    ``kron.pack``), so entry (i, j) of a product is one dot product of d
-    packed integers, d**3 big-integer products in all against (d*k)**3
-    multiplications for the dense m x m product.  Applied to a vector
-    (``PowerTable.act``, ``linalg.mat_apply``), it costs d**2 big-integer
-    products against m**2 multiplications.  The packed powers of a
-    public base live in a ``PowerTable``.
-    Ring operations are not charged to an OpCounter.
+    ``blocks`` holds the d*d entries row-major, a tuple of k-tuples (lists
+    are read into them): the canonical residues (c_0, ..., c_{k-1}) of
+    sum_j c_j N**j, the first row of the Toeplitz block it realizes as.
+    Products are taken packed (``PowerTable.columns``): each block is one
+    integer (see ``kron.pack``), so entry (i, j) of a product is one dot
+    product of d packed integers, d**3 big-integer products in all
+    against (d*k)**3 multiplications for the dense m x m product.  Applied
+    to a vector (``PowerTable.act``, ``linalg.mat_apply``), it costs d**2
+    big-integer products against m**2 multiplications.  The packed powers
+    of a public base live in a ``PowerTable``.  Ring operations are not
+    charged to an OpCounter.
 
     ``packed`` is (slot, the bytes of the blocks packed as
     ``PowerTable.base`` packs them) when the matrix came out of a
@@ -138,15 +139,15 @@ class RingMatrix:
     densely.
     """
 
-    __slots__ = ("k", "d", "blocks", "packed")
+    k: int
+    d: int
+    blocks: tuple[tuple[int, ...], ...]
+    packed: Optional[tuple[int, bytes]] = dc_field(default=None, repr=False, compare=False)
 
-    def __init__(
-        self, k: int, d: int, blocks: list[list[int]], packed: Optional[tuple[int, bytes]] = None
-    ):
-        self.k = k
-        self.d = d
-        self.blocks = blocks
-        self.packed = packed
+    def __post_init__(self):
+        # via a list: tuple() of an iterator resizes its result, which is
+        # freed to a free list it was not taken from, so they fill up
+        object.__setattr__(self, "blocks", tuple(list(map(tuple, self.blocks))))
 
     # m, the side of the dense realization
     rows = cols = property(lambda self: self.k * self.d)
@@ -162,20 +163,15 @@ class RingMatrix:
         slot = kron.slot_bytes(q, self.rows)
         return slot, kron.pack_elements(list(chain.from_iterable(self.blocks)), self.k, slot)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RingMatrix):
-            return NotImplemented
-        return (self.k, self.d, self.blocks) == (other.k, other.d, other.blocks)
-
     @classmethod
     def embed(cls, field: Field, poly: ShiftPoly, d: int) -> "RingMatrix":
         """diag(P, ..., P), d copies of the poly."""
         if d < 1:
             raise InvalidDimension("block count must be at least 1")
         k, q = poly.k, field.q
-        diag = [c % q for c in poly.coeffs]
-        zero = [0] * k
-        return cls(k, d, [list(diag) if i == j else list(zero) for i in range(d) for j in range(d)])
+        diag = tuple([c % q for c in poly.coeffs])
+        zero = (0,) * k
+        return cls(k, d, [diag if i == j else zero for i in range(d) for j in range(d)])
 
     @classmethod
     def from_matrix(cls, mat: Matrix, k: int, d: int) -> "RingMatrix":
@@ -315,13 +311,13 @@ class Orbit:
         return powers[: top + 1]
 
 
-def _realize(blocks: Sequence[list], k: int, d: int, zero) -> list:
+def _realize(blocks: Sequence[Sequence], k: int, d: int, zero) -> list:
     """The dense m x m realization, row-major, of d*d blocks given by
     their first rows, residues or their decimal strings: row r of a block
     is its first row shifted right by r, the slice pad[k-1-r : 2k-1-r] of
     the row left-padded once with k - 1 ``zero``s."""
     zeros = [zero] * (k - 1)
-    padded = [zeros + blk for blk in blocks]
+    padded = [[*zeros, *blk] for blk in blocks]
     entries: list = []
     extend = entries.extend
     for bi in range(0, d * d, d):
@@ -416,8 +412,9 @@ def eval_recipe(field: Field, k: int, d: int, recipe: FlatRecipe) -> RingMatrix:
     (N**k = 0; at k = 1 that term is 0).  So a grid power costs d**2
     products of a residue by a column integer (one ``kron.dots``), and
     one reduction of all its slots (``kron.reduce``).  A term's product
-    starts from its first grid power (the identity only when every exponent is 0); the term
-    sum stays in column form until it is unpacked, once."""
+    starts from its first grid power (the identity only when every
+    exponent is 0); the term sum stays in column form until it is
+    unpacked, once."""
     q, n = field.q, d * d
     coeffs, counts, exps, kinds, values = recipe
     consistent = len(kinds) == len(values) == n * len(exps) == n * sum(counts)
@@ -561,7 +558,7 @@ def eval_key_poly(
         )
     packed = _pack_polys(coeffs, k, slot, q)
     raw = kron.reduced_bytes(kron.dots(packed, table.columns), k, slot, q)
-    flat = list(kron.slots(d * d * k, slot).unpack(raw))
+    flat = kron.slots(d * d * k, slot).unpack(raw)
     blocks = [flat[s : s + k] for s in range(0, len(flat), k)]
     key = RingMatrix(k, d, blocks, (slot, raw))
     return key.to_matrix() if dense else key

@@ -68,15 +68,15 @@ from .linalg import Matrix, RingElimination, mat_apply
 KEYGEN_MAX_ATTEMPTS = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class Params:
-    """Public parameters.  The constructor checks shapes, including that
-    the base is a d x d matrix over R, that the public vector and the
-    base hold canonical residues mod q, and that the degree bound D is
-    at most m**2 (the passive attack's retry cap).  ``z_ring`` is the
-    base in R; a file's z is checked to lie in R where it is read
-    (``ring_sample_from_obj``), and semantic non-degeneracy of the base
-    is enforced where it is sampled.
+    """Public parameters, a frozen value (the public vector a tuple).  The
+    constructor checks shapes, including that the base is a d x d matrix
+    over R, that the public vector and the base hold canonical residues
+    mod q, and that the degree bound D is at most m**2 (the passive
+    attack's retry cap).  ``z_ring`` is the base in R; a file's z is
+    checked to lie in R where it is read (``ring_sample_from_obj``), and
+    semantic non-degeneracy of the base is enforced where it is sampled.
 
     ``z_powers`` is the base's one ``PowerTable``, at count D+1, and
     ``zeta_orbit`` the public vector's packed ``Orbit`` zeta, z zeta, ...
@@ -85,30 +85,22 @@ class Params:
     z**(2*top) zeta for the product of its two solutions (top, the last
     power with a pivot, is at most the bound).  Each is built on first
     use and kept (``functools.cached_property``); a longer polynomial
-    gets a table of its own.
-
-    ``passive_system`` is the passive attack's cache, built by its first
-    attack on these params: (degree bound, the public vector's orbit by a
-    table whose slot holds 2*bound+1 coefficients -- ``zeta_orbit`` when
-    the params' table does (``PowerTable.capacity``) -- and the attack's
-    system eliminated over R, a ``linalg.RingElimination`` of d rows in
-    bound+1 unknowns).  Later attacks replay it on both public keys.  It
-    holds one entry; an attack at another bound replaces it.  An entry is published by one
-    assignment of a fully built tuple and never changed after, so threads
-    sharing the params read a whole entry and at worst build one twice."""
+    gets a table of its own.  ``_passive_system`` is the passive attack's
+    cache, which only ``attacks._passive_system`` reads and writes."""
 
     q: int
     k: int
     d: int
     degree: int
-    base_vector: list[int]
+    base_vector: tuple[int, ...]
     ring_base: RingSample
     seed: Optional[int] = None
-    passive_system: Optional[tuple[int, Orbit, RingElimination]] = dc_field(
+    _passive_system: Optional[tuple[int, Orbit, RingElimination]] = dc_field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
+        object.__setattr__(self, "base_vector", tuple(self.base_vector))
         if self.k < 1:
             raise InvalidParams("block size k must be at least 1")
         if self.d < 2:
@@ -123,11 +115,11 @@ class Params:
             raise InvalidParams(f"public vector must have length {m}")
         if not any(self.base_vector):
             raise InvalidParams("public vector must be nonzero")
-        q, z = self.q, self.z_ring
+        q, k, d, z = self.q, self.k, self.d, self.z_ring
         if not all(0 <= x < q for x in self.base_vector):
             raise InvalidParams(f"public vector entries must be canonical residues mod {q}")
-        if (z.k, z.d) != (self.k, self.d):
-            raise InvalidParams(f"ring base must be {m}x{m}")
+        if (z.k, z.d, len(z.blocks)) != (k, d, d * d) or set(map(len, z.blocks)) != {k}:
+            raise InvalidParams(f"ring base must be {m}x{m}: {d * d} blocks of {k} residues")
         if not all(0 <= x < q for blk in z.blocks for x in blk):
             raise InvalidParams(f"ring base entries must be canonical residues mod {q}")
 
@@ -151,14 +143,17 @@ class Params:
         return Field(self.q, counter)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrivateKey:
-    """Polynomial coefficients plus the key they evaluate to in R, which
-    ``derive_shared`` applies.  The dense m x m ``matrix`` is built on
-    first read; the library never reads it."""
+    """Polynomial coefficients (a tuple) plus the key they evaluate to in
+    R, which ``derive_shared`` applies; a frozen value.  The dense m x m
+    ``matrix`` is built on first read; the library never reads it."""
 
-    coeffs: list[ShiftPoly]
+    coeffs: tuple[ShiftPoly, ...]
     key: RingMatrix
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     @cached_property
     def matrix(self) -> Matrix:
@@ -222,7 +217,7 @@ def gen_params(
 def private_key_from_coeffs(params: Params, coeffs: Sequence[ShiftPoly]) -> PrivateKey:
     """Build a private key from 1..D+1 coefficients (no rejection rules)."""
     key = eval_key_poly(params.field(), coeffs, params.z_powers, params.d)
-    return PrivateKey(list(coeffs), key)
+    return PrivateKey(coeffs, key)
 
 
 def public_key(params: Params, sk: PrivateKey) -> PublicKey:

@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import strategies as st
 
+from commkex import attacks
 from commkex.commutant import RingMatrix, RingSample, ShiftPoly
 from commkex.gf import Rng
 from commkex.kex import Params, gen_params, keygen, private_key_from_coeffs, public_key
@@ -31,6 +32,19 @@ def no_thread_leak():
     leaked = [t.name for t in threading.enumerate() if t not in before]
     if leaked:
         pytest.fail(f"threads still alive 1 s after the test: {leaked}")
+
+
+def kept_passive_system(params, bound):
+    """The passive attack's system kept on the params at ``bound``, read
+    through ``attacks._passive_system``; fails unless that entry is kept,
+    so that reading it eliminates nothing."""
+
+    def no_elimination(*args):
+        raise AssertionError(f"no passive system kept at bound {bound}")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attacks, "eliminate_ring", no_elimination)
+        return attacks._passive_system(params.field(), params, bound)
 
 
 @pytest.fixture

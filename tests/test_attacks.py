@@ -39,7 +39,7 @@ from commkex.attacks import (
 )
 from commkex.linalg import Matrix, mat_apply, vec_add
 
-from conftest import FUZZ_KEYS, FUZZ_PARAMS, json_mutations
+from conftest import FUZZ_KEYS, FUZZ_PARAMS, json_mutations, kept_passive_system
 from oracles import key_poly_mod, mat_vec_mod, structured_columns_mod, textbook_solve
 
 
@@ -324,7 +324,7 @@ def test_cold_attack_applies_z_only_to_the_columns_it_reads(monkeypatch):
         PowerTable, "pack", lambda table, vec: packed.append(list(vec)) or pack(table, vec)
     )
     res = passive_commutant_attack(cold, pk_a, pk_b)
-    assert cold.passive_system[2].exps == (8, 8, 0, 0)
+    assert kept_passive_system(cold, res.degree_bound)[2].exps == (8, 8, 0, 0)
     assert len(calls) == 2
     assert pk_b.vec not in packed
     assert res.verified and res.shared_key == derive_shared(params, sk_a, pk_b)
@@ -450,7 +450,9 @@ def test_passive_attack_matches_textbook_solve():
                         else:
                             assert got[1:] == expect
                             assert got[0]["verified"] is True
-                    nonunit += sum(0 < e < params.k for e in params.passive_system[2].exps)
+                    reached = expect[0] if expect else params.m**2
+                    elim = kept_passive_system(params, reached)[2]
+                    nonunit += sum(0 < e < params.k for e in elim.exps)
     assert nonunit > 0
 
 
@@ -468,7 +470,7 @@ def test_passive_reports_equal_on_fresh_and_reused_params():
             reused = passive_outcome(params, keys[a], keys[b], bound)
             assert reused == passive_outcome(fresh(params), keys[a], keys[b], bound)
             if not isinstance(reused, str):
-                assert params.passive_system[0] == reused[1]
+                assert kept_passive_system(params, reused[1])[0] == reused[1]
 
 
 def test_passive_attack_threads_share_a_fresh_params():
@@ -526,7 +528,7 @@ def test_passive_shared_key_matches_dense_oracle():
                         dense = mat_vec_mod(res.recovered.to_rows(), pk_b.vec, q)
                         assert res.shared_key.vec == dense == honest.vec
                         assert res.verified
-                        _, orbit, elim = target.passive_system
+                        _, orbit, elim = kept_passive_system(target, res.degree_bound)
                         own_table += orbit is not target.zeta_orbit
                         nonunit += sum(0 < e < k for e in elim.exps)
                         assert orbit.table.capacity >= 2 * res.degree_bound + 1
@@ -548,7 +550,8 @@ def test_passive_attack_on_an_off_span_peer_key():
                     res = passive_commutant_attack(target, pk_a, forged, bound)
                     dense = mat_vec_mod(res.recovered.to_rows(), forged.vec, q)
                     assert res.shared_key.vec == dense and res.verified
-                    fallbacks += target.passive_system[2].solve(forged.vec) is None
+                    elim = kept_passive_system(target, res.degree_bound)[2]
+                    fallbacks += elim.solve(forged.vec) is None
     assert fallbacks > 0
 
 

@@ -654,9 +654,9 @@ def test_ring_matrix_product_matches_dense():
 
 def test_ring_matrix_from_matrix_rejects_non_toeplitz_blocks():
     # k = 1: every matrix is in R
-    assert RingMatrix.from_matrix(Matrix.from_rows([[1, 2], [3, 4]]), 1, 2).blocks == [
-        [1], [2], [3], [4]
-    ]
+    assert RingMatrix.from_matrix(Matrix.from_rows([[1, 2], [3, 4]]), 1, 2).blocks == (
+        (1,), (2,), (3,), (4,)
+    )
     assert RingMatrix.from_matrix(Matrix.identity(6), 3, 2).is_scalar()
     below = Matrix.identity(4)
     below.entries[1 * 4 + 0] = 1  # under the diagonal of block (0, 0)

@@ -14,6 +14,8 @@ from commkex.gf import Field, Rng
 from commkex.kex import derive_shared, gen_params, keygen, private_key_from_coeffs, public_key
 from commkex.linalg import Matrix, mat_apply, mat_mul
 
+from conftest import kept_passive_system
+
 Q = 2**31 - 1  # weak draws, which would repeat an attempt, are then rare
 SHAPES = [(2, 3, 3), (3, 4, 2), (1, 5, 3)]  # (k, d, D)
 
@@ -106,7 +108,8 @@ def test_warm_passive_attack(counted, warm):
     warm_result, products = counted(passive_commutant_attack, params, pk_a, pk_b)
     assert warm_result.verified and warm_result.shared_key.vec == cold.shared_key.vec
     # apply_key_product: one dot of 2*top + 1 terms per image chunk
-    top = max(i for i, e in enumerate(params.passive_system[2].exps) if e)
+    elim = kept_passive_system(params, warm_result.degree_bound)[2]
+    top = max(i for i, e in enumerate(elim.exps) if e)
     assert products == (2 * top + 1) * params.d
 
 

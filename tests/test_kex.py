@@ -86,7 +86,7 @@ def test_gen_params_deterministic_json():
 def test_keygen_identity_coeffs_gives_base_vector(micro_params):
     sk = private_key_from_coeffs(micro_params, [ShiftPoly((1,))])
     assert sk.matrix == Matrix.identity(2)
-    assert public_key(micro_params, sk).vec == micro_params.base_vector
+    assert public_key(micro_params, sk).vec == list(micro_params.base_vector)
 
 
 def test_keygen_worked_example(micro_params, micro_keys):
@@ -477,6 +477,16 @@ def test_params_rejects_base_outside_ring():
     k1 = RingMatrix.from_matrix(Matrix.from_rows([[1, 2], [3, 4]]), 1, 2)
     Params(7, 1, 2, 1, [1, 0], RingSample(k1))
     Params(7, 4, 2, 1, [1] + [0] * 7, RingSample(RingMatrix.from_matrix(Matrix.identity(8), 4, 2)))
+
+
+def test_params_rejects_a_base_of_the_wrong_shape():
+    # d*d blocks of k residues, or the first keygen would fail inside
+    # the packing (a struct.error) or the key application
+    good = [[1, 0], [0, 0], [0, 0], [1, 0]]
+    Params(101, 2, 2, 3, [1, 2, 3, 4], RingSample(RingMatrix(2, 2, good)))
+    for blocks in ([[1], [2], [3], [4]], good[:3], [[1, 0, 0]] * 4):
+        with pytest.raises(InvalidParams, match=r"^ring base must be 4x4: 4 blocks of 2 "):
+            Params(101, 2, 2, 3, [1, 2, 3, 4], RingSample(RingMatrix(2, 2, blocks)))
 
 
 def test_params_rejects_non_canonical_residues():

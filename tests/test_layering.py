@@ -3,13 +3,18 @@ private names: ``kron`` imports no commkex module, and ``linalg`` and
 ``commutant`` import no underscore name from each other or from
 ``kron`` (they call ``kron.<name>``).  Their dot products of packed
 integers go through ``kron.dots``, and the library imports nothing
-beyond the standard library."""
+beyond the standard library.  The values that caches are built from
+are frozen, and only a constructor or the passive attack's cache
+writes past a frozen ``__setattr__``."""
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
 import commkex
+from commkex.commutant import BlockGrid, GeneratorBlock, RingMatrix, RingSample, ShiftPoly
+from commkex.kex import Params, PrivateKey
 
 SRC = Path(commkex.__file__).resolve().parent
 CODEC_USERS = ("linalg", "commutant")
@@ -82,3 +87,29 @@ def test_packed_dots_go_through_the_kernel():
             and getattr(node.args[0].func, "id", None) == "map"
         ]
         assert set(owners) <= {"_series_inverse"}, module
+
+
+def test_cached_from_values_are_frozen_dataclasses():
+    for cls in (Params, PrivateKey, RingMatrix, RingSample, ShiftPoly, GeneratorBlock, BlockGrid):
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls.__name__
+
+
+def test_frozen_fields_are_written_only_by_constructors_and_the_attack_cache():
+    # object.__setattr__ is how a frozen value is written; a cache field
+    # written anywhere else could go stale
+    writers = []
+    for path in sorted(SRC.glob("*.py")):
+        _, tree = imports(path.stem)
+        owner = {}  # node -> its innermost function (walked outer first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        writers += [
+            (path.stem, owner.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "__setattr__"
+            and getattr(node.func.value, "id", None) == "object"
+        ]
+    assert ("attacks", "_passive_system") in writers
+    assert {w for w in writers if w[1] != "__post_init__"} == {("attacks", "_passive_system")}
