@@ -22,14 +22,9 @@ from typing import Optional
 from . import attacks, dh, kex, wire
 from .errors import (
     ChecksumMismatch,
-    DegenerateKey,
-    DegenerateRingElement,
     Error,
-    IncompleteTranscript,
     InconsistentSystem,
     InsufficientRank,
-    InvalidParams,
-    InvalidPublic,
     NoSolution,
     OutOfSpan,
     ParseError,
@@ -37,14 +32,6 @@ from .errors import (
 )
 from .gf import OpCounter, Rng
 
-_PARSE_ERRORS = (
-    ParseError,
-    InvalidParams,
-    InvalidPublic,
-    DegenerateRingElement,
-    DegenerateKey,
-    IncompleteTranscript,
-)
 _ATTACK_ERRORS = (OutOfSpan, InsufficientRank, InconsistentSystem, NoSolution)
 _TRANSPORT_ERRORS = (ChecksumMismatch, ProtocolViolation, OSError)
 
@@ -439,9 +426,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.handler(args)
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except _ATTACK_ERRORS as exc:
         print(f"attack failed: {exc}", file=sys.stderr)
         return EXIT_ATTACK

@@ -125,18 +125,17 @@ class RingMatrix:
     integer (see ``kron.pack``), so entry (i, j) of a product is one dot
     product of d packed integers, d**3 big-integer products in all
     against (d*k)**3 multiplications for the dense m x m product.  Applied
-    to a vector (``PowerTable.act``, ``linalg.mat_apply``), it costs d**2
-    big-integer products against m**2 multiplications.  The packed powers
-    of a public base live in a ``PowerTable``.  Ring operations are not
-    charged to an OpCounter.
+    to a vector (``apply``, ``PowerTable.act``), it costs d**2 big-integer
+    products against m**2 multiplications.  The packed powers of a public
+    base live in a ``PowerTable``.  Ring operations are not charged to an
+    OpCounter.
 
     ``packed`` is (slot, the bytes of the blocks packed as
     ``PowerTable.base`` packs them) when the matrix came out of a
     reduction that had them at hand (``eval_key_poly``), else None;
-    equality ignores it.  It stands in for its dense realization in
-    ``linalg.mat_apply`` (``rows``, ``cols``, ``packed_blocks``), so a
-    derive applies a key at the paper's m**2 count without building it
-    densely.
+    equality ignores it.  With ``rows``, ``cols`` and ``apply`` it stands
+    in for its dense realization in ``linalg.mat_apply``, so a derive
+    applies a key at the paper's m**2 count without building it densely.
     """
 
     k: int
@@ -152,16 +151,22 @@ class RingMatrix:
     # m, the side of the dense realization
     rows = cols = property(lambda self: self.k * self.d)
 
-    def packed_blocks(self, q: int) -> tuple[int, list[int]]:
-        """(slot, the blocks packed as ``PowerTable.base`` packs them), at
-        a slot that holds m terms, as a block row applied to a vector
-        needs: cut from the carried bytes (``packed``) by one struct
-        call, or packed from the residues when there are none."""
+    def apply(self, q: int, v: Sequence[int]) -> list[int]:
+        """self @ v for canonical residues v, without the dense form: block
+        row i against v's k-chunks packed reversed (``kron.pack_chunks``),
+        d**2 packed products (``kron.block_dots``, the product
+        ``PowerTable.act`` takes), every slot reduced by one
+        ``kron.slot_mod`` and read by one struct call.  The packed blocks
+        are cut from the carried bytes (``packed``) by one struct call, or
+        packed from the residues at a slot that holds m terms."""
         if self.packed is not None:
             slot, raw = self.packed
-            return slot, kron.elements(raw, self.k * slot)
-        slot = kron.slot_bytes(q, self.rows)
-        return slot, kron.pack_elements(list(chain.from_iterable(self.blocks)), self.k, slot)
+            blocks = kron.elements(raw, self.k * slot)
+        else:
+            slot = kron.slot_bytes(q, self.rows)
+            blocks = kron.pack_elements(list(chain.from_iterable(self.blocks)), self.k, slot)
+        chunks = kron.pack_chunks(v, self.k, slot)
+        return kron.unpack_chunks(kron.block_dots(blocks, [chunks], self.d), self.k, slot, q)
 
     @classmethod
     def embed(cls, field: Field, poly: ShiftPoly, d: int) -> "RingMatrix":
@@ -540,8 +545,9 @@ def eval_key_poly(
     m x m matrix, read into R (raising NotBlockToeplitz if it is not in
     R) with a table of its own, and the result is dense.  The d**2 dots
     are reduced once; the residues are read from that reduction's bytes,
-    and the RingMatrix carries the bytes (``packed``), from which a
-    derive cuts the packed blocks at the table's slot (it holds m terms).
+    and the RingMatrix carries the bytes (``packed``), from which
+    ``RingMatrix.apply`` cuts the packed blocks at the table's slot (it
+    holds m terms).
     """
     if not coeffs:
         raise DimensionMismatch("key polynomial needs at least one coefficient")

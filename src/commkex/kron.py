@@ -1,13 +1,13 @@
 """The slot codec: residues mod q in fixed-width slots of one integer.
 
-Packed integers (in ``linalg`` and ``commutant``) leave and enter the
-packed form through this codec (Kronecker substitution).  ``slot_mod``
-reduces every slot of a packed integer mod q at once, by Barrett
-reduction run on the whole integer: with W = 8*slot bits per slot and
-mu = floor(2**W / q), the quotient estimate floor(v*mu / 2**W) of a slot
-value v < 2**W is floor(v/q) or one less, because
-v/q - 1 < v*mu / 2**W <= v/q, so one conditional subtraction of q
-finishes the residue.  Even and odd slots are reduced apart, each value
+Packed integers (R's kernels in ``commutant`` and the eliminator in
+``linalg``) leave and enter the packed form through this codec
+(Kronecker substitution).  ``slot_mod`` reduces every slot of a packed
+integer mod q at once, by Barrett reduction run on the whole integer:
+with W = 8*slot bits per slot and mu = floor(2**W / q), the quotient
+estimate floor(v*mu / 2**W) of a slot value v < 2**W is floor(v/q) or
+one less, because v/q - 1 < v*mu / 2**W <= v/q, so one conditional
+subtraction of q finishes the residue.  Even and odd slots are reduced apart, each value
 alone in a window of two slots, so that the products v*mu never carry
 into a neighbour; about twenty whole-integer operations reduce any
 number of slots.  Canonical residues are written and read by one
@@ -21,8 +21,9 @@ each reversed, so that the shift N acts as x: ``pack_chunks`` and
 eliminator's ``pack_vector`` lays out the same elements in one integer.
 
 The one dot kernel is here too: every dot product of packed integers in
-``linalg`` and ``commutant`` is a ``dots`` (``block_dots`` for block
-matrices), len(row) products per column; single products stay inline.
+``linalg`` and ``commutant``, and of residues in the dense kernels, is a
+``dots`` (``block_dots`` for block matrices), len(row) products per
+column; single products stay inline.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def block_dots(blocks: Sequence[int], cols: Iterable[Sequence[int]], d: int) -> 
     each of ``cols``, d packed integers each: d products per dot.  Block
     products over R (``commutant.PowerTable.columns``) take the block
     columns of the other factor; a block matrix applied to a vector
-    (``PowerTable.act``, ``linalg.mat_apply`` on a RingMatrix) takes the
-    vector's d chunks (``pack_chunks``)."""
+    (``PowerTable.act``, ``RingMatrix.apply``) takes the vector's d
+    chunks (``pack_chunks``)."""
     cols = list(cols)
     return [x for i in range(0, len(blocks), d) for x in dots(blocks[i : i + d], cols)]

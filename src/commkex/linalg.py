@@ -2,15 +2,14 @@
 
 Matrices are row-major flat lists of canonical residues; vectors are
 plain lists of ints.  Every operation takes the field context
-explicitly.  Products and vector application run on packed columns
-(``packed_columns``): each column of the left matrix is one integer of
-one slot per row, so a column of the result is one dot product of
-packed integers (``kron.dots``), reduced and read through the slot
-codec.  ``mat_apply`` also takes a ``commutant.RingMatrix``, which it
-applies from its packed blocks without its dense form
-(``kron.block_dots``).  Both kernels charge the field's counter with
-schoolbook counts (rows*inner*cols multiplies and the matching addition
-count); elimination and rank are not instrumented.
+explicitly.  ``mat_mul`` and ``mat_apply`` charge the field's counter
+with schoolbook counts (rows*inner*cols multiplies and the matching
+addition count); elimination and rank are not instrumented.  A dense
+product is computed as it is counted, one residue dot per entry
+(``kron.dots``) reduced by %.  ``mat_apply`` applies anything with
+``rows``, ``cols`` and ``apply(q, v)``: a Matrix, or a key held in R
+(``commutant.RingMatrix``), which applies itself without its dense
+form.
 
 Elimination pivots on the first nonzero entry in column order -- there
 is no magnitude over GF(q) -- and always fully reduces, so particular
@@ -38,14 +37,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Protocol, Sequence
 
 from . import kron
 from .errors import DimensionMismatch, InvalidDimension
 from .gf import Field
 
-if TYPE_CHECKING:
-    from .commutant import RingMatrix
 
 class Matrix:
     """Row-major dense matrix; entries are canonical residues."""
@@ -117,65 +114,51 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols}, {self.to_rows()})"
 
-    def packed_columns(self, slot: int) -> list[int]:
-        """Column j as one integer of ``rows`` slots (``kron.pack``), each
-        written by the cached struct of its shape."""
-        write = kron.slots(self.rows, slot).pack
+    def apply(self, q: int, v: Sequence[int]) -> list[int]:
+        """(self @ v) mod q: one residue dot per row."""
         e, c = self.entries, self.cols
-        return [int.from_bytes(write(*e[j::c]), "little") for j in range(c)]
+        return [x % q for x in kron.dots(v, (e[i : i + c] for i in range(0, len(e), c)))]
+
+
+class Linear(Protocol):
+    """What ``mat_apply`` applies: an m x n map over GF(q)."""
+
+    rows: int
+    cols: int
+
+    def apply(self, q: int, v: Sequence[int]) -> list[int]: ...
 
 
 def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
     """a @ b; charges a.rows*a.cols*b.cols multiplies, the schoolbook
-    count.  Column p of the product is sum_j b[j, p] * C_j for a's packed
-    columns C_j (``Matrix.packed_columns``), which hold a.cols products
-    per slot (``kron.slot_bytes``); every slot of every column is reduced
-    by one ``kron.slot_mod`` and read by one struct call.  Relies on
-    canonical entries in both operands (the Matrix contract)."""
+    count, and takes as many products: row i of a dotted with each
+    column of b (``kron.dots``), reduced by %."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
     q = field.q
     n, inner, p = a.rows, a.cols, b.cols
-    slot = kron.slot_bytes(q, inner)
-    cols = a.packed_columns(slot)
-    be = b.entries
-    # the product's columns, one after another, as one kron.dots
-    flat = kron.slot_values(kron.dots(cols, (be[j::p] for j in range(p))), n, slot, q)
+    ae, be = a.entries, b.entries
+    bcols = [be[j::p] for j in range(p)]
+    out = [x % q for i in range(0, n * inner, inner) for x in kron.dots(ae[i : i + inner], bcols)]
     if field.counter is not None:
         field.counter.mul_count += n * inner * p
         field.counter.add_count += n * (inner - 1) * p
-    return Matrix(n, p, [x for i in range(n) for x in flat[i::n]])
+    return Matrix(n, p, out)
 
 
-def mat_apply(field: Field, t: Matrix | RingMatrix, v: Sequence[int]) -> list[int]:
-    """(t @ v) mod q for any ints v; charges exactly t.rows*t.cols
-    multiplies, the schoolbook count.  t is a Matrix, applied as
-    sum_j v_j * C_j for its packed columns C_j (``t.packed_columns``):
-    t.cols products of a residue by a packed integer (``kron.dots``).  Or
-    t is a ``commutant.RingMatrix`` (a key in R), applied from its packed
-    blocks (``RingMatrix.packed_blocks``) without its dense form: block
-    row i against v's k-chunks packed reversed (``kron.pack_chunks``),
-    d**2 packed products (``kron.block_dots``, the product
-    ``PowerTable.act`` takes).  Either way every slot is reduced by one
-    ``kron.slot_mod`` and read by one struct call.  A slot holds t.cols
-    products of residues, so v is reduced first when some entry lies
-    outside [0, q); t's entries are canonical by the Matrix contract,
-    which this relies on."""
+def mat_apply(field: Field, t: Linear, v: Sequence[int]) -> list[int]:
+    """(t @ v) mod q for any ints v, as ``t.apply`` computes it from v
+    reduced to canonical residues; charges exactly t.rows*t.cols
+    multiplies, the schoolbook count, whatever t's form."""
     if t.cols != len(v):
         raise DimensionMismatch(f"{t.rows}x{t.cols} applied to length {len(v)}")
-    q, c = field.q, t.cols
+    q = field.q
     if min(v) < 0 or max(v) >= q:
         v = [x % q for x in v]
-    if isinstance(t, Matrix):
-        slot = kron.slot_bytes(q, c)
-        out = kron.slot_values(kron.dots(t.packed_columns(slot), (v,)), t.rows, slot, q)
-    else:
-        slot, blocks = t.packed_blocks(q)
-        chunks = kron.pack_chunks(v, t.k, slot)
-        out = kron.unpack_chunks(kron.block_dots(blocks, [chunks], t.d), t.k, slot, q)
+    out = t.apply(q, v)
     if field.counter is not None:
-        field.counter.mul_count += t.rows * c
-        field.counter.add_count += t.rows * (c - 1)
+        field.counter.mul_count += t.rows * t.cols
+        field.counter.add_count += t.rows * (t.cols - 1)
     return out
 
 

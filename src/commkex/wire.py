@@ -204,6 +204,8 @@ class _FrameReader:
                     raise ConnectionError("peer closed the connection mid-session")
                 self._buf += chunk
                 continue
+            except (FrameTooLarge, UnknownTag) as exc:
+                raise ProtocolViolation(f"received frame: {exc}") from None
             self._buf = self._buf[used:]
             return frame
 
@@ -222,7 +224,9 @@ def run_peer(
     D, zeta and z in R; not the seed or recipe, which nothing reads after
     sampling), or neither, in which case it adopts the received
     parameters and generates an ephemeral key with ``rng``.  Transport errors
-    propagate as OSError/ConnectionError.
+    propagate as OSError/ConnectionError; a received frame that does not
+    decode (an undefined tag, a declared payload over the cap) raises
+    ProtocolViolation.
     """
     if role not in (ROLE_INITIATOR, ROLE_RESPONDER):
         raise ValueError(f"unknown role {role!r}")
@@ -294,8 +298,9 @@ class EavesdropResult:
 def eavesdrop(transcript: Transcript) -> EavesdropResult:
     """Recover the session key of a recorded exchange from public data.
 
-    Needs the PARAMS frame and both PUBKEY frames (initiator's first).
-    The verdict is True when at least one CONFIRM frame was observed
+    Needs the PARAMS frame and both PUBKEY frames (initiator's first);
+    raises IncompleteTranscript when one is missing or unreadable.  The
+    verdict is True when at least one CONFIRM frame was observed
     and the recovered key's checksum matches every one of them.
     """
     params_frames = [f for _, f in transcript.frames if f.tag == TAG_PARAMS]
@@ -311,8 +316,11 @@ def eavesdrop(transcript: Transcript) -> EavesdropResult:
         params = params_from_json(params_frames[0].payload.decode("utf-8"))
     except (ParseError, UnicodeDecodeError) as exc:
         raise IncompleteTranscript(f"unreadable PARAMS frame: {exc}") from None
-    pub_a = _pubkey_from_payload(pubkey_frames[0].payload, params)
-    pub_b = _pubkey_from_payload(pubkey_frames[1].payload, params)
+    try:
+        pub_a = _pubkey_from_payload(pubkey_frames[0].payload, params)
+        pub_b = _pubkey_from_payload(pubkey_frames[1].payload, params)
+    except ProtocolViolation as exc:
+        raise IncompleteTranscript(f"unreadable PUBKEY frame: {exc}") from None
     attack = passive_commutant_attack(params, pub_a, pub_b)
     expected = checksum64(attack.shared_key.to_bytes()).to_bytes(8, "big")
     verdict = bool(confirm_frames) and all(

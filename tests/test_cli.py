@@ -6,6 +6,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from functools import reduce
 from pathlib import Path
@@ -632,6 +633,48 @@ def test_demo_connect_refused_exits_5(tmp_path, capsys):
     )
     assert code == 5
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [bytes(4) + b"\x09", (1 << 21).to_bytes(4, "big") + bytes([TAG_PUBKEY])],
+    ids=["unknown-tag", "too-large"],
+)
+def test_demo_connect_malformed_reply_exits_5(tmp_path, capsys, reply):
+    # a peer's frame that does not decode is a protocol violation
+    paths = gen_pipeline(tmp_path)
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.settimeout(10)
+
+        def peer():
+            conn, _ = server.accept()
+            with conn:
+                conn.settimeout(10)
+                conn.sendall(reply)
+                while conn.recv(65536):  # until the initiator hangs up
+                    pass
+
+        thread = threading.Thread(target=peer)
+        thread.start()
+        addr = "127.0.0.1:%d" % server.getsockname()[1]
+        code = run(["demo", "connect", "--addr", addr, "--params", str(paths["params"])])
+        thread.join(10)
+    assert not thread.is_alive()
+    assert code == 5
+    assert capsys.readouterr().err.startswith("transport error: received frame: ")
+
+
+def test_demo_sniff_malformed_pubkey_exits_3(tmp_path, capsys):
+    # no transport is involved: a PUBKEY payload of the wrong length, or
+    # with an entry >= q, is an unreadable transcript, as a bad PARAMS is
+    paths = gen_pipeline(tmp_path, q=101, k=2, d=2)
+    params = (DIR_I2R, Frame(TAG_PARAMS, paths["params"].read_text().strip().encode()))
+    good = (DIR_R2I, Frame(TAG_PUBKEY, bytes(32)))
+    p = tmp_path / "t.json"
+    for payload in (bytes(24), bytes(31) + b"\x65"):
+        p.write_text(Transcript([params, (DIR_I2R, Frame(TAG_PUBKEY, payload)), good]).to_json())
+        assert run(["demo", "sniff", "--transcript", str(p)]) == 3
+        assert capsys.readouterr().err.startswith("error: unreadable PUBKEY frame: ")
 
 
 def test_demo_sniff_incomplete_exits_3(tmp_path, capsys):

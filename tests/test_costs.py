@@ -10,7 +10,7 @@ import pytest
 from commkex import kron
 from commkex.attacks import passive_commutant_attack
 from commkex.commutant import Orbit, PowerTable, ShiftPoly, eval_recipe
-from commkex.gf import Field, Rng
+from commkex.gf import Field, OpCounter, Rng
 from commkex.kex import derive_shared, gen_params, keygen, private_key_from_coeffs, public_key
 from commkex.linalg import Matrix, mat_apply, mat_mul
 
@@ -114,9 +114,11 @@ def test_warm_passive_attack(counted, warm):
 
 
 def test_dense_kernels(counted):
-    field, rng = Field(101), Rng(7)
+    rng = Rng(7)
+    field = Field(101, OpCounter())
     a = Matrix(3, 4, [field.sample(rng) for _ in range(12)])
     b = Matrix(4, 5, [field.sample(rng) for _ in range(20)])
-    # a residue by a packed column per product: inner * cols, and cols
-    assert counted(mat_mul, field, a, b)[1] == 4 * 5
-    assert counted(mat_apply, field, a, [1, 2, 3, 4])[1] == 4
+    # one product of residues per counted multiply: n * inner * p, and rows * cols
+    assert counted(mat_mul, field, a, b)[1] == field.counter.mul_count == 3 * 4 * 5
+    field.counter.mul_count = 0
+    assert counted(mat_apply, field, a, [1, 2, 3, 4])[1] == field.counter.mul_count == 3 * 4

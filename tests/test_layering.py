@@ -1,7 +1,8 @@
 """The slot codec is a leaf, and the modules that use it share no
 private names: ``kron`` imports no commkex module, and ``linalg`` and
 ``commutant`` import no underscore name from each other or from
-``kron`` (they call ``kron.<name>``).  Their dot products of packed
+``kron`` (they call ``kron.<name>``), and ``linalg`` imports nothing
+from ``commutant``: a key in R applies itself.  Their dot products of packed
 integers go through ``kron.dots``, and the library imports nothing
 beyond the standard library.  The values that caches are built from
 are frozen, and only a constructor or the passive attack's cache
@@ -62,6 +63,12 @@ def test_codec_users_share_no_private_names():
             and node.attr.startswith("_")
         ]
         assert reached == [], module
+
+
+def test_linalg_imports_nothing_from_commutant():
+    # ast.walk reaches imports under `if TYPE_CHECKING:` too
+    found, _ = imports("linalg")
+    assert [m for m, names in found if "commutant" in (m.split(".")[-1], *names)] == []
 
 
 def test_library_imports_only_the_standard_library():
