@@ -39,10 +39,9 @@ evaluation reads, live in one PowerTable kept by the parameters
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from typing import NamedTuple, Optional, Sequence
 
 from . import kron
@@ -333,11 +332,34 @@ def _realize(blocks: Sequence[Sequence], k: int, d: int, zero) -> list:
     return entries
 
 
-def _pack_polys(coeffs: Sequence[ShiftPoly], k: int, slot: int, q: int) -> list[int]:
-    """Each coefficient's k residues reduced mod q and packed, all of them
-    by one struct call."""
-    residues = map(operator.mod, chain.from_iterable(c.coeffs for c in coeffs), repeat(q))
-    return kron.pack_elements(list(residues), k, slot)
+def _key_pass(
+    table: PowerTable,
+    coeffs: Sequence[ShiftPoly],
+    columns: Sequence[Sequence[int]],
+    images: Sequence[Sequence[int]],
+) -> tuple[bytes, tuple[int, ...], list[int]]:
+    """The one pass of a key polynomial sum_i diag(a_i) * z**i.  The a_i
+    are packed by one struct call (reduced mod q first only when some
+    residue is not canonical; a drawn key's are), and dotted by one
+    ``kron.dots`` with each of ``columns`` (block columns of the table's
+    powers, or none) and with the d chunk columns of ``images`` (a
+    vector's packed orbit, or none).  Every dot's low k slots are reduced
+    by one ``kron.reduced_bytes`` and read by one struct call per part.
+    Returns the reduced bytes of the block dots, their residues, and the
+    vector that the chunk dots hold (read as ``PowerTable.unpack``
+    reads)."""
+    k, slot, q, n = table.z.k, table.slot, table.field.q, len(columns)
+    residues = list(chain.from_iterable(c.coeffs for c in coeffs))
+    if min(residues) < 0 or max(residues) >= q:
+        residues = [x % q for x in residues]
+    dots = kron.dots(kron.pack_elements(residues, k, slot), chain(columns, zip(*images)))
+    # the chunk dots reversed: the vector is then the slots after the blocks', reversed
+    raw = kron.reduced_bytes(dots[:n] + dots[n:][::-1], k, slot, q)
+    # a struct per part: one over both is past CODEC_CACHE_SLOTS, and
+    # compiled per call, at shapes where neither part is (8x16, 2x32)
+    cut = n * k * slot
+    chunks = kron.slots((len(dots) - n) * k, slot).unpack_from(raw, cut)
+    return raw[:cut], kron.slots(n * k, slot).unpack_from(raw), list(chunks[::-1])
 
 
 def embed_block_diag(field: Field, poly: ShiftPoly, d: int) -> Matrix:
@@ -534,8 +556,12 @@ def sample_ring_element(
 
 
 def eval_key_poly(
-    field: Field, coeffs: Sequence[ShiftPoly], base: PowerTable | Matrix, d: int
-) -> RingMatrix | Matrix:
+    field: Field,
+    coeffs: Sequence[ShiftPoly],
+    base: PowerTable | Matrix,
+    d: int,
+    images: Optional[Sequence[Sequence[int]]] = None,
+) -> RingMatrix | Matrix | tuple[RingMatrix, list[int]]:
     """Evaluate sum_i diag(a_i) * z**i in R, in one pass.
 
     R is commutative, so block n of the result is sum_i a_i * (z**i)_n:
@@ -548,6 +574,13 @@ def eval_key_poly(
     and the RingMatrix carries the bytes (``packed``), from which
     ``RingMatrix.apply`` cuts the packed blocks at the table's slot (it
     holds m terms).
+
+    With ``images``, a vector's packed orbit z**i vec for i <
+    len(coeffs) by the PowerTable ``base`` (``Orbit.upto``), it returns
+    (key, key @ vec): the same ``kron.dots`` call also dots the packed a_i
+    with the images' d chunk columns, as ``apply_key_poly`` does, and the
+    same reduction reads the vector (``_key_pass``).  Keygen computes a
+    key and its public key so.
     """
     if not coeffs:
         raise DimensionMismatch("key polynomial needs at least one coefficient")
@@ -557,17 +590,20 @@ def eval_key_poly(
             raise DimensionMismatch("coefficient sizes differ")
     dense = isinstance(base, Matrix)
     table = PowerTable(field, RingMatrix.from_matrix(base, k, d), len(coeffs)) if dense else base
-    z, q, slot = table.z, field.q, table.slot
+    z, slot = table.z, table.slot
     if z.k != k or z.d != d or len(coeffs) > table.count:
         raise DimensionMismatch(
             f"{len(coeffs)} coefficients (k={k}, d={d}) for {table.count} powers (k={z.k}, d={z.d})"
         )
-    packed = _pack_polys(coeffs, k, slot, q)
-    raw = kron.reduced_bytes(kron.dots(packed, table.columns), k, slot, q)
-    flat = kron.slots(d * d * k, slot).unpack(raw)
-    blocks = [flat[s : s + k] for s in range(0, len(flat), k)]
-    key = RingMatrix(k, d, blocks, (slot, raw))
-    return key.to_matrix() if dense else key
+    if images is not None and (
+        dense or len(images) != len(coeffs) or any(len(v) != d for v in images)
+    ):
+        raise DimensionMismatch("images need a PowerTable base, d chunks each, one per coefficient")
+    raw, flat, vec = _key_pass(table, coeffs, table.columns, images or ())
+    key = RingMatrix(k, d, [flat[s : s + k] for s in range(0, len(flat), k)], (slot, raw))
+    if dense:
+        return key.to_matrix()
+    return key if images is None else (key, vec)
 
 
 def apply_key_poly(
@@ -577,10 +613,11 @@ def apply_key_poly(
     orbit images[i] = z**i vec (``Orbit.upto``): the key polynomial
     applied to vec without building the key.  Output chunk b is the
     packed a_i dotted with chunk b of the images: d dots of len(coeffs)
-    products in one ``kron.dots``.  It needs len(coeffs) <=
-    table.capacity, so that the table's slot holds the sum.
+    products in one ``kron.dots``, reduced once (``_key_pass``, the pass
+    ``eval_key_poly`` takes, here with no block columns).  It needs
+    len(coeffs) <= table.capacity, so that the table's slot holds the sum.
     """
-    z, q, slot = table.z, table.field.q, table.slot
+    z = table.z
     if not coeffs or len(images) != len(coeffs) or len(coeffs) > table.capacity:
         raise DimensionMismatch(
             f"{len(coeffs)} coefficients for {len(images)} images "
@@ -588,8 +625,7 @@ def apply_key_poly(
         )
     if any(c.k != z.k for c in coeffs) or any(len(v) != z.d for v in images):
         raise DimensionMismatch("coefficient and image sizes disagree")
-    packed = _pack_polys(coeffs, z.k, slot, q)
-    return table.unpack(kron.dots(packed, zip(*images)))
+    return _key_pass(table, coeffs, (), images)[2]
 
 
 def apply_key_product(

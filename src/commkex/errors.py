@@ -86,4 +86,5 @@ class IncompleteTranscript(Error):
 
 
 class InvalidPublic(Error):
-    """A Diffie-Hellman public value is outside [1, p-1]."""
+    """A peer's public value cannot be used: a Diffie-Hellman value
+    outside [1, p-1], or a commuting-matrix public key that is zero."""

@@ -9,10 +9,11 @@ Keys are evaluated from the base's packed powers z**0 .. z**D, which
 the params keep (``z_powers``), and carry their packed blocks.  The
 public key is the private key applied to the public vector, computed
 from the vector's packed orbit zeta, z zeta, ..., z**D zeta, which the
-params also keep (``zeta_orbit``).  The shared key is one's own
-private key applied to the peer's public key, from the key's packed
-blocks.  Any two private keys commute, so both parties derive the same
-vector.
+params also keep (``zeta_orbit``); keygen takes the key and its
+public key in one pass over both (``eval_key_poly``).  The shared key
+is one's own private key applied to the peer's public key, from the
+key's packed blocks; a zero peer key is refused.  Any two private keys
+commute, so both parties derive the same vector.
 
 Both the base and the public vector are public: without a shared base
 the two parties' keys would not commute, and without the vector nobody
@@ -59,6 +60,7 @@ from .errors import (
     DegenerateKey,
     DimensionMismatch,
     InvalidParams,
+    InvalidPublic,
     NotBlockToeplitz,
     ParseError,
 )
@@ -84,9 +86,11 @@ class Params:
     and the passive attack as far as its elimination reads, then up to
     z**(2*top) zeta for the product of its two solutions (top, the last
     power with a pivot, is at most the bound).  Each is built on first
-    use and kept (``functools.cached_property``); a longer polynomial
-    gets a table of its own.  ``_passive_system`` is the passive attack's
-    cache, which only ``attacks._passive_system`` reads and writes."""
+    use and kept (``functools.cached_property``), as is ``json_text``,
+    the canonical params.json text that ``params_to_json`` returns; a
+    longer polynomial gets a table of its own.  ``_passive_system`` is
+    the passive attack's cache, which only ``attacks._passive_system``
+    reads and writes."""
 
     q: int
     k: int
@@ -134,6 +138,10 @@ class Params:
     @cached_property
     def zeta_orbit(self) -> Orbit:
         return Orbit(self.z_powers, self.base_vector)
+
+    @cached_property
+    def json_text(self) -> str:
+        return canonical_json(params_to_obj(self))
 
     @property
     def m(self) -> int:
@@ -232,22 +240,22 @@ def keygen(params: Params, rng: Rng) -> tuple[PrivateKey, PublicKey]:
 
     Coefficients are drawn uniformly (degree+1 polynomials of k
     coefficients each, in order, by one ``Rng.below_many`` call per
-    attempt).  A draw is rejected when the key matrix kills the public
-    vector or is a scalar multiple of the identity; both are weak keys
-    the construction does not need.  The key is evaluated in R from
-    ``params.z_powers``, and the public key from ``params.zeta_orbit``
-    (d*(D+1) packed products), where both rules are decided.
+    attempt).  A draw is rejected when the key matrix is a scalar
+    multiple of the identity or kills the public vector; both are weak
+    keys the construction does not need.  Each attempt is one
+    ``eval_key_poly`` pass: the draw is packed once, one ``kron.dots``
+    call dots it with the block columns of ``params.z_powers`` and the
+    chunk columns of ``params.zeta_orbit`` ((D+1)*(d**2 + d) packed
+    products), and one reduction gives the key in R, its packed bytes
+    and the public key, from which both rules are decided.
     """
     field, table, k = params.field(), params.z_powers, params.k
     orbit = params.zeta_orbit.upto(params.degree)
     for _ in range(KEYGEN_MAX_ATTEMPTS):
         draw = rng.below_many(field.q, (params.degree + 1) * k)
         coeffs = [ShiftPoly(tuple(draw[i : i + k])) for i in range(0, len(draw), k)]
-        key = eval_key_poly(field, coeffs, table, params.d)
-        if key.is_scalar():
-            continue
-        pub = apply_key_poly(table, coeffs, orbit)
-        if not any(pub):
+        key, pub = eval_key_poly(field, coeffs, table, params.d, orbit)
+        if key.is_scalar() or not any(pub):
             continue
         return PrivateKey(coeffs, key), PublicKey(pub)
     raise DegenerateKey(f"no usable key after {KEYGEN_MAX_ATTEMPTS} attempts")
@@ -265,11 +273,15 @@ def derive_shared(
     paper's unit; ``mat_apply`` computes them as d**2 packed block
     products, the key's packed blocks (kept by ``eval_key_poly``)
     against the peer key's chunks, so the dense matrix is never built.
+    A peer key that is zero mod q, which every key maps to the zero
+    vector, raises InvalidPublic.
     """
     if len(peer.vec) != params.m:
         raise DimensionMismatch(
             f"peer public key has length {len(peer.vec)}, expected {params.m}"
         )
+    if not any(x % params.q for x in peer.vec):
+        raise InvalidPublic("peer public key is zero mod q")
     field = params.field(counter)
     return SharedKey(mat_apply(field, sk.key, peer.vec))
 
@@ -295,12 +307,13 @@ def count_ops(action: str, params: Params) -> OpReport:
     polynomial: ``degree`` products of m x m matrices plus as many
     matrix additions, i.e. degree * m**3 multiplications and
     degree * m**3 additions -- assembling a coefficient embedding places
-    entries and multiplies nothing.  keygen itself computes in R: it
-    packs the degree+1 coefficients and takes one dot product per block
-    against the packed powers z**0 .. z**degree that ``Params.z_powers``
-    keeps, (degree+1) * d**2 big-integer products, and one per chunk of
-    the public key against the public vector's packed orbit that
-    ``Params.zeta_orbit`` keeps, (degree+1) * d more; the reported figure
+    entries and multiplies nothing.  keygen itself computes in R, in one
+    pass per attempt: it packs the degree+1 coefficients once and takes,
+    in one kernel call, one dot product per block against the packed
+    powers z**0 .. z**degree that ``Params.z_powers`` keeps, (degree+1) *
+    d**2 big-integer products, and one per chunk of the public key
+    against the public vector's packed orbit that ``Params.zeta_orbit``
+    keeps, (degree+1) * d more, all reduced together; the reported figure
     is the dense one.  Counts are structural, so they do not depend on
     the sampled values.
     """
@@ -567,7 +580,9 @@ def params_from_obj(obj) -> Params:
 
 
 def params_to_json(params: Params) -> str:
-    return canonical_json(params_to_obj(params))
+    """The canonical params.json text, serialized once per Params and
+    kept (``Params.json_text``)."""
+    return params.json_text
 
 
 def params_from_json(text: str) -> Params:

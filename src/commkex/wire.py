@@ -186,6 +186,8 @@ def _pubkey_from_payload(payload: bytes, params: Params) -> PublicKey:
     vec = vector_from_bytes(payload)
     if any(e >= params.q for e in vec):
         raise ProtocolViolation("public key entry is not a canonical residue")
+    if not any(vec):
+        raise ProtocolViolation("public key is zero")
     return PublicKey(vec)
 
 

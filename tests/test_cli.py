@@ -24,9 +24,10 @@ from commkex.kex import (
     params_from_json,
     private_key_from_json,
     public_key_from_json,
+    vector_to_bytes,
 )
 from commkex.attacks import DirectoryEntry, KeyDirectory, directory_to_obj
-from commkex.wire import DIR_I2R, DIR_R2I, TAG_PARAMS, TAG_PUBKEY, Frame, Transcript
+from commkex.wire import DIR_I2R, DIR_R2I, TAG_PARAMS, TAG_PUBKEY, Frame, Transcript, encode_frame
 
 
 def run(args):
@@ -662,6 +663,48 @@ def test_demo_connect_malformed_reply_exits_5(tmp_path, capsys, reply):
     assert not thread.is_alive()
     assert code == 5
     assert capsys.readouterr().err.startswith("transport error: received frame: ")
+
+
+def test_zero_peer_key_is_refused(tmp_path, capsys):
+    # a zero public key, which every key maps to the all-zero shared key:
+    # from a file it is invalid (exit 3), from a listener's reply a
+    # protocol violation (exit 5), and in a transcript unreadable (exit 3)
+    paths = gen_pipeline(tmp_path, seed_params=3, seed_a=1, q=101, k=2, d=2, degree=2)
+    zero_pub = tmp_path / "zero.pub.json"
+    zero_pub.write_text('{"xi":{"entries":["0","0","0","0"]}}')
+    out = tmp_path / "shared.bin"
+    derive = ["derive", "--params", str(paths["params"]), "--key", str(paths["alice_key"])]
+    assert run(derive + ["--peer-pub", str(zero_pub), "-o", str(out)]) == 3
+    assert capsys.readouterr().err == "error: peer public key is zero mod q\n"
+    assert not out.exists()
+    zero = Frame(TAG_PUBKEY, bytes(32))
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.settimeout(10)
+
+        def peer():
+            conn, _ = server.accept()
+            with conn:
+                conn.settimeout(10)
+                conn.sendall(encode_frame(zero))
+                while conn.recv(65536):  # until the initiator hangs up
+                    pass
+
+        thread = threading.Thread(target=peer)
+        thread.start()
+        addr = "127.0.0.1:%d" % server.getsockname()[1]
+        code = run(["demo", "connect", "--addr", addr, "--params", str(paths["params"])])
+        thread.join(10)
+    assert not thread.is_alive()
+    assert code == 5
+    assert capsys.readouterr().err == "transport error: public key is zero\n"
+    params = (DIR_I2R, Frame(TAG_PARAMS, paths["params"].read_text().strip().encode()))
+    alice = public_key_from_json(paths["alice_pub"].read_text(), 101)
+    honest = Frame(TAG_PUBKEY, vector_to_bytes(alice.vec))
+    sniffed = tmp_path / "t.json"
+    for pubs in ((zero, honest), (honest, zero)):
+        sniffed.write_text(Transcript([params, *zip((DIR_I2R, DIR_R2I), pubs)]).to_json())
+        assert run(["demo", "sniff", "--transcript", str(sniffed)]) == 3
+        assert capsys.readouterr().err == "error: unreadable PUBKEY frame: public key is zero\n"
 
 
 def test_demo_sniff_malformed_pubkey_exits_3(tmp_path, capsys):

@@ -385,6 +385,17 @@ def test_eval_key_poly_validation():
         eval_key_poly(F7, [], Matrix.identity(2), 2)
     with pytest.raises(DimensionMismatch):
         eval_key_poly(F7, [ShiftPoly((1, 0))], Matrix.identity(2), 2)
+    # images, for the key's public key: one per coefficient, d chunks
+    # each, packed by the PowerTable given as the base
+    table = PowerTable(F7, RingMatrix(1, 2, [[2], [1], [0], [3]]), 2)
+    coeffs, images = [ShiftPoly((1,)), ShiftPoly((2,))], Orbit(table, [1, 0]).upto(1)
+    key, vec = eval_key_poly(F7, coeffs, table, 2, images)
+    assert key == eval_key_poly(F7, coeffs, table, 2) and vec == apply_key_poly(table, coeffs, images)
+    for bad in (images[:1], [v[:1] for v in images]):
+        with pytest.raises(DimensionMismatch):
+            eval_key_poly(F7, coeffs, table, 2, bad)
+    with pytest.raises(DimensionMismatch):
+        eval_key_poly(F7, coeffs, table.z.to_matrix(), 2, images)
 
 
 def test_diag_and_grid_rings_commute():

@@ -60,6 +60,37 @@ def test_keygen_on_warm_params(counted, warm):
     assert products == terms * d * d + terms * d
 
 
+class _Attempts:
+    """Counts keygen attempts (its below_many calls); with
+    ``scalar_first`` the first draw is rigged to the scalar key 1*I, so
+    that keygen draws again."""
+
+    def __init__(self, rng, scalar_first):
+        self.rng, self.attempts, self.rigged = rng, 0, scalar_first
+
+    def below_many(self, n, count):
+        self.attempts += 1
+        if self.rigged:
+            self.rigged = False
+            return [1] + [0] * (count - 1)
+        return self.rng.below_many(n, count)
+
+
+def test_keygen_takes_one_kernel_call_and_one_reduction_per_attempt(monkeypatch, warm):
+    params, rng, _, _ = warm
+    calls = []
+    for name in ("dots", "reduced_bytes"):
+        fn = getattr(kron, name)
+        monkeypatch.setattr(kron, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    for scalar_first in (False, True):
+        counting = _Attempts(rng, scalar_first)
+        calls.clear()
+        keygen(params, counting)
+        assert counting.attempts >= 1 + scalar_first
+        # the key's blocks and its public key: one kron.dots, one reduction
+        assert calls == ["dots", "reduced_bytes"] * counting.attempts
+
+
 def test_derive_shared(counted, warm):
     params, _, (sk_a, _), (_, pk_b) = warm
     _, products = counted(derive_shared, params, sk_a, pk_b)

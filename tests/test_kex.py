@@ -19,6 +19,7 @@ from commkex.errors import (
     DimensionMismatch,
     Error,
     InvalidParams,
+    InvalidPublic,
     NotBlockToeplitz,
     ParseError,
 )
@@ -30,6 +31,8 @@ from commkex.commutant import (
     RingMatrix,
     RingSample,
     ShiftPoly,
+    apply_key_poly,
+    eval_key_poly,
     random_shift_poly,
 )
 from commkex.kex import (
@@ -170,6 +173,65 @@ def test_derive_shared_dimension_check(micro_params, micro_keys):
     sk_a = micro_keys[0]
     with pytest.raises(DimensionMismatch):
         derive_shared(micro_params, sk_a, PublicKey([1, 2, 3]))
+
+
+def test_derive_refuses_a_zero_peer_key():
+    # the example of a zero pub.json: every key maps it to the zero
+    # vector, so the "shared" key would be 32 zero bytes
+    params = gen_params(101, 2, 2, 2, Rng(3), seed=3)
+    sk, pk = keygen(params, Rng(1))
+    for vec in ([0, 0, 0, 0], [101, 0, 202, 0]):
+        counter = OpCounter()
+        with pytest.raises(InvalidPublic, match="zero"):
+            derive_shared(params, sk, PublicKey(vec), counter)
+        assert counter.mul_count == 0
+    counter = OpCounter()
+    assert any(derive_shared(params, sk, PublicKey([0, 0, 0, 1]), counter).vec)
+    assert counter.mul_count == params.m**2
+
+
+class _ScalarFirst:
+    """An Rng whose first keygen draw is rigged to a scalar key (c*I:
+    a_0 = (c, 0, ..., 0), the other coefficients 0); later draws are
+    the wrapped Rng's."""
+
+    def __init__(self, rng, c):
+        self.rng, self.c, self.rigged = rng, c, False
+
+    def below_many(self, n, count):
+        if self.rigged:
+            return self.rng.below_many(n, count)
+        self.rigged = True
+        return [self.c] + [0] * (count - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([101, 2**31 - 1]),
+    st.integers(1, 16),
+    st.integers(2, 5),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+@example(101, 1, 2, 1, 0, True)
+@example(2**31 - 1, 16, 5, 4, 1, True)
+def test_keygen_one_pass_matches_evaluating_and_applying_apart(q, k, d, degree, seed, rigged):
+    # keygen's one kernel call and reduction give the key and T zeta that
+    # eval_key_poly and apply_key_poly give on the same draw
+    params = gen_params(q, k, d, degree, Rng(seed))
+    rng = _ScalarFirst(Rng(seed + 1), 1 + seed % (q - 1)) if rigged else Rng(seed + 1)
+    sk, pk = keygen(params, rng)
+    assert not sk.key.is_scalar() and any(pk.vec)  # a rigged scalar draw is refused
+    draw = Rng(seed + 1).below_many(q, (degree + 1) * k)
+    coeffs = tuple(ShiftPoly(tuple(draw[i : i + k])) for i in range(0, len(draw), k))
+    if sk.coeffs != coeffs:  # the first honest draw was weak: keygen drew again
+        return
+    key = eval_key_poly(params.field(), coeffs, params.z_powers, d)
+    pub = apply_key_poly(params.z_powers, coeffs, params.zeta_orbit.upto(degree))
+    assert sk.key == key and sk.key.blocks == key.blocks
+    assert sk.key.packed == key.packed
+    assert pk.vec == pub
 
 
 def test_agreement_random_instances():

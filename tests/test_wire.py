@@ -649,6 +649,34 @@ def test_listener_rejects_malformed_recipe_and_keeps_serving(malformed_recipes):
 
 
 @pytest.mark.usefixtures("no_thread_leak")
+def test_listener_refuses_a_zero_pubkey_and_keeps_serving():
+    # a raw-socket peer sends PARAMS and an all-zero PUBKEY, which every
+    # key maps to the zero shared key: the listener hangs up before its
+    # own PUBKEY, records a protocol violation, then serves an honest
+    # session; a transcript with the zero PUBKEY is incomplete
+    params, sk_a, _, _, _ = make_session(seed=18, q=101, k=2, d=2, degree=2)
+    zero = Frame(TAG_PUBKEY, vector_to_bytes([0] * params.m))
+    listener = Listener(seed=62, max_sessions=2)
+    host, port = listener.start()
+    try:
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(encode_frame(Frame(TAG_PARAMS, params_to_json(params).encode())))
+            sock.sendall(encode_frame(zero))
+            assert sock.recv(1) == b""  # the listener hangs up
+        listener.wait(1)
+        shared, transcript = connect_and_run(host, port, params, sk_a)
+        listener.wait(2)
+    finally:
+        listener.stop()
+    refused, good = listener.results
+    assert isinstance(refused, ProtocolViolation) and "public key is zero" in str(refused)
+    assert not isinstance(good, Exception) and good.vec == shared.vec
+    forged = Transcript([(d, zero if f.tag == TAG_PUBKEY else f) for d, f in transcript.frames])
+    with pytest.raises(IncompleteTranscript, match="unreadable PUBKEY frame: public key is zero"):
+        eavesdrop(forged)
+
+
+@pytest.mark.usefixtures("no_thread_leak")
 def test_stop_ends_silent_sessions_at_once():
     # eight clients that never send a byte hold eight sessions open; an
     # honest client is still served, and stop() ends the eight at once,
